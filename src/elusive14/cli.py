@@ -15,8 +15,8 @@ import time
 from . import __version__
 from .bundle import (Campaign, DataIntegrityError, build_campaign,
                      data_digests, load_group_file, load_group_specs)
-from .complexes import (IndeterminateFace, TypeAssignment, euler,
-                        fixed_point_complex, link_euler_fast)
+from .complexes import (IndeterminateFace, TypeAssignment, assert_monotone,
+                        euler, fixed_point_complex, link_euler_fast)
 from .oracle import (BooleanFunction, DepthSolver, exhaustive_conjecture_check)
 from .orbits import OrbitPoset, OrbitTable
 from .perm import ClosureCapExceeded, PermGroup, classify, is_transitive
@@ -48,9 +48,19 @@ def _resolve_group(arg: str, closure_cap: int = 1_000_000) -> tuple[str, PermGro
 
 
 def _load_assignment(path: str, table: OrbitTable, poset: OrbitPoset) -> TypeAssignment:
+    """Read a JSON list of {"orbit": "level.index", "state": "T"|"F"}."""
     with open(path, "rb") as fh:
         raw = json.load(fh)
-    states = {entry["orbit"]: entry["state"] for entry in raw}
+    if not isinstance(raw, list):
+        raise ValueError(f"{path}: an assignment is a JSON list of "
+                         '{"orbit": ..., "state": ...} entries')
+    states = {}
+    for entry in raw:
+        if not isinstance(entry, dict) or not isinstance(entry.get("orbit"), str):
+            raise ValueError(f"{path}: bad assignment entry {entry!r}")
+        if entry["orbit"] in states:
+            raise ValueError(f"{path}: orbit {entry['orbit']} is listed twice")
+        states[entry["orbit"]] = entry.get("state")
     return TypeAssignment.from_states(table, poset, states)
 
 
@@ -146,8 +156,14 @@ def cmd_dtree(args) -> int:
     table = OrbitTable(group)
     poset = OrbitPoset(table)
     assignment = _load_assignment(args.assignment, table, poset)
-    t_bits = assignment.t_bits
-    f = BooleanFunction.from_orbit_types(table, t_bits)
+    # from_orbit_types marks the function monotone, which holds only for
+    # a full, downward-closed assignment
+    if not assignment.is_fully_assigned():
+        raise ValueError("dtree needs every orbit assigned T or F")
+    if not assert_monotone(assignment):
+        raise ValueError("dtree needs a downward-closed assignment: "
+                         "a TRUE orbit lies above a FALSE one")
+    f = BooleanFunction.from_orbit_types(table, assignment.t_bits)
     solver = DepthSolver(f)
     depth = solver.depth()
     report = {"group": name, "arity": f.n, "depth": depth,

@@ -1,12 +1,26 @@
-"""Independent ground truth: exact decision-tree depth by memoized minimax,
-elusiveness checks, exhaustive small-arity sweeps, and the restriction
-lemma check.
+"""Independent ground truth: elusiveness decided by the adversary
+recursion, exact decision-tree depth, exhaustive small-arity sweeps, and the
+restriction lemma check.
 
-The depth recursion walks restrictions (assigned mask, answered mask) of
-the variable set; the memo key is the radix-3 encoding of the restriction,
-one digit per variable (free / answered 0 / answered 1).  For monotone
-functions, constancy on a subcube reduces to comparing the all-zeros and
-all-ones completions, which is what makes arity 14 tractable.
+Both recursions walk restrictions (assigned mask, answered mask) of the
+variable set and share one memo keyed by the radix-3 encoding of the
+restriction, one digit per variable (free / answered 0 / answered 1).
+
+The decision pass comes first.  A restriction is evasive (its depth equals
+its number of free variables) iff it has no free variable, or it is
+nonconstant and every free query has an answer whose child is evasive; the
+pass stops at the first query whose two children are both non-evasive.
+Only a non-evasive restriction falls back to the exact minimax, which then
+finds its evasive children already settled.
+
+When the function carries its invariance group G, a restriction queries
+only the least variable of each orbit of the pointwise stabilizer of its
+assigned variables: a sigma in G fixing every assigned variable maps the
+restriction and f to themselves, so queries in one orbit lead to isomorphic
+subproblems.  For a transitive G the root queries x1 alone.
+
+For monotone functions, constancy on a subcube reduces to comparing the
+all-zeros and all-ones completions, which is what makes arity 14 tractable.
 """
 
 from __future__ import annotations
@@ -24,22 +38,31 @@ class ArityError(ValueError):
 
 MAX_ARITY = 14
 
+# memo entries other than an exact depth 0..n
+NOT_EVASIVE = 0xFE
+UNFILLED = 0xFF
+
 
 class BooleanFunction:
     """A boolean function given by its full truth table over subset masks.
 
     ``monotone`` asserts the function is monotone (in either direction),
-    which licenses the two-completion constancy shortcut.
+    which licenses the two-completion constancy shortcut.  ``group``, when
+    set, is a permutation group of the variables that the function is
+    invariant under; the depth solver checks it and uses it to skip
+    symmetric queries.
     """
 
-    __slots__ = ("n", "table", "monotone")
+    __slots__ = ("n", "table", "monotone", "group")
 
-    def __init__(self, n: int, table: bytes | bytearray, monotone: bool = False):
+    def __init__(self, n: int, table: bytes | bytearray, monotone: bool = False,
+                 group: PermGroup | None = None):
         if len(table) != 1 << n:
             raise ValueError("truth table length must be 2^n")
         self.n = n
         self.table = bytes(table)
         self.monotone = monotone
+        self.group = group
 
     def __call__(self, mask: int) -> int:
         return self.table[mask]
@@ -59,11 +82,11 @@ class BooleanFunction:
                 for m in table.members[o]:
                     tab[m] = 1
         tab[0] = 1 if empty_true else tab[0]
-        return cls(table.n, tab, monotone=True)
+        return cls(table.n, tab, monotone=True, group=table.group)
 
     def opposite(self) -> "BooleanFunction":
         return BooleanFunction(self.n, bytes(1 - v for v in self.table),
-                               monotone=self.monotone)
+                               monotone=self.monotone, group=self.group)
 
     def restricted_true(self, v: int) -> "BooleanFunction":
         """The function with variable x_v (1-based) answered 1, on the
@@ -88,8 +111,65 @@ def is_monotone_nonincreasing(f: BooleanFunction) -> bool:
     return True
 
 
+def _subset_unions(bits: list[int]) -> list[int]:
+    """Entry m is the union of the bits[i] with bit i set in m."""
+    out = [0]
+    for b in bits:
+        out += [x | b for x in out]
+    return out
+
+
+def _check_invariant(f: BooleanFunction) -> None:
+    n, group, table = f.n, f.group, f.table
+    if group.degree != n:
+        raise ValueError(f"group degree {group.degree} does not match "
+                         f"arity {n}")
+    half = n // 2
+    low_mask = (1 << half) - 1
+    for g in group.generators:
+        # a mask's image is the union of its low and high halves' images;
+        # two small tables instead of one per mask keep the peak RSS flat
+        bit = [1 << g.images[i] for i in range(n)]
+        low = _subset_unions(bit[:half])
+        high = _subset_unions(bit[half:])
+        if any(table[low[m & low_mask] | high[m >> half]] != table[m]
+               for m in range(1 << n)):
+            raise ValueError(f"truth table is not invariant under {g}")
+
+
+def _orbit_queries(group: PermGroup) -> dict[int, int]:
+    """Query masks per assigned-variable mask: the least free point of each
+    orbit of the pointwise stabilizer of the assigned points.
+
+    Only masks reached from the empty mask through such queries, while the
+    stabilizer stays nontrivial, are listed.  Any other mask queries every
+    free variable, which is always sound."""
+    queries: dict[int, int] = {}
+    stack = [(0, group.elements)]
+    while stack:
+        assigned, stab = stack.pop()
+        if len(stab) == 1 or assigned in queries:
+            continue
+        reps = 0
+        for p in range(group.degree):
+            if not assigned >> p & 1 and all(g.images[p] >= p for g in stab):
+                reps |= 1 << p
+        queries[assigned] = reps
+        for p in range(group.degree):
+            if reps >> p & 1:
+                stack.append((assigned | 1 << p,
+                              [g for g in stab if g.images[p] == p]))
+    return queries
+
+
 class DepthSolver:
-    """Memoized minimax over restrictions of one function."""
+    """Evasiveness by the adversary recursion, with memoized minimax for
+    the exact depth of non-evasive restrictions.
+
+    ``memo[idx]`` holds a restriction's exact depth (an evasive one's is
+    its free count), ``NOT_EVASIVE`` once the decision pass has shown its
+    depth is below its free count, or ``UNFILLED``.
+    """
 
     def __init__(self, f: BooleanFunction):
         if f.n > MAX_ARITY:
@@ -98,7 +178,11 @@ class DepthSolver:
         self.n = f.n
         self.full = (1 << f.n) - 1
         self.pow3 = [3 ** i for i in range(f.n)]
-        self.memo = bytearray(b"\xff") * (3 ** f.n)
+        self.memo = bytearray([UNFILLED]) * (3 ** f.n)
+        self.queries: dict[int, int] = {}
+        if f.group is not None:
+            _check_invariant(f)
+            self.queries = _orbit_queries(f.group)
 
     def _constant(self, assigned: int, values: int) -> bool:
         table = self.f.table
@@ -115,25 +199,62 @@ class DepthSolver:
                 break
         return True
 
-    def depth(self, assigned: int = 0, values: int = 0, idx: int = 0) -> int:
+    def _evasive(self, assigned: int, values: int, idx: int, free: int) -> bool:
         memo = self.memo
         r = memo[idx]
-        if r != 255:
-            return r
+        if r != UNFILLED:
+            return r == free
         if self._constant(assigned, values):
             memo[idx] = 0
-            return 0
-        best = self.n + 1
+            return free == 0
         pow3 = self.pow3
-        rem = self.full ^ assigned
+        evasive = self._evasive
+        rem = self.queries.get(assigned, self.full ^ assigned)
+        sub = free - 1
         while rem:
             b = rem & -rem
             rem ^= b
-            i = b.bit_length() - 1
-            ci = idx + pow3[i]
-            d1 = self.depth(assigned | b, values | b, ci + pow3[i])
+            step = pow3[b.bit_length() - 1]
+            # most children are memo hits, so look them up before recursing
+            c = idx + 2 * step
+            r = memo[c]
+            if r == sub or (r == UNFILLED
+                            and evasive(assigned | b, values | b, c, sub)):
+                continue
+            c = idx + step
+            r = memo[c]
+            if r == sub or (r == UNFILLED
+                            and evasive(assigned | b, values, c, sub)):
+                continue
+            memo[idx] = NOT_EVASIVE
+            return False
+        memo[idx] = free
+        return True
+
+    def evasive(self) -> bool:
+        """Whether the function has full decision-tree depth."""
+        return self._evasive(0, 0, 0, self.n)
+
+    def depth(self, assigned: int = 0, values: int = 0, idx: int = 0) -> int:
+        """Exact depth of the restriction whose radix-3 key is ``idx``."""
+        memo = self.memo
+        free = self.n - assigned.bit_count()
+        if self._evasive(assigned, values, idx, free):
+            return free
+        r = memo[idx]
+        if r != NOT_EVASIVE:
+            return r
+        # non-evasive, so some query reaches depth <= free - 1
+        best = free
+        pow3 = self.pow3
+        rem = self.queries.get(assigned, self.full ^ assigned)
+        while rem:
+            b = rem & -rem
+            rem ^= b
+            step = pow3[b.bit_length() - 1]
+            d1 = self.depth(assigned | b, values | b, idx + 2 * step)
             if d1 + 1 < best:
-                d0 = self.depth(assigned | b, values, ci)
+                d0 = self.depth(assigned | b, values, idx + step)
                 d = (d0 if d0 > d1 else d1) + 1
                 if d < best:
                     best = d
@@ -145,14 +266,23 @@ class DepthSolver:
     def adversary_path(self) -> list[tuple[int, int]]:
         """A worst-case play: at each restriction the solver queries an
         optimal variable and the adversary answers toward the deeper
-        subtree.  Returns (variable, answer) pairs, 1-based variables."""
+        subtree.  Returns (variable, answer) pairs, 1-based variables.
+
+        From an evasive restriction every query is optimal and has an
+        evasive child, so the play takes the lowest free variable and
+        answers 1 exactly when the 1-child is evasive; no exact depth of a
+        non-evasive child is needed."""
+        if self.evasive():
+            return self._evasive_path()
         path: list[tuple[int, int]] = []
         assigned = values = idx = 0
+        pow3 = self.pow3
         while not self._constant(assigned, values):
             target = self.depth(assigned, values, idx)
-            pow3 = self.pow3
             move = None
-            rem = self.full ^ assigned
+            # the least variable reaching the target is its orbit's least
+            # point, so the orbit representatives suffice
+            rem = self.queries.get(assigned, self.full ^ assigned)
             while rem:
                 b = rem & -rem
                 rem ^= b
@@ -172,6 +302,20 @@ class DepthSolver:
                 idx = ci + pow3[i]
             else:
                 idx = ci
+        return path
+
+    def _evasive_path(self) -> list[tuple[int, int]]:
+        # with x1..xi assigned, the lowest free variable is x(i+1)
+        path: list[tuple[int, int]] = []
+        values = idx = 0
+        for i in range(self.n):
+            b = 1 << i
+            step = self.pow3[i]
+            answer = int(self._evasive(2 * b - 1, values | b, idx + 2 * step,
+                                       self.n - 1 - i))
+            values |= b * answer
+            idx += (1 + answer) * step
+            path.append((i + 1, answer))
         return path
 
 
@@ -209,7 +353,7 @@ def _submasks(mask: int):
 
 
 def is_elusive(f: BooleanFunction) -> bool:
-    return decision_tree_depth(f) == f.n
+    return DepthSolver(f).evasive()
 
 
 def enumerate_monotone(n: int) -> list[int]:

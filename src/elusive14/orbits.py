@@ -129,10 +129,17 @@ class OrbitTable:
         return self._orbit_of[mask]
 
     def oid(self, label: OrbitId | str) -> int:
-        """Dense id from a canonical level.index label."""
+        """Dense id from a canonical level.index label; ValueError for a
+        label that names no orbit."""
         if isinstance(label, str):
-            lvl, idx = label.split(".")
-            label = OrbitId(int(lvl), int(idx))
+            try:
+                lvl, idx = label.split(".")
+                label = OrbitId(int(lvl), int(idx))
+            except ValueError:
+                raise ValueError(f"bad orbit label {label!r}") from None
+        if not (0 <= label.level <= self.n
+                and 0 <= label.index < len(self.ids_at_level[label.level])):
+            raise ValueError(f"no orbit {label} in this table")
         return self.ids_at_level[label.level][label.index]
 
     def label(self, oid: int) -> OrbitId:

@@ -107,6 +107,37 @@ def test_dtree_cli(capsys, tmp_path):
     assert len(report["adversary_path"]) == 6
 
 
+def test_dtree_rejects_partial_and_non_monotone_assignments(capsys, tmp_path):
+    # 3.1 alone used to come back as depth 11, elusive false, exit 0
+    partial = tmp_path / "partial.json"
+    partial.write_text(json.dumps([{"orbit": "3.1", "state": "T"}]))
+    assert main(["dtree", "G6", str(partial)]) == 2
+    # fully assigned, but 3.1 is TRUE above FALSE orbits
+    from elusive14.bundle import load_group_specs
+    from elusive14.orbits import OrbitTable
+    table = OrbitTable(load_group_specs()["G6"].build())
+    upward = tmp_path / "upward.json"
+    upward.write_text(json.dumps(
+        [{"orbit": str(table.label(o)),
+          "state": "T" if str(table.label(o)) == "3.1" else "F"}
+         for o in range(1, table.orbit_count)]))
+    assert main(["dtree", "G6", str(upward)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: dtree needs") == 2
+
+
+def test_malformed_assignment_files_exit_two(capsys, tmp_path):
+    unknown = tmp_path / "unknown.json"
+    unknown.write_text(json.dumps([{"orbit": "99.0", "state": "T"}]))
+    not_a_list = tmp_path / "not_a_list.json"
+    not_a_list.write_text(json.dumps({"orbit": "3.1"}))
+    for path in (unknown, not_a_list):
+        assert main(["dtree", "G6", str(path)]) == 2
+        assert main(["euler", "G6", str(path)]) == 2
+        assert main(["fixedpoint", "G6", "G6_1", str(path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_conjecture_cli(capsys):
     code, out = run_cli(capsys, "--format", "json", "conjecture-check", "--n", "3")
     assert code == 0

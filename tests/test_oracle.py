@@ -211,3 +211,103 @@ def test_sampled_invariant_functions_full_depth_small(c6):
         f = sample_invariant_function(table, poset, rng, seed_orbits=2)
         # weak symmetry at degree 6 with nontrivial monotone f
         assert decision_tree_depth(f) == 6
+
+
+def _c6_invariant_functions(c6):
+    table = OrbitTable(c6)
+    poset = OrbitPoset(table)
+    rng = random.Random(62)
+    fs = [sample_invariant_function(table, poset, rng,
+                                    seed_orbits=rng.randint(1, 4))
+          for _ in range(8)]
+    fs += [f.opposite() for f in fs]
+    fs += [BooleanFunction(6, bytes([v]) * 64, monotone=True, group=c6)
+           for v in (0, 1)]
+    return fs
+
+
+def _without_group(f):
+    return BooleanFunction(f.n, f.table, monotone=f.monotone)
+
+
+def test_group_aware_depth_matches_plain(c6):
+    for f in _c6_invariant_functions(c6):
+        assert f.group is c6
+        assert DepthSolver(f).depth() == decision_tree_depth_plain(f)
+
+
+def test_group_aware_adversary_path(c6):
+    elusive = 0
+    for f in _c6_invariant_functions(c6):
+        solver = DepthSolver(f)
+        d = solver.depth()
+        path = solver.adversary_path()
+        assert len(path) == d
+        assert len({v for v, _ in path}) == d
+        if d == f.n:
+            elusive += 1
+            assert path == DepthSolver(_without_group(f)).adversary_path()
+    assert elusive == 16
+
+
+def test_symmetry_reduction_on_every_dihedral_function():
+    # every union of dihedral orbits on 6 points, monotone or not: the point
+    # stabilizers are nontrivial, and two of these functions are neither
+    # constant nor evasive, so the exact fallback runs on reduced queries
+    d6 = generate([parse_cycles("(1,2,3,4,5,6)", 6),
+                   parse_cycles("(2,6)(3,5)", 6)])
+    table = OrbitTable(d6)
+    non_evasive = 0
+    for bits in range(1 << table.orbit_count):
+        tab = bytearray(64)
+        for o in range(table.orbit_count):
+            if bits >> o & 1:
+                for m in table.members[o]:
+                    tab[m] = 1
+        f = BooleanFunction(6, tab, group=d6)
+        solver = DepthSolver(f)
+        reference = DepthSolver(_without_group(f))
+        d = solver.depth()
+        assert d == reference.depth()
+        assert solver.adversary_path() == reference.adversary_path()
+        if 0 < d < 6:
+            assert d == decision_tree_depth_plain(f)
+            non_evasive += 1
+    assert solver.queries[0] == 1
+    assert non_evasive == 2
+
+
+def test_group_must_leave_the_table_invariant(c6):
+    tab = bytearray(64)
+    tab[0b1] = 1          # true on {x1} but not on {x2}
+    with pytest.raises(ValueError):
+        DepthSolver(BooleanFunction(6, tab, group=c6))
+    with pytest.raises(ValueError):
+        DepthSolver(BooleanFunction(5, bytes(32), group=c6))
+
+
+def test_group_follows_the_function(c6):
+    table = OrbitTable(c6)
+    f = sample_invariant_function(table, OrbitPoset(table), random.Random(64))
+    assert f.group is c6
+    assert f.opposite().group is c6
+    assert f.restricted_true(1).group is None
+    assert BooleanFunction.from_bitvector(2, 0b0111).group is None
+
+
+def test_g6_queries_one_variable_per_stabilizer_orbit(campaign):
+    f = sample_invariant_function(campaign.table, campaign.poset,
+                                  random.Random(65))
+    queries = DepthSolver(f).queries
+    assert queries[0] == 1                     # transitive: x1 alone
+    g6 = campaign.groups["G6"]
+    for assigned, reps in queries.items():
+        stab = [g for g in g6
+                if all(g.images[p] == p for p in range(14) if assigned >> p & 1)]
+        assert len(stab) > 1
+        least = {min(g.images[p] for g in stab)
+                 for p in range(14) if not assigned >> p & 1}
+        assert reps == sum(1 << p for p in least)
+        for p in least:                        # listed while nontrivial
+            if sum(g.images[p] == p for g in stab) > 1:
+                assert assigned | 1 << p in queries
