@@ -47,8 +47,10 @@ def _resolve_group(arg: str, closure_cap: int = 1_000_000) -> tuple[str, PermGro
     return load_group_file(arg)
 
 
-def _load_assignment(path: str, table: OrbitTable, poset: OrbitPoset) -> TypeAssignment:
-    """Read a JSON list of {"orbit": "level.index", "state": "T"|"F"}."""
+def _load_assignment(path: str, table: OrbitTable, poset: OrbitPoset,
+                     command: str) -> TypeAssignment:
+    """Read a JSON list of {"orbit": "level.index", "state": "T"|"F"} whose
+    TRUE orbits lie above no FALSE orbit."""
     with open(path, "rb") as fh:
         raw = json.load(fh)
     if not isinstance(raw, list):
@@ -61,7 +63,11 @@ def _load_assignment(path: str, table: OrbitTable, poset: OrbitPoset) -> TypeAss
         if entry["orbit"] in states:
             raise ValueError(f"{path}: orbit {entry['orbit']} is listed twice")
         states[entry["orbit"]] = entry.get("state")
-    return TypeAssignment.from_states(table, poset, states)
+    assignment = TypeAssignment.from_states(table, poset, states)
+    if not assert_monotone(assignment):
+        raise ValueError(f"{command} needs a downward-closed assignment: "
+                         "a TRUE orbit lies above a FALSE one")
+    return assignment
 
 
 def _classification_dict(cls) -> dict:
@@ -129,7 +135,7 @@ def cmd_euler(args) -> int:
     name, group = _resolve_group(args.groupfile)
     table = OrbitTable(group)
     poset = OrbitPoset(table)
-    assignment = _load_assignment(args.assignment, table, poset)
+    assignment = _load_assignment(args.assignment, table, poset, args.command)
     report = {"group": name, "euler": euler(assignment),
               "link_euler_x1": link_euler_fast(assignment, 1)}
     sys.stdout.write(emit(report, args.format))
@@ -141,7 +147,7 @@ def cmd_fixedpoint(args) -> int:
     sub_name, sub = _resolve_group(args.subgroupfile)
     table = OrbitTable(group)
     poset = OrbitPoset(table)
-    assignment = _load_assignment(args.assignment, table, poset)
+    assignment = _load_assignment(args.assignment, table, poset, args.command)
     fpc = fixed_point_complex(assignment, sub)
     report = {"group": name, "subgroup": sub_name,
               "blocks": fpc.block_points,
@@ -155,14 +161,9 @@ def cmd_dtree(args) -> int:
     name, group = _resolve_group(args.groupfile)
     table = OrbitTable(group)
     poset = OrbitPoset(table)
-    assignment = _load_assignment(args.assignment, table, poset)
-    # from_orbit_types marks the function monotone, which holds only for
-    # a full, downward-closed assignment
+    assignment = _load_assignment(args.assignment, table, poset, args.command)
     if not assignment.is_fully_assigned():
         raise ValueError("dtree needs every orbit assigned T or F")
-    if not assert_monotone(assignment):
-        raise ValueError("dtree needs a downward-closed assignment: "
-                         "a TRUE orbit lies above a FALSE one")
     f = BooleanFunction.from_orbit_types(table, assignment.t_bits)
     solver = DepthSolver(f)
     depth = solver.depth()
@@ -365,6 +366,17 @@ def cmd_replay(args) -> int:
     return 0 if res.ok else 1
 
 
+def _int_in(low: int, high: int | None = None):
+    """argparse type: an integer in low..high (no upper bound if None)."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low or (high is not None and value > high):
+            bound = f"{low}..{high}" if high is not None else f">= {low}"
+            raise argparse.ArgumentTypeError(f"{value} is not {bound}")
+        return value
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="elusive14",
@@ -407,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dtree)
 
     p = add_parser("conjecture-check", help="exhaustive small-arity sweep")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_in(1, 5), required=True)
     p.set_defaults(func=cmd_conjecture)
 
     p = add_parser("verify14", help="run the whole campaign")
@@ -416,14 +428,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed-independent", action="store_true",
                    help="run a second, differently ordered schedule and "
                         "require identical verdicts")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--cap", type=int, default=1 << 20)
+    p.add_argument("--jobs", type=_int_in(1), default=1)
+    p.add_argument("--cap", type=_int_in(1), default=1 << 20)
     _add_override_flags(p)
     p.set_defaults(func=cmd_verify14)
 
     p = add_parser("replay-appendix",
                    help="replay the bundled worked-example branch")
-    p.add_argument("--cap", type=int, default=1 << 20)
+    p.add_argument("--cap", type=_int_in(1), default=1 << 20)
     _add_override_flags(p)
     p.set_defaults(func=cmd_replay)
     return parser

@@ -21,15 +21,19 @@ subproblems.  For a transitive G the root queries x1 alone.
 
 For monotone functions, constancy on a subcube reduces to comparing the
 all-zeros and all-ones completions, which is what makes arity 14 tractable.
+
+The small-arity sweep runs its n!-permutation invariance scan only on
+functions whose variables each lie in the same number of true inputs.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import permutations
 
-from .orbits import OrbitPoset, OrbitTable
-from .perm import PermGroup
+from .orbits import OrbitPoset, OrbitTable, _action_table
+from .perm import Permutation, PermGroup
 
 
 class ArityError(ValueError):
@@ -72,16 +76,21 @@ class BooleanFunction:
         return cls(n, bytes((bits >> m) & 1 for m in range(1 << n)), monotone)
 
     @classmethod
-    def from_orbit_types(cls, table: OrbitTable, t_bits: int,
-                         empty_true: bool = True) -> "BooleanFunction":
-        """Function whose true inputs are the members of the TRUE orbits
-        (plus the empty input unless suppressed)."""
+    def from_orbit_types(cls, table: OrbitTable, t_bits: int) -> "BooleanFunction":
+        """Function whose true inputs are the empty input and the members of
+        the TRUE orbits, which must be closed downward (``ValueError``)."""
         tab = bytearray(1 << table.n)
+        tab[0] = 1
         for o in range(1, table.orbit_count):
             if t_bits >> o & 1:
+                # ids run up the levels, so the smaller subsets are already
+                # set; the table is G-invariant, so one member per orbit will do
+                m = table.members[o][0]
+                if not all(tab[m ^ 1 << i] for i in range(table.n) if m >> i & 1):
+                    raise ValueError(f"TRUE orbit {table.label(o)} is above a "
+                                     "FALSE one")
                 for m in table.members[o]:
                     tab[m] = 1
-        tab[0] = 1 if empty_true else tab[0]
         return cls(table.n, tab, monotone=True, group=table.group)
 
     def opposite(self) -> "BooleanFunction":
@@ -102,13 +111,8 @@ class BooleanFunction:
 
 def is_monotone_nonincreasing(f: BooleanFunction) -> bool:
     tab = f.table
-    for m in range(1 << f.n):
-        if tab[m]:
-            continue
-        for i in range(f.n):
-            if not m >> i & 1 and tab[m | (1 << i)]:
-                return False
-    return True
+    return all(tab[m] or not tab[m | 1 << i]
+               for m in range(1 << f.n) for i in range(f.n))
 
 
 def _subset_unions(bits: list[int]) -> list[int]:
@@ -327,20 +331,12 @@ def decision_tree_depth(f: BooleanFunction) -> int:
 def decision_tree_depth_plain(f: BooleanFunction, assigned: int = 0,
                               values: int = 0) -> int:
     """Memo-free reference recursion; exponential, for cross-checks only."""
-    full = (1 << f.n) - 1
-    free = full ^ assigned
-    vals = {f.table[values | s] for s in _submasks(free)}
-    if len(vals) == 1:
+    free = ((1 << f.n) - 1) ^ assigned
+    if len({f.table[values | s] for s in _submasks(free)}) == 1:
         return 0
-    best = f.n + 1
-    rem = free
-    while rem:
-        b = rem & -rem
-        rem ^= b
-        d0 = decision_tree_depth_plain(f, assigned | b, values)
-        d1 = decision_tree_depth_plain(f, assigned | b, values | b)
-        best = min(best, 1 + max(d0, d1))
-    return best
+    return 1 + min(max(decision_tree_depth_plain(f, assigned | b, values),
+                       decision_tree_depth_plain(f, assigned | b, values | b))
+                   for b in (1 << i for i in range(f.n)) if free & b)
 
 
 def _submasks(mask: int):
@@ -379,33 +375,47 @@ def enumerate_monotone(n: int) -> list[int]:
 def euler_of_bitvector(n: int, fbits: int) -> int:
     """Euler characteristic of the complex of true inputs (empty face
     excluded)."""
-    total = 0
-    for m in range(1, 1 << n):
-        if fbits >> m & 1:
-            total += (-1) ** (m.bit_count() + 1)
-    return total
+    return sum((-1) ** (m.bit_count() + 1) for m in range(1, 1 << n)
+               if fbits >> m & 1)
 
 
-def _mask_action_tables(n: int):
-    from itertools import permutations
+class SymmetryScan:
+    """Weak symmetry (a transitive invariance group) of truth-table
+    bitvectors on n variables."""
 
-    tables = []
-    for images in permutations(range(n)):
-        bit = [1 << images[i] for i in range(n)]
-        t = [0] * (1 << n)
-        for m in range(1, 1 << n):
-            low = m & -m
-            t[m] = t[m ^ low] | bit[low.bit_length() - 1]
-        tables.append((images, t))
-    return tables
+    def __init__(self, n: int):
+        self.full = (1 << n) - 1
+        self.actions = [_action_table(Permutation(p))
+                        for p in permutations(range(n))]
+        # var_pos[i]: the masks containing x_{i+1}, as a bitvector
+        self.var_pos = [sum(1 << m for m in range(1 << n) if m >> i & 1)
+                        for i in range(n)]
+
+    def screen(self, fbits: int) -> bool:
+        """Every variable lies in the same number of true inputs, which a
+        sigma in Aut(f) with sigma(i) = j forces for i and j."""
+        return len({(fbits & v).bit_count() for v in self.var_pos}) == 1
+
+    def __call__(self, fbits: int) -> bool:
+        if not self.screen(fbits):
+            return False
+        reached = 0
+        for t in self.actions:
+            # t[1] is the image of {x1}; one invariant sigma per image will do
+            if not t[1] & reached and all(fbits >> t[m] & 1 == fbits >> m & 1
+                                          for m in range(len(t))):
+                reached |= t[1]
+                if reached == self.full:
+                    return True
+        return False
 
 
 @dataclass
 class ConjectureReport:
     n: int
-    monotone_functions: int
-    weakly_symmetric_nontrivial: int
-    elusive_verified: int
+    monotone_functions: int = 0
+    weakly_symmetric_nontrivial: int = 0
+    elusive_verified: int = 0
     elusive_failures: list[int] = field(default_factory=list)
     non_elusive: int = 0
     chi_one_failures: list[int] = field(default_factory=list)
@@ -424,31 +434,22 @@ def exhaustive_conjecture_check(n: int) -> ConjectureReport:
     has Euler characteristic 1.
     """
     if n > 5:
-        raise ArityError("the exhaustive sweep scans all n! permutations "
-                         "per function; capped at n = 5")
-    actions = _mask_action_tables(n)
-    report = ConjectureReport(n=n, monotone_functions=0,
-                              weakly_symmetric_nontrivial=0,
-                              elusive_verified=0)
-    total = 1 << n
+        raise ArityError("the sweep scans n! permutations; capped at n = 5")
+    symmetric = SymmetryScan(n)
+    report = ConjectureReport(n=n)
+    full_input = 1 << ((1 << n) - 1)
     for fbits in enumerate_monotone(n):
         report.monotone_functions += 1
-        depth = decision_tree_depth(
+        elusive = is_elusive(
             BooleanFunction.from_bitvector(n, fbits, monotone=True))
-        if depth < n:
+        if not elusive:
             report.non_elusive += 1
             if fbits != 0 and euler_of_bitvector(n, fbits) != 1:
                 report.chi_one_failures.append(fbits)
-        nontrivial = fbits & 1 and not fbits >> (total - 1) & 1
-        if not nontrivial:
-            continue
-        reached = set()
-        for images, t in actions:
-            if all(fbits >> t[m] & 1 == fbits >> m & 1 for m in range(total)):
-                reached.add(images[0])
-        if len(reached) == n:
+        # nontrivial: true on the empty input, false on the full one
+        if fbits & 1 and not fbits & full_input and symmetric(fbits):
             report.weakly_symmetric_nontrivial += 1
-            if depth == n:
+            if elusive:
                 report.elusive_verified += 1
             else:
                 report.elusive_failures.append(fbits)
@@ -507,8 +508,7 @@ def restriction_lemma_check(G: PermGroup, samples: int,
             continue
         report.lemma_applicable += 1
         if not all(elusive_links):
-            report.remark_violations.append(
-                {"link_depths": link_depths})
+            report.remark_violations.append({"link_depths": link_depths})
         if decision_tree_depth(f) != n:
             report.lemma_violations.append(
                 {"depth": decision_tree_depth(f), "link_depths": link_depths})

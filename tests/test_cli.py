@@ -1,6 +1,9 @@
 import json
 
+import pytest
+
 from elusive14.cli import main, verify14
+from elusive14.orbits import mask_from_points
 
 
 def run_cli(capsys, *argv):
@@ -86,6 +89,41 @@ def test_euler_and_fixedpoint_cli(capsys, tmp_path, campaign):
     assert main(["euler", "G6", str(partial)]) == 2
 
 
+def test_euler_and_fixedpoint_reject_non_closed_assignments(capsys, tmp_path,
+                                                           campaign):
+    # 3.1 TRUE with every other orbit FALSE used to print euler 28, exit 0
+    upward = _write_assignment(tmp_path, campaign, {"3.1"})
+    assert main(["euler", "G6", upward]) == 2
+    assert main(["fixedpoint", "G6", "G6_10", upward]) == 2
+    err = capsys.readouterr().err
+    assert "error: euler needs a downward-closed assignment" in err
+    assert "error: fixedpoint needs a downward-closed assignment" in err
+    partial_upward = tmp_path / "partial_upward.json"
+    partial_upward.write_text(json.dumps([{"orbit": "1.0", "state": "F"},
+                                          {"orbit": "3.1", "state": "T"}]))
+    assert main(["fixedpoint", "G6", "G6_10", str(partial_upward)]) == 2
+
+
+def test_fixedpoint_accepts_partial_assignment_with_determined_blocks(
+        capsys, tmp_path, campaign):
+    table = campaign.table
+    full = _write_assignment(tmp_path, campaign, {"1.0"})
+    code, expected = run_cli(capsys, "--format", "json", "fixedpoint", "G6",
+                             "G6_10", full)
+    assert code == 0
+    # G6_10 has two blocks; only the orbits of their unions need a state
+    blocks = [mask_from_points(b) for b in json.loads(expected)["blocks"]]
+    assert len(blocks) == 2
+    needed = {table.orbit_of(u) for u in (blocks[0], blocks[1],
+                                          blocks[0] | blocks[1])}
+    partial = tmp_path / "partial.json"
+    partial.write_text(json.dumps([{"orbit": str(table.label(o)), "state": "F"}
+                                   for o in sorted(needed)]))
+    code, out = run_cli(capsys, "--format", "json", "fixedpoint", "G6",
+                        "G6_10", str(partial))
+    assert code == 0 and out == expected
+
+
 def test_dtree_cli(capsys, tmp_path):
     path = tmp_path / "c6.json"
     path.write_text(json.dumps({
@@ -143,6 +181,23 @@ def test_conjecture_cli(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["ok"] and report["monotone_functions"] == 20
+
+
+def test_numeric_flags_are_range_checked(capsys):
+    for argv in (["conjecture-check", "--n", "-1"],
+                 ["conjecture-check", "--n", "0"],
+                 ["conjecture-check", "--n", "6"],
+                 ["verify14", "--cap", "0"],
+                 ["verify14", "--cap", "-1"],
+                 ["verify14", "--jobs", "0"],
+                 ["replay-appendix", "--cap", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert "usage:" in err and "Traceback" not in err
+    code, out = run_cli(capsys, "--format", "json", "conjecture-check", "--n", "1")
+    assert code == 0 and json.loads(out)["monotone_functions"] == 3
 
 
 def test_replay_cli(capsys):

@@ -1,9 +1,11 @@
 import random
+from itertools import permutations
 
 import pytest
 
 from elusive14.complexes import TypeAssignment, euler
-from elusive14.oracle import (ArityError, BooleanFunction, DepthSolver,
+from elusive14.oracle import (ArityError, BooleanFunction, ConjectureReport,
+                              DepthSolver, SymmetryScan,
                               decision_tree_depth, decision_tree_depth_plain,
                               enumerate_monotone, euler_of_bitvector,
                               exhaustive_conjecture_check,
@@ -169,6 +171,84 @@ def test_conjecture_check_small():
         exhaustive_conjecture_check(6)
 
 
+def _reference_weakly_symmetric(n, fbits):
+    # every permutation, no screen, no early stop
+    def image(p, m):
+        return sum(1 << p[i] for i in range(n) if m >> i & 1)
+    reached = {p[0] for p in permutations(range(n))
+               if all(fbits >> image(p, m) & 1 == fbits >> m & 1
+                      for m in range(1 << n))}
+    return len(reached) == n
+
+
+def _reference_screen(n, fbits):
+    counts = {sum(fbits >> m & 1 for m in range(1 << n) if m >> i & 1)
+              for i in range(n)}
+    return len(counts) == 1
+
+
+def _reference_report(n):
+    rep = ConjectureReport(n=n)
+    for fbits in enumerate_monotone(n):
+        rep.monotone_functions += 1
+        f = BooleanFunction.from_bitvector(n, fbits, monotone=True)
+        elusive = decision_tree_depth(f) == n
+        if not elusive:
+            rep.non_elusive += 1
+            if fbits != 0 and euler_of_bitvector(n, fbits) != 1:
+                rep.chi_one_failures.append(fbits)
+        nontrivial = fbits & 1 and not fbits >> ((1 << n) - 1) & 1
+        if nontrivial and _reference_weakly_symmetric(n, fbits):
+            rep.weakly_symmetric_nontrivial += 1
+            if elusive:
+                rep.elusive_verified += 1
+            else:
+                rep.elusive_failures.append(fbits)
+    return rep
+
+
+def test_sweep_matches_full_scan_and_exact_depth():
+    for n in (1, 2, 3, 4):
+        scan = SymmetryScan(n)
+        for fbits in enumerate_monotone(n):
+            f = BooleanFunction.from_bitvector(n, fbits, monotone=True)
+            assert is_elusive(f) == (decision_tree_depth(f) == n)
+            assert scan(fbits) == _reference_weakly_symmetric(n, fbits)
+        assert exhaustive_conjecture_check(n) == _reference_report(n)
+
+
+def test_symmetry_scan_on_arbitrary_tables():
+    # non-monotone tables can pass the screen without being weakly
+    # symmetric (true on {x1} and {x2, x3}: each variable in one true
+    # input), so here the scan, not the screen, decides
+    rng = random.Random(66)
+    cases = [(3, bits) for bits in range(1 << 8)]
+    cases += [(4, rng.getrandbits(16)) for _ in range(400)]
+    monotone4 = enumerate_monotone(4)
+    cases += [(4, rng.choice(monotone4) ^ (1 << rng.randrange(16)))
+              for _ in range(200)]
+    scans = {n: SymmetryScan(n) for n in (3, 4)}
+    screened_out_by_scan = 0
+    for n, fbits in cases:
+        scan = scans[n]
+        assert scan.screen(fbits) == _reference_screen(n, fbits)
+        symmetric = scan(fbits)
+        assert symmetric == _reference_weakly_symmetric(n, fbits)
+        if scan.screen(fbits) and not symmetric:
+            screened_out_by_scan += 1
+    x1_or_x2x3 = 1 << 0b001 | 1 << 0b110
+    assert scans[3].screen(x1_or_x2x3) and not scans[3](x1_or_x2x3)
+    assert screened_out_by_scan > 10
+
+
+def test_sweep_report_at_five():
+    rep = exhaustive_conjecture_check(5)
+    assert (rep.monotone_functions, rep.weakly_symmetric_nontrivial,
+            rep.elusive_verified, rep.non_elusive) == (7581, 29, 29, 1467)
+    assert rep.elusive_failures == [] and rep.chi_one_failures == []
+    assert rep.ok
+
+
 def test_non_elusive_implies_chi_one_at_n4():
     for bits in enumerate_monotone(4):
         f = BooleanFunction.from_bitvector(4, bits, monotone=True)
@@ -284,6 +364,16 @@ def test_group_must_leave_the_table_invariant(c6):
         DepthSolver(BooleanFunction(6, tab, group=c6))
     with pytest.raises(ValueError):
         DepthSolver(BooleanFunction(5, bytes(32), group=c6))
+
+
+def test_from_orbit_types_requires_a_downward_closed_set(campaign):
+    table, poset = campaign.table, campaign.poset
+    t31 = 1 << table.oid("3.1")
+    with pytest.raises(ValueError, match="3.1"):
+        BooleanFunction.from_orbit_types(table, t31)
+    f = BooleanFunction.from_orbit_types(table, poset.lower[table.oid("3.1")])
+    assert f.monotone and is_monotone_nonincreasing(f)
+    assert BooleanFunction.from_orbit_types(table, 0).table[:2] == bytes([1, 0])
 
 
 def test_group_follows_the_function(c6):
