@@ -205,7 +205,7 @@ def _search_summary(report) -> dict:
 
 
 def verify14(schedule: str = "default", seed_independent: bool = False,
-             jobs: int = 1, cap: int = 1 << 20, use_sylow: bool = True,
+             cap: int = 1 << 20, use_sylow: bool = True,
              campaign: Campaign | None = None) -> dict:
     """Run the whole campaign: orders and transitivity for all six groups,
     classification for G1..G5, and the orbit-type search for G6."""
@@ -232,12 +232,11 @@ def verify14(schedule: str = "default", seed_independent: bool = False,
             cls = classify(group)
             entry["classification"] = _classification_dict(cls)
             entry["method"] = "search"
-            reports = [run_search(camp.engine(cap=cap), camp.schedule(schedule),
-                                  jobs=jobs)]
+            reports = [run_search(camp.engine(cap=cap), camp.schedule(schedule))]
             if seed_independent:
                 other = "alternate" if schedule == "default" else "default"
                 reports.append(run_search(camp.engine(cap=cap),
-                                          camp.schedule(other), jobs=jobs))
+                                          camp.schedule(other)))
             entry["search"] = [_search_summary(r) for r in reports]
             entry["verified"] = (cls.kind == "unresolved"
                                  and all(r.verified for r in reports))
@@ -294,8 +293,7 @@ def _campaign_from_args(args) -> Campaign:
 
 def cmd_verify14(args) -> int:
     report = verify14(schedule=args.schedule,
-                      seed_independent=args.seed_independent,
-                      jobs=args.jobs, cap=args.cap,
+                      seed_independent=args.seed_independent, cap=args.cap,
                       campaign=_campaign_from_args(args))
     if args.format == "json":
         # timings vary run to run; the canonical form drops them
@@ -428,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed-independent", action="store_true",
                    help="run a second, differently ordered schedule and "
                         "require identical verdicts")
-    p.add_argument("--jobs", type=_int_in(1), default=1)
     p.add_argument("--cap", type=_int_in(1), default=1 << 20)
     _add_override_flags(p)
     p.set_defaults(func=cmd_verify14)

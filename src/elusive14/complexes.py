@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .orbits import OrbitPoset, OrbitTable, points_from_mask
+from .orbits import (OrbitPoset, OrbitTable, block_masks, iter_bits,
+                     points_from_mask, subset_unions)
 from .perm import PermGroup
 
 FREE = "free"
@@ -82,9 +83,6 @@ class TypeAssignment:
             raise ValueError("an orbit is listed both TRUE and FALSE")
         return cls(table, poset, t, f)
 
-    def replace(self, t_bits: int, f_bits: int) -> "TypeAssignment":
-        return TypeAssignment(self.table, self.poset, t_bits, f_bits)
-
     def state(self, oid: int) -> str:
         if self.t_bits >> oid & 1:
             return TRUE
@@ -118,19 +116,8 @@ def assert_monotone(a: TypeAssignment) -> bool:
     """True iff no TRUE orbit has a FALSE orbit below it and no FALSE orbit
     has a TRUE orbit above it."""
     poset, t, f = a.poset, a.t_bits, a.f_bits
-    rem = t
-    while rem:
-        b = rem & -rem
-        rem ^= b
-        if poset.lower[b.bit_length() - 1] & f:
-            return False
-    rem = f
-    while rem:
-        b = rem & -rem
-        rem ^= b
-        if poset.upper[b.bit_length() - 1] & t:
-            return False
-    return True
+    return (not any(poset.lower[o] & f for o in iter_bits(t))
+            and not any(poset.upper[o] & t for o in iter_bits(f)))
 
 
 def _require_full(a: TypeAssignment) -> None:
@@ -220,23 +207,17 @@ def fixed_point_complex(a: TypeAssignment, sub: PermGroup) -> FixedPointComplex:
     """
     if sub.degree != a.table.n:
         raise ValueError("subgroup degree does not match the orbit table")
-    blocks = tuple(sum(1 << p for p in orbit) for orbit in sub.point_orbits())
-    m = len(blocks)
+    blocks = block_masks(sub)
+    unions = subset_unions(blocks)
     faces = []
     chi = 0
-    for s in range(1, 1 << m):
-        union = 0
-        rem = s
-        while rem:
-            b = rem & -rem
-            rem ^= b
-            union |= blocks[b.bit_length() - 1]
-        state = a.state(a.table.orbit_of(union))
+    for s in range(1, len(unions)):
+        state = a.state(a.table.orbit_of(unions[s]))
         if state == FREE:
             raise IndeterminateFace(
                 f"union of blocks {bin(s)} is governed by a FREE orbit")
         if state == TRUE:
-            idxs = tuple(i for i in range(m) if s >> i & 1)
+            idxs = tuple(iter_bits(s))
             faces.append(idxs)
             chi += (-1) ** (len(idxs) + 1)
     return FixedPointComplex(blocks=blocks, faces=tuple(faces), euler=chi)

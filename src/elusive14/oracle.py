@@ -32,7 +32,8 @@ import random
 from dataclasses import dataclass, field
 from itertools import permutations
 
-from .orbits import OrbitPoset, OrbitTable, _action_table
+from .orbits import (OrbitPoset, OrbitTable, action_table, iter_bits,
+                     subset_unions)
 from .perm import Permutation, PermGroup
 
 
@@ -115,14 +116,6 @@ def is_monotone_nonincreasing(f: BooleanFunction) -> bool:
                for m in range(1 << f.n) for i in range(f.n))
 
 
-def _subset_unions(bits: list[int]) -> list[int]:
-    """Entry m is the union of the bits[i] with bit i set in m."""
-    out = [0]
-    for b in bits:
-        out += [x | b for x in out]
-    return out
-
-
 def _check_invariant(f: BooleanFunction) -> None:
     n, group, table = f.n, f.group, f.table
     if group.degree != n:
@@ -133,9 +126,9 @@ def _check_invariant(f: BooleanFunction) -> None:
     for g in group.generators:
         # a mask's image is the union of its low and high halves' images;
         # two small tables instead of one per mask keep the peak RSS flat
-        bit = [1 << g.images[i] for i in range(n)]
-        low = _subset_unions(bit[:half])
-        high = _subset_unions(bit[half:])
+        bit = [1 << i for i in g.images]
+        low = subset_unions(bit[:half])
+        high = subset_unions(bit[half:])
         if any(table[low[m & low_mask] | high[m >> half]] != table[m]
                for m in range(1 << n)):
             raise ValueError(f"truth table is not invariant under {g}")
@@ -192,15 +185,12 @@ class DepthSolver:
         table = self.f.table
         if self.f.monotone:
             return table[values] == table[values | (self.full ^ assigned)]
-        free = self.full ^ assigned
-        first = table[values | free]
-        s = free
-        while s:
-            s = (s - 1) & free
+        # a plain loop: a generator here would turn table and values into
+        # closure cells and slow the monotone branch on every call
+        first = table[values]
+        for s in _submasks(self.full ^ assigned):
             if table[values | s] != first:
                 return False
-            if s == 0:
-                break
         return True
 
     def _evasive(self, assigned: int, values: int, idx: int, free: int) -> bool:
@@ -215,6 +205,7 @@ class DepthSolver:
         evasive = self._evasive
         rem = self.queries.get(assigned, self.full ^ assigned)
         sub = free - 1
+        # lowest-bit loop kept inline: this is the oracle's hot path
         while rem:
             b = rem & -rem
             rem ^= b
@@ -252,6 +243,7 @@ class DepthSolver:
         best = free
         pow3 = self.pow3
         rem = self.queries.get(assigned, self.full ^ assigned)
+        # lowest-bit loop kept inline: the exact minimax is a hot path too
         while rem:
             b = rem & -rem
             rem ^= b
@@ -286,11 +278,9 @@ class DepthSolver:
             move = None
             # the least variable reaching the target is its orbit's least
             # point, so the orbit representatives suffice
-            rem = self.queries.get(assigned, self.full ^ assigned)
-            while rem:
-                b = rem & -rem
-                rem ^= b
-                i = b.bit_length() - 1
+            for i in iter_bits(self.queries.get(assigned,
+                                                self.full ^ assigned)):
+                b = 1 << i
                 ci = idx + pow3[i]
                 d0 = self.depth(assigned | b, values, ci)
                 d1 = self.depth(assigned | b, values | b, ci + pow3[i])
@@ -385,7 +375,7 @@ class SymmetryScan:
 
     def __init__(self, n: int):
         self.full = (1 << n) - 1
-        self.actions = [_action_table(Permutation(p))
+        self.actions = [action_table(Permutation(p))
                         for p in permutations(range(n))]
         # var_pos[i]: the masks containing x_{i+1}, as a bitvector
         self.var_pos = [sum(1 << m for m in range(1 << n) if m >> i & 1)

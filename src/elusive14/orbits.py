@@ -11,7 +11,10 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .perm import Permutation, PermGroup
+from .perm import Permutation, PermGroup, is_transitive
+
+# OrbitTable keeps several 2^n-entry lists: about 200 MiB at degree 20
+MAX_DEGREE = 20
 
 
 def mask_from_points(points, one_based: bool = True) -> int:
@@ -22,13 +25,22 @@ def mask_from_points(points, one_based: bool = True) -> int:
 
 
 def points_from_mask(mask: int, one_based: bool = True) -> list[int]:
-    out = []
-    i = 0
+    return [i + 1 if one_based else i for i in iter_bits(mask)]
+
+
+def iter_bits(mask: int):
+    """Indices of the set bits of ``mask``, in ascending order."""
     while mask:
-        if mask & 1:
-            out.append(i + 1 if one_based else i)
-        mask >>= 1
-        i += 1
+        b = mask & -mask
+        mask ^= b
+        yield b.bit_length() - 1
+
+
+def subset_unions(bits) -> list[int]:
+    """Entry s is the union of the bits[i] with bit i set in s."""
+    out = [0]
+    for b in bits:
+        out += [x | b for x in out]
     return out
 
 
@@ -46,15 +58,15 @@ def act(sigma: Permutation, mask: int) -> int:
     return out
 
 
-def _action_table(sigma: Permutation) -> list[int]:
+def action_table(sigma: Permutation) -> list[int]:
     """act(sigma, m) for every mask m, built from single-bit images."""
-    n = sigma.degree
-    bit_image = [1 << sigma.images[i] for i in range(n)]
-    table = [0] * (1 << n)
-    for m in range(1, 1 << n):
-        low = m & -m
-        table[m] = table[m ^ low] | bit_image[low.bit_length() - 1]
-    return table
+    return subset_unions([1 << i for i in sigma.images])
+
+
+def block_masks(group: PermGroup) -> tuple[int, ...]:
+    """The group's point orbits as masks, ordered by smallest point."""
+    return tuple(mask_from_points(orbit, one_based=False)
+                 for orbit in group.point_orbits())
 
 
 @dataclass(frozen=True)
@@ -76,13 +88,14 @@ class OrbitTable:
 
     def __init__(self, group: PermGroup):
         n = group.degree
-        if n > 30:
-            raise ValueError("bitmask subset machinery supports degree <= 30")
-        if not _transitive(group):
+        if n > MAX_DEGREE:
+            raise ValueError(f"degree {n} is too large for the orbit tables "
+                             f"(2^n entries each; at most {MAX_DEGREE})")
+        if not is_transitive(group):
             warnings.warn("group is not transitive; orbit census still computed")
         self.group = group
         self.n = n
-        tables = [_action_table(g) for g in group.generators]
+        tables = [action_table(g) for g in group.generators]
 
         total = 1 << n
         orbit_of = [-1] * total
@@ -159,14 +172,6 @@ class OrbitTable:
         ]
 
 
-def _transitive(group: PermGroup) -> bool:
-    return len(group.point_orbits()[0]) == group.degree
-
-
-def compute_orbits(group: PermGroup) -> OrbitTable:
-    return OrbitTable(group)
-
-
 class OrbitPoset:
     """Inclusion order between orbits (levels >= 1 only).
 
@@ -184,6 +189,7 @@ class OrbitPoset:
             if table.level[o] < 2:
                 continue
             seen = direct_below[o]
+            # lowest-bit loop kept inline: iter_bits doubles this loop's time
             for m in table.members[o]:
                 rem = m
                 while rem:
@@ -203,11 +209,8 @@ class OrbitPoset:
         for o in range(count):
             if table.level[o] == 0:
                 continue
-            rem = lower[o] & ~(1 << o)
-            while rem:
-                b = rem & -rem
-                rem ^= b
-                upper[b.bit_length() - 1] |= 1 << o
+            for p in iter_bits(lower[o] & ~(1 << o)):
+                upper[p] |= 1 << o
         for o in range(count):
             if table.level[o] >= 1:
                 upper[o] |= 1 << o
@@ -219,20 +222,7 @@ class OrbitPoset:
         return bool(self.lower[o2] >> o1 & 1)
 
     def lower_ids(self, o: int) -> list[int]:
-        return _bits(self.lower[o])
+        return list(iter_bits(self.lower[o]))
 
     def upper_ids(self, o: int) -> list[int]:
-        return _bits(self.upper[o])
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        b = mask & -mask
-        mask ^= b
-        out.append(b.bit_length() - 1)
-    return out
-
-
-def build_poset(table: OrbitTable) -> OrbitPoset:
-    return OrbitPoset(table)
+        return list(iter_bits(self.upper[o]))

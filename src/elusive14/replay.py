@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 from .bundle import Campaign, expand_labels
 from .complexes import FALSE, FREE, TRUE
+from .orbits import iter_bits
 from .search import SearchState, SearchStats, SubgroupCheck, condition_met
 
 
@@ -78,23 +79,20 @@ def count_local_cases(camp: Campaign, st: SearchState,
     consistent at block level: a block collection can be a face only when
     all its sub-collections are faces, and the Euler condition holds.  This
     is the counting convention the published worked example uses; it knows
-    nothing of orbit relations beyond the governed unions themselves."""
+    nothing of orbit relations beyond the governed unions themselves.
+
+    The closures here are block-local on purpose: they differ from the
+    orbit poset's closures restricted to the governed orbits, and with
+    those the published step-4 count of 4 comes out as 3."""
     table = camp.table
-    m = len(check.blocks)
-    union_of = [0] * (1 << m)
-    for s in range(1, 1 << m):
-        low = s & -s
-        union_of[s] = union_of[s ^ low] | check.blocks[low.bit_length() - 1]
+    unions = check.unions
     covers: dict[int, set[int]] = {}
-    for s in range(1, 1 << m):
-        o_sup = table.orbit_of(union_of[s])
-        rem = s
-        while rem:
-            b = rem & -rem
-            rem ^= b
-            if s ^ b:
+    for s in range(1, len(unions)):
+        o_sup = table.orbit_of(unions[s])
+        for i in iter_bits(s):
+            if s ^ 1 << i:
                 covers.setdefault(o_sup, set()).add(
-                    table.orbit_of(union_of[s ^ b]))
+                    table.orbit_of(unions[s ^ 1 << i]))
     lower: dict[int, int] = {}
     for o in sorted(check.governed, key=lambda o: table.level[o]):
         acc = 1 << o
@@ -103,11 +101,8 @@ def count_local_cases(camp: Campaign, st: SearchState,
         lower[o] = acc
     upper: dict[int, int] = {o: 1 << o for o in check.governed}
     for o in check.governed:
-        rem = lower[o] & ~(1 << o)
-        while rem:
-            b = rem & -rem
-            rem ^= b
-            upper[b.bit_length() - 1] |= 1 << o
+        for p in iter_bits(lower[o] & ~(1 << o)):
+            upper[p] |= 1 << o
     assigned = st.t_bits | st.f_bits
     free = [o for o in check.governed if not assigned >> o & 1]
     count = 0
@@ -129,9 +124,7 @@ def count_local_cases(camp: Campaign, st: SearchState,
         if not add_f & t_bits:
             rec(t_bits, f_bits | add_f, k + 1)
 
-    gbits = 0
-    for o in check.governed:
-        gbits |= 1 << o
+    gbits = sum(1 << o for o in check.governed)
     rec(st.t_bits & gbits, st.f_bits & gbits, 0)
     return count
 
@@ -351,20 +344,16 @@ def _check_combination_table(camp: Campaign, problems: list[str]) -> dict:
     """The published survey of block-union orbits for the 6-block subgroup:
     multiplicity patterns must match per level, and anchored labels must
     land on canonical orbits with the right multiplicity."""
-    from itertools import combinations
-
     table = camp.table
     spec = camp.case_study["combination_table"]
-    blocks = camp.checks["G6_3"].blocks
+    unions = camp.checks["G6_3"].unions
     result: dict[str, dict] = {}
     for k in ("1", "2", "3"):
         counts: dict[int, int] = {}
-        for combo in combinations(range(len(blocks)), int(k)):
-            union = 0
-            for b in combo:
-                union |= blocks[b]
-            oid = table.orbit_of(union)
-            counts[oid] = counts.get(oid, 0) + 1
+        for s in range(1, len(unions)):
+            if s.bit_count() == int(k):
+                oid = table.orbit_of(unions[s])
+                counts[oid] = counts.get(oid, 0) + 1
         printed = spec[k]
         computed_pattern = {}
         for oid, c in counts.items():

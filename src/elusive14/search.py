@@ -7,6 +7,10 @@ subgroup whose fixed-point complex must satisfy an Euler condition; the
 identity subgroup closes the schedule and is handled as the leaf: the
 remaining free orbits are enumerated against chi(Delta) = 1 and the
 survivors are tested against chi(Link(Delta, x1)) = 1.
+
+A subgroup check and the leaf run one completion recursion, which assigns
+the free orbits in id order with propagation and hands every complete
+case to a leaf test of its own.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import time
 from dataclasses import dataclass
 
 from .complexes import FALSE, TRUE, TypeAssignment, chi_deltas, link_x1_deltas
-from .orbits import OrbitPoset, OrbitTable
+from .orbits import OrbitPoset, OrbitTable, block_masks, subset_unions
 from .perm import PermGroup
 
 
@@ -47,6 +51,7 @@ class SubgroupCheck:
     condition: tuple[str, int]          # ("exact", 1) or ("mod", q)
     governed: tuple[int, ...]           # orbit ids of all block unions
     weights: tuple[tuple[int, int], ...]  # (orbit id, alternating-sum weight)
+    unions: tuple[int, ...]             # entry s: union of the blocks in s
     is_identity: bool = False
 
 
@@ -62,21 +67,18 @@ def condition_met(condition: tuple[str, int], chi: int) -> bool:
 def build_check(table: OrbitTable, sub: PermGroup, name: str,
                 condition: tuple[str, int]) -> SubgroupCheck:
     """Precompute governed orbits and chi weights for one subgroup."""
-    blocks = tuple(sum(1 << p for p in orbit) for orbit in sub.point_orbits())
-    m = len(blocks)
-    identity = m == table.n
+    blocks = block_masks(sub)
+    identity = len(blocks) == table.n
+    # the identity check is the leaf, which needs no union table
+    unions = () if identity else tuple(subset_unions(blocks))
     weights: dict[int, int] = {}
-    if not identity:
-        union_of = [0] * (1 << m)
-        for s in range(1, 1 << m):
-            low = s & -s
-            union_of[s] = union_of[s ^ low] | blocks[low.bit_length() - 1]
-            o = table.orbit_of(union_of[s])
-            weights[o] = weights.get(o, 0) + (-1) ** (s.bit_count() + 1)
+    for s in range(1, len(unions)):
+        o = table.orbit_of(unions[s])
+        weights[o] = weights.get(o, 0) + (-1) ** (s.bit_count() + 1)
     return SubgroupCheck(
         name=name, group=sub, blocks=blocks, condition=condition,
         governed=tuple(sorted(weights)), weights=tuple(sorted(weights.items())),
-        is_identity=identity)
+        unions=unions, is_identity=identity)
 
 
 @dataclass(frozen=True)
@@ -96,10 +98,6 @@ class SearchStats:
     prunes_by_link: int = 0
     leaf_assignments: int = 0
     leaf_chi1: int = 0
-
-    def merge(self, other: "SearchStats") -> None:
-        for f in self.__dataclass_fields__:
-            setattr(self, f, getattr(self, f) + getattr(other, f))
 
 
 @dataclass
@@ -128,10 +126,6 @@ class SearchEngine:
         self.chi_delta = chi_deltas(table)
         self.link_delta = link_x1_deltas(table)
         self.top_oid = table.oid(f"{table.n}.0")
-        all_ids = 0
-        for o in range(1, table.orbit_count):
-            all_ids |= 1 << o
-        self.all_ids = all_ids
 
     def initial_state(self) -> SearchState:
         """All orbits free except the full-set orbit, pinned FALSE
@@ -153,6 +147,7 @@ class SearchEngine:
                 stats.prunes_by_conflict += 1
                 return None
             chi, link = st.chi, st.chi_link
+            # lowest-bit loop kept inline: this is the search's hot path
             rem = add
             while rem:
                 b = rem & -rem
@@ -172,13 +167,13 @@ class SearchEngine:
     def subgroup_chi(self, st: SearchState, check: SubgroupCheck) -> int:
         return sum(w for o, w in check.weights if st.t_bits >> o & 1)
 
-    def enumerate_cases(self, st: SearchState, check: SubgroupCheck,
-                        stats: SearchStats) -> list[SearchState]:
-        """All assignments of the check's free governed orbits that survive
-        propagation and meet the check's Euler condition."""
+    def _complete(self, st: SearchState, orbits, leaf, stats: SearchStats,
+                  cap_message: str) -> None:
+        """Call ``leaf`` on every assignment of the still-free ``orbits``
+        that survives propagation; orbits are branched in the given order,
+        TRUE first.  More than ``cap`` complete cases raise CaseCapExceeded."""
         assigned = st.t_bits | st.f_bits
-        free = [o for o in check.governed if not assigned >> o & 1]
-        out: list[SearchState] = []
+        free = [o for o in orbits if not assigned >> o & 1]
         budget = self.cap
 
         def rec(s: SearchState, k: int) -> None:
@@ -189,12 +184,8 @@ class SearchEngine:
             if k == len(free):
                 budget -= 1
                 if budget < 0:
-                    raise CaseCapExceeded(
-                        f"{check.name}: more than {self.cap} cases")
-                if condition_met(check.condition, self.subgroup_chi(s, check)):
-                    out.append(s)
-                else:
-                    stats.prunes_by_chi += 1
+                    raise CaseCapExceeded(cap_message)
+                leaf(s)
                 return
             o = free[k]
             for value in (TRUE, FALSE):
@@ -203,6 +194,21 @@ class SearchEngine:
                     rec(child, k + 1)
 
         rec(st, 0)
+
+    def enumerate_cases(self, st: SearchState, check: SubgroupCheck,
+                        stats: SearchStats) -> list[SearchState]:
+        """All assignments of the check's free governed orbits that survive
+        propagation and meet the check's Euler condition."""
+        out: list[SearchState] = []
+
+        def leaf(s: SearchState) -> None:
+            if condition_met(check.condition, self.subgroup_chi(s, check)):
+                out.append(s)
+            else:
+                stats.prunes_by_chi += 1
+
+        self._complete(st, check.governed, leaf, stats,
+                       f"{check.name}: more than {self.cap} cases")
         stats.cases_enumerated += len(out)
         return out
 
@@ -211,41 +217,23 @@ class SearchEngine:
                        collect_cases: list | None = None) -> list[SearchState]:
         """Resolve all remaining free orbits against chi(Delta) = 1, then
         test chi(Link(Delta, x1)) = 1 on each chi-feasible assignment."""
-        assigned = st.t_bits | st.f_bits
-        free = [o for o in range(1, self.table.orbit_count)
-                if not assigned >> o & 1]
         survivors: list[SearchState] = []
-        budget = self.cap
 
-        def rec(s: SearchState, k: int) -> None:
-            nonlocal budget
-            done = s.t_bits | s.f_bits
-            while k < len(free) and done >> free[k] & 1:
-                k += 1
-            if k == len(free):
-                budget -= 1
-                if budget < 0:
-                    raise CaseCapExceeded(
-                        f"leaf: more than {self.cap} residual cases")
-                stats.leaf_assignments += 1
-                if s.chi != 1:
-                    stats.prunes_by_chi += 1
-                    return
-                stats.leaf_chi1 += 1
-                if collect_cases is not None:
-                    collect_cases.append(s)
-                if link_check and s.chi_link != 1:
-                    stats.prunes_by_link += 1
-                    return
-                survivors.append(s)
+        def leaf(s: SearchState) -> None:
+            stats.leaf_assignments += 1
+            if s.chi != 1:
+                stats.prunes_by_chi += 1
                 return
-            o = free[k]
-            for value in (TRUE, FALSE):
-                child = self.propagate(s, o, value, stats)
-                if child is not None:
-                    rec(child, k + 1)
+            stats.leaf_chi1 += 1
+            if collect_cases is not None:
+                collect_cases.append(s)
+            if link_check and s.chi_link != 1:
+                stats.prunes_by_link += 1
+            else:
+                survivors.append(s)
 
-        rec(st, 0)
+        self._complete(st, range(1, self.table.orbit_count), leaf, stats,
+                       f"leaf: more than {self.cap} residual cases")
         return survivors
 
     def schedule_checks(self, schedule: Schedule) -> list[SubgroupCheck]:
@@ -280,58 +268,18 @@ def _walk(engine: SearchEngine, checks: list[SubgroupCheck], st: SearchState,
     return found
 
 
-_FORK_CTX: dict = {}
-
-
-def _fork_worker(idx: int):
-    ctx = _FORK_CTX
-    stats = SearchStats()
-    found = _walk(ctx["engine"], ctx["checks"], ctx["tops"][idx], 1, stats,
-                  ctx["link_check"])
-    return [(s.t_bits, s.f_bits, s.chi, s.chi_link) for s in found], stats
-
-
 def run_search(engine: SearchEngine, schedule: Schedule, link_check: bool = True,
-               jobs: int = 1, audit=None) -> SearchReport:
+               audit=None) -> SearchReport:
     """Depth-first search over the whole schedule; returns the report with
     every surviving full assignment (expected: none)."""
     checks = engine.schedule_checks(schedule)
     stats = SearchStats()
     t0 = time.perf_counter()
-    root = engine.initial_state()
-    if jobs > 1 and audit is None:
-        found = _run_parallel(engine, checks, root, stats, link_check, jobs)
-    else:
-        found = _walk(engine, checks, root, 0, stats, link_check, audit)
+    found = _walk(engine, checks, engine.initial_state(), 0, stats,
+                  link_check, audit)
     found.sort(key=lambda s: s.t_bits)
     wall = time.perf_counter() - t0
     return SearchReport(
         schedule=schedule.name, link_check=link_check,
         feasible_functions=[survivor_states(s, engine.table) for s in found],
         stats=stats, wall_time=wall, cap=engine.cap)
-
-
-def _run_parallel(engine, checks, root, stats, link_check, jobs):
-    import multiprocessing as mp
-
-    stats.nodes_explored += 1
-    tops = engine.enumerate_cases(root, checks[0], stats)
-    try:
-        ctx = mp.get_context("fork")
-    except ValueError:
-        found = []
-        for top in tops:
-            found.extend(_walk(engine, checks, top, 1, stats, link_check))
-        return found
-    _FORK_CTX.update(engine=engine, checks=checks, tops=tops,
-                     link_check=link_check)
-    try:
-        with ctx.Pool(min(jobs, len(tops))) as pool:
-            results = pool.map(_fork_worker, range(len(tops)))
-    finally:
-        _FORK_CTX.clear()
-    found = []
-    for packed, wstats in results:
-        stats.merge(wstats)
-        found.extend(SearchState(*t) for t in packed)
-    return found

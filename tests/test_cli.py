@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -56,6 +57,18 @@ def test_orbits_poset_small_group(capsys, tmp_path):
     assert code == 0
     pairs = json.loads(out)["comparable_pairs"]
     assert ["1.0", "4.0"] in pairs
+
+
+def test_orbits_rejects_a_group_of_degree_21(capsys, tmp_path):
+    # the closure has 21 elements; the guard fires before any 2^21 table
+    path = tmp_path / "c21.json"
+    path.write_text(json.dumps({
+        "name": "C21", "degree": 21,
+        "generators": ["(" + ",".join(map(str, range(1, 22))) + ")"]}))
+    assert main(["orbits", "compute", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: degree 21 is too large")
+    assert "Traceback" not in err
 
 
 def _write_assignment(tmp_path, campaign, t_labels):
@@ -189,7 +202,6 @@ def test_numeric_flags_are_range_checked(capsys):
                  ["conjecture-check", "--n", "6"],
                  ["verify14", "--cap", "0"],
                  ["verify14", "--cap", "-1"],
-                 ["verify14", "--jobs", "0"],
                  ["replay-appendix", "--cap", "0"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -248,3 +260,26 @@ def test_text_rendering(capsys):
     code, out = run_cli(capsys, "group", "order", "G1")
     assert code == 0
     assert "order" in out and "14" in out
+
+
+# SHA-256 of the canonical JSON of each command; a change to any of these
+# outputs must be deliberate
+CANONICAL_DIGESTS = {
+    ("verify14", "--seed-independent"):
+        "60a2491915c130c82528f08b868c8e58f7693846f48191645f2737245de2e55d",
+    ("replay-appendix",):
+        "f1a6f6e3d1bbe8ca8f00c4bb11f24055110a13889a2f7ee880f8fb61342cd531",
+    ("orbits", "compute", "G6"):
+        "8532e01734f3964ae53c13f8a00bc59c58772ed5576c367caa59637c21b39e8f",
+    ("orbits", "poset", "G6"):
+        "83feecd3218e28472bc939856a984a487711bc98f217cafa791e8a9b83a950f4",
+    ("conjecture-check", "--n", "5"):
+        "28615f55e36bc8bfab67913bc8447984b061212fb89c218bf35846a587ca8daf",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(CANONICAL_DIGESTS), ids=" ".join)
+def test_canonical_output_digests(capsys, argv):
+    code, out = run_cli(capsys, "--format", "json", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CANONICAL_DIGESTS[argv]

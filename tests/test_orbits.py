@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from elusive14.orbits import (OrbitTable, act, build_poset,
-                              compute_orbits, mask_from_points,
-                              points_from_mask)
+from elusive14.orbits import (OrbitPoset, OrbitTable, act, action_table,
+                              block_masks, iter_bits, mask_from_points,
+                              points_from_mask, subset_unions)
 from elusive14.perm import Permutation, generate, identity, parse_cycles, trivial_group
 
 
@@ -50,6 +50,36 @@ def test_act_preserves_size(images, mask):
 def test_act_is_an_action(a_img, b_img, mask):
     a, b = Permutation(tuple(a_img)), Permutation(tuple(b_img))
     assert act(a * b, mask) == act(a, act(b, mask))
+
+
+@given(st.integers(1, 8).flatmap(lambda n: st.permutations(list(range(n)))))
+def test_action_table_matches_act(images):
+    sigma = Permutation(tuple(images))
+    assert action_table(sigma) == [act(sigma, m)
+                                   for m in range(1 << sigma.degree)]
+
+
+@given(st.lists(st.integers(0, (1 << 16) - 1), max_size=8))
+def test_subset_unions_or_the_selected_bits(bits):
+    unions = subset_unions(bits)
+    assert len(unions) == 1 << len(bits)
+    for s, union in enumerate(unions):
+        expected = 0
+        for i, b in enumerate(bits):
+            if s >> i & 1:
+                expected |= b
+        assert union == expected
+
+
+@given(st.integers(0, (1 << 70) - 1))
+def test_iter_bits_lists_set_bits_ascending(mask):
+    assert list(iter_bits(mask)) == [i for i in range(mask.bit_length())
+                                     if mask >> i & 1]
+
+
+def test_block_masks_are_point_orbits():
+    g = generate([parse_cycles("(1,2)(3,4,5)", 6)])
+    assert block_masks(g) == (0b11, 0b11100, 0b100000)
 
 
 def test_census_matches_burnside(campaign, g6_table):
@@ -153,14 +183,14 @@ def test_poset_against_member_scan(g6_table, g6_poset):
 
 def test_warns_when_not_transitive():
     with pytest.warns(UserWarning):
-        compute_orbits(trivial_group(4))
+        OrbitTable(trivial_group(4))
 
 
 def test_small_group_orbits():
     c4 = generate([parse_cycles("(1,2,3,4)", 4)])
-    table = compute_orbits(c4)
+    table = OrbitTable(c4)
     assert [len(table.ids_at_level[k]) for k in range(5)] == [1, 1, 2, 1, 1]
-    poset = build_poset(table)
+    poset = OrbitPoset(table)
     pair_orbits = table.ids_at_level[2]
     triple = table.ids_at_level[3][0]
     assert all(poset.leq(o, triple) for o in pair_orbits)

@@ -182,15 +182,6 @@ def test_case_cap(campaign):
         run_search(engine, campaign.schedule("default"))
 
 
-def test_parallel_matches_serial(campaign):
-    engine = campaign.engine()
-    serial = run_search(engine, campaign.schedule("default"), link_check=False)
-    parallel = run_search(engine, campaign.schedule("default"),
-                          link_check=False, jobs=2)
-    assert serial.feasible_functions == parallel.feasible_functions
-    assert serial.stats.leaf_assignments == parallel.stats.leaf_assignments
-
-
 def test_schedule_validation(campaign):
     from elusive14.search import Schedule
     engine = campaign.engine()
