@@ -75,12 +75,12 @@ class GroupSpec:
     order_note: str | None = None
     witness_order: int | None = None
 
-    def build(self, cap: int = 1_000_000) -> PermGroup:
+    def build(self) -> PermGroup:
         try:
             gens = [parse_cycles(s, self.degree) for s in self.generators]
         except ValueError as exc:
             raise DataIntegrityError(f"{self.name}: {exc}") from exc
-        return generate(gens, cap=cap)
+        return generate(gens)
 
     def oliver_witness(self) -> OliverWitness | None:
         if self.witness is None:
@@ -93,12 +93,18 @@ class GroupSpec:
                              h_generators=hg)
 
 
+def _degree(value) -> int:
+    """A group table's degree: a positive integer (JSON true is not one)."""
+    if type(value) is not int or value < 1:
+        raise ValueError(f"degree {value!r} is not a positive integer")
+    return value
+
+
 def load_group_specs(override: str | None = None) -> dict[str, GroupSpec]:
     raw = load_json("groups.json", override)
-    degree = raw["degree"]
-    specs = {}
-    for g in raw["groups"]:
-        specs[g["name"]] = GroupSpec(
+    try:
+        degree = _degree(raw["degree"])
+        return {g["name"]: GroupSpec(
             name=g["name"], degree=degree,
             generators=tuple(g["generators"]),
             printed_order=g["printed_order"],
@@ -110,8 +116,10 @@ def load_group_specs(override: str | None = None) -> dict[str, GroupSpec]:
             witness=g.get("witness"),
             expected_method=g.get("expected_method"),
             order_note=g.get("order_note"),
-            witness_order=g.get("witness_order"))
-    return specs
+            witness_order=g.get("witness_order")) for g in raw["groups"]}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataIntegrityError(
+            f"{override or 'groups.json'}: bad group table: {exc!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -135,28 +143,58 @@ class SubgroupSpec:
 
 def load_subgroup_specs(override: str | None = None) -> list[SubgroupSpec]:
     raw = load_json("subgroups.json", override)
-    return [SubgroupSpec(
-        name=s["name"], gap_subgroup_index=s["gap_subgroup_index"],
-        generators=tuple(s["generators"]), printed_type=s["printed_type"],
-        blocks=tuple(s["blocks"]), type_erratum=s.get("type_erratum"))
-        for s in raw["subgroups"]]
+    try:
+        return [SubgroupSpec(
+            name=s["name"], gap_subgroup_index=s["gap_subgroup_index"],
+            generators=tuple(s["generators"]), printed_type=s["printed_type"],
+            blocks=tuple(s["blocks"]), type_erratum=s.get("type_erratum"))
+            for s in raw["subgroups"]]
+    except (KeyError, TypeError) as exc:
+        raise DataIntegrityError(
+            f"{override or 'subgroups.json'}: bad subgroup table: {exc!r}") from exc
+
+
+_STEP_KEYS = ("step", "subgroup", "printed_cases", "select", "theta_t",
+              "theta_f")
+_FINAL_KEYS = ("chi", "chi_link", "computed_free_orbits",
+               "computed_cases_with_chi_1", "cases_passing_link",
+               "published_free_orbits", "published_free_labels",
+               "published_cases_with_chi_1")
+
+
+def _require_keys(obj, keys, where: str) -> None:
+    if not isinstance(obj, dict) or not set(keys) <= obj.keys():
+        raise DataIntegrityError(
+            f"{where} needs an object with keys {', '.join(keys)}")
 
 
 def load_case_study(override: str | None = None) -> dict:
-    return load_json("case_study.json", override)
+    """The worked-example data, with every key replay_case_study reads."""
+    raw = load_json("case_study.json", override)
+    where = override or "case_study.json"
+    _require_keys(raw, ("steps", "final", "combination_table"), where)
+    if not isinstance(raw["steps"], list):
+        raise DataIntegrityError(f"{where}: steps must be a list")
+    for step in raw["steps"]:
+        _require_keys(step, _STEP_KEYS, f"{where} step")
+    _require_keys(raw["final"], _FINAL_KEYS, f"{where} final")
+    _require_keys(raw["combination_table"], ("1", "2", "3"),
+                  f"{where} combination_table")
+    return raw
 
 
 def load_group_file(path: str) -> tuple[str, PermGroup]:
-    """Read an external group file {name, degree, generators: [...]}."""
+    """Read an external group file {name, degree, generators: [...]}: a
+    positive integer degree and a nonempty list of cycle strings; the
+    closure cap is not a data error and propagates."""
     try:
         with open(path, "rb") as fh:
             raw = json.load(fh)
-        name = raw["name"]
-        degree = int(raw["degree"])
-        gens = [parse_cycles(s, degree) for s in raw["generators"]]
+        degree = _degree(raw["degree"])
+        return raw["name"], generate([parse_cycles(g, degree)
+                                      for g in raw["generators"]])
     except (OSError, KeyError, ValueError, TypeError) as exc:
         raise DataIntegrityError(f"bad group file {path}: {exc}") from exc
-    return name, generate(gens)
 
 
 @dataclass
@@ -259,8 +297,7 @@ class Campaign:
         return Schedule(name, tuple([s.name for s in ordered] + ["G6_1"]))
 
 
-def build_campaign(closure_cap: int = 1_000_000,
-                   groups_file: str | None = None,
+def build_campaign(groups_file: str | None = None,
                    subgroups_file: str | None = None,
                    case_study_file: str | None = None) -> Campaign:
     """Load every bundled artifact (or the given override files), rebuild
@@ -270,7 +307,7 @@ def build_campaign(closure_cap: int = 1_000_000,
     missing = {f"G{i}" for i in range(1, 7)} - set(specs)
     if missing:
         raise DataIntegrityError(f"group table lacks {sorted(missing)}")
-    groups = {name: spec.build(cap=closure_cap) for name, spec in specs.items()}
+    groups = {name: spec.build() for name, spec in specs.items()}
     g6 = groups["G6"]
     table = OrbitTable(g6)
     poset = OrbitPoset(table)

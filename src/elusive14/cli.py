@@ -33,12 +33,12 @@ def emit(report: dict, fmt: str, text_renderer=None) -> str:
     return "".join(f"{k}: {report[k]}\n" for k in sorted(report))
 
 
-def _resolve_group(arg: str, closure_cap: int = 1_000_000) -> tuple[str, PermGroup]:
+def _resolve_group(arg: str) -> tuple[str, PermGroup]:
     """A group argument is a bundled name (G1..G6, G6_1..G6_11) or a JSON
     file path."""
     specs = load_group_specs()
     if arg in specs:
-        return arg, specs[arg].build(cap=closure_cap)
+        return arg, specs[arg].build()
     if arg.startswith("G6_"):
         from .bundle import load_subgroup_specs
         for sub in load_subgroup_specs():
@@ -47,10 +47,13 @@ def _resolve_group(arg: str, closure_cap: int = 1_000_000) -> tuple[str, PermGro
     return load_group_file(arg)
 
 
-def _load_assignment(path: str, table: OrbitTable, poset: OrbitPoset,
-                     command: str) -> TypeAssignment:
-    """Read a JSON list of {"orbit": "level.index", "state": "T"|"F"} whose
-    TRUE orbits lie above no FALSE orbit."""
+def _load_assignment(args) -> tuple[str, TypeAssignment]:
+    """The group argument's name and the assignment file over its orbits:
+    a JSON list of {"orbit": "level.index", "state": "T"|"F"} whose TRUE
+    orbits lie above no FALSE orbit."""
+    name, group = _resolve_group(args.groupfile)
+    table = OrbitTable(group)
+    path = args.assignment
     with open(path, "rb") as fh:
         raw = json.load(fh)
     if not isinstance(raw, list):
@@ -63,11 +66,11 @@ def _load_assignment(path: str, table: OrbitTable, poset: OrbitPoset,
         if entry["orbit"] in states:
             raise ValueError(f"{path}: orbit {entry['orbit']} is listed twice")
         states[entry["orbit"]] = entry.get("state")
-    assignment = TypeAssignment.from_states(table, poset, states)
+    assignment = TypeAssignment.from_states(table, OrbitPoset(table), states)
     if not assert_monotone(assignment):
-        raise ValueError(f"{command} needs a downward-closed assignment: "
+        raise ValueError(f"{args.command} needs a downward-closed assignment: "
                          "a TRUE orbit lies above a FALSE one")
-    return assignment
+    return name, assignment
 
 
 def _classification_dict(cls) -> dict:
@@ -132,22 +135,16 @@ def cmd_orbits(args) -> int:
 
 
 def cmd_euler(args) -> int:
-    name, group = _resolve_group(args.groupfile)
-    table = OrbitTable(group)
-    poset = OrbitPoset(table)
-    assignment = _load_assignment(args.assignment, table, poset, args.command)
+    name, assignment = _load_assignment(args)
     report = {"group": name, "euler": euler(assignment),
-              "link_euler_x1": link_euler_fast(assignment, 1)}
+              "link_euler_x1": link_euler_fast(assignment)}
     sys.stdout.write(emit(report, args.format))
     return 0
 
 
 def cmd_fixedpoint(args) -> int:
-    name, group = _resolve_group(args.groupfile)
+    name, assignment = _load_assignment(args)
     sub_name, sub = _resolve_group(args.subgroupfile)
-    table = OrbitTable(group)
-    poset = OrbitPoset(table)
-    assignment = _load_assignment(args.assignment, table, poset, args.command)
     fpc = fixed_point_complex(assignment, sub)
     report = {"group": name, "subgroup": sub_name,
               "blocks": fpc.block_points,
@@ -158,13 +155,10 @@ def cmd_fixedpoint(args) -> int:
 
 
 def cmd_dtree(args) -> int:
-    name, group = _resolve_group(args.groupfile)
-    table = OrbitTable(group)
-    poset = OrbitPoset(table)
-    assignment = _load_assignment(args.assignment, table, poset, args.command)
+    name, assignment = _load_assignment(args)
     if not assignment.is_fully_assigned():
         raise ValueError("dtree needs every orbit assigned T or F")
-    f = BooleanFunction.from_orbit_types(table, assignment.t_bits)
+    f = BooleanFunction.from_orbit_types(assignment.table, assignment.t_bits)
     solver = DepthSolver(f)
     depth = solver.depth()
     report = {"group": name, "arity": f.n, "depth": depth,

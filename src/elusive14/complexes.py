@@ -4,6 +4,11 @@ A fully assigned TypeAssignment encodes the complex whose faces are the
 members of the TRUE orbits (plus the empty face, which is always present
 and never counted by the Euler characteristic).  Partial assignments leave
 orbits FREE; queries that need a determined value raise IndeterminateFace.
+
+TypeAssignment is the package's one assignment type: the search's nodes,
+the replay's states and the assignment files the CLI reads are all
+instances.  Each carries chi and the link-at-x1 chi of its TRUE orbits,
+which euler() and link_euler_fast() read instead of summing again.
 """
 
 from __future__ import annotations
@@ -45,24 +50,32 @@ def link_x1_deltas(table: OrbitTable) -> list[int]:
 
 
 class TypeAssignment:
-    """Three-valued orbit states backed by two int bitsets over orbit ids.
+    """Three-valued orbit states backed by two int bitsets over orbit ids,
+    with the Euler characteristics of the TRUE orbits' faces and of their
+    link at x1.
 
-    Copy-on-branch is a pair of int copies.  Orbit id 0 (the empty subset)
-    is never assigned; the empty face is implicitly always present.
+    The search builds one per node and passes ``chi`` and ``chi_link`` as
+    it tracks them; left out, they are summed from the TRUE orbits.  Orbit
+    id 0 (the empty subset) is never assigned; the empty face is implicitly
+    always present.
     """
 
-    __slots__ = ("table", "poset", "t_bits", "f_bits")
+    __slots__ = ("table", "poset", "t_bits", "f_bits", "chi", "chi_link")
 
     def __init__(self, table: OrbitTable, poset: OrbitPoset,
-                 t_bits: int = 0, f_bits: int = 0):
+                 t_bits: int = 0, f_bits: int = 0,
+                 chi: int | None = None, chi_link: int | None = None):
         self.table = table
         self.poset = poset
         self.t_bits = t_bits
         self.f_bits = f_bits
-
-    @classmethod
-    def all_free(cls, table: OrbitTable, poset: OrbitPoset) -> "TypeAssignment":
-        return cls(table, poset)
+        if chi is None:
+            true = list(iter_bits(t_bits))
+            chi_d, link_d = chi_deltas(table), link_x1_deltas(table)
+            chi = sum(chi_d[o] for o in true)
+            chi_link = sum(link_d[o] for o in true)
+        self.chi = chi
+        self.chi_link = chi_link
 
     @classmethod
     def from_states(cls, table: OrbitTable, poset: OrbitPoset,
@@ -93,23 +106,13 @@ class TypeAssignment:
     def state_of_label(self, label: str) -> str:
         return self.state(self.table.oid(label))
 
-    def free_ids(self) -> list[int]:
-        assigned = self.t_bits | self.f_bits
-        return [o for o in range(1, self.table.orbit_count)
-                if not assigned >> o & 1]
-
-    def true_ids(self) -> list[int]:
-        return [o for o in range(1, self.table.orbit_count) if self.t_bits >> o & 1]
-
     def is_fully_assigned(self) -> bool:
-        return not self.free_ids()
+        # every orbit but the empty subset's (id 0)
+        return self.t_bits | self.f_bits == (1 << self.table.orbit_count) - 2
 
     def true_masks(self) -> list[int]:
         """Every face of the encoded complex except the empty face."""
-        out = []
-        for o in self.true_ids():
-            out.extend(self.table.members[o])
-        return out
+        return [m for o in iter_bits(self.t_bits) for m in self.table.members[o]]
 
 
 def assert_monotone(a: TypeAssignment) -> bool:
@@ -128,18 +131,7 @@ def _require_full(a: TypeAssignment) -> None:
 def euler(a: TypeAssignment) -> int:
     """Euler characteristic of the encoded complex (empty face excluded)."""
     _require_full(a)
-    deltas = chi_deltas(a.table)
-    return sum(deltas[o] for o in a.true_ids())
-
-
-def r_vector(a: TypeAssignment) -> list[int]:
-    """Face counts r[k] for k = 0..n; r[0] is always 1 (the empty face)."""
-    _require_full(a)
-    r = [0] * (a.table.n + 1)
-    r[0] = 1
-    for o in a.true_ids():
-        r[a.table.level[o]] += a.table.size[o]
-    return r
+    return a.chi
 
 
 def explicit_euler(faces) -> int:
@@ -156,32 +148,11 @@ def link(a: TypeAssignment, v: int) -> set[int]:
     return {m ^ bit for m in a.true_masks() if m & bit}
 
 
-def deletion(a: TypeAssignment, v: int) -> set[int]:
-    """Explicit deletion at x_v: TRUE faces avoiding x_v."""
+def link_euler_fast(a: TypeAssignment) -> int:
+    """chi of the link at x1 without materializing it: the sum of the TRUE
+    orbits' link_x1_deltas, which the assignment tracks."""
     _require_full(a)
-    bit = 1 << (v - 1)
-    return {m for m in a.true_masks() if not m & bit}
-
-
-def link_euler_fast(a: TypeAssignment, v: int) -> int:
-    """chi of the link at x_v without materializing it.
-
-    Each TRUE level-k orbit (k >= 2) contributes (-1)^k times its member
-    count through x_v, which equals k*|O|/n for a transitive group.
-    """
-    _require_full(a)
-    table = a.table
-    total = 0
-    for o in a.true_ids():
-        k = table.level[o]
-        if k < 2:
-            continue
-        if v == 1:
-            through = table.containing_x1[o]
-        else:
-            through = k * table.size[o] // table.n
-        total += (-1) ** k * through
-    return total
+    return a.chi_link
 
 
 @dataclass(frozen=True)

@@ -94,10 +94,6 @@ class BooleanFunction:
                     tab[m] = 1
         return cls(table.n, tab, monotone=True, group=table.group)
 
-    def opposite(self) -> "BooleanFunction":
-        return BooleanFunction(self.n, bytes(1 - v for v in self.table),
-                               monotone=self.monotone, group=self.group)
-
     def restricted_true(self, v: int) -> "BooleanFunction":
         """The function with variable x_v (1-based) answered 1, on the
         remaining n-1 variables."""
@@ -108,12 +104,6 @@ class BooleanFunction:
             expanded = (m & low) | ((m & ~low) << 1) | bit
             tab[m] = self.table[expanded]
         return BooleanFunction(self.n - 1, tab, monotone=self.monotone)
-
-
-def is_monotone_nonincreasing(f: BooleanFunction) -> bool:
-    tab = f.table
-    return all(tab[m] or not tab[m | 1 << i]
-               for m in range(1 << f.n) for i in range(f.n))
 
 
 def _check_invariant(f: BooleanFunction) -> None:
@@ -140,7 +130,12 @@ def _orbit_queries(group: PermGroup) -> dict[int, int]:
 
     Only masks reached from the empty mask through such queries, while the
     stabilizer stays nontrivial, are listed.  Any other mask queries every
-    free variable, which is always sound."""
+    free variable, which is always sound.
+
+    The walk does not go through perm.closure: a mask's successors, one per
+    stabilizer orbit, depend on the mask rather than on a fixed set of
+    maps, and each mask hands its stabilizer down so that the next one is
+    filtered from it, not from the whole group."""
     queries: dict[int, int] = {}
     stack = [(0, group.elements)]
     while stack:

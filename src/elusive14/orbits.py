@@ -11,7 +11,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .perm import Permutation, PermGroup, is_transitive
+from .perm import Permutation, PermGroup, closure, is_transitive
 
 # OrbitTable keeps several 2^n-entry lists: about 200 MiB at degree 20
 MAX_DEGREE = 20
@@ -95,37 +95,21 @@ class OrbitTable:
             warnings.warn("group is not transitive; orbit census still computed")
         self.group = group
         self.n = n
-        tables = [action_table(g) for g in group.generators]
-
-        total = 1 << n
-        orbit_of = [-1] * total
+        maps = [action_table(g).__getitem__ for g in group.generators]
+        orbit_of = [-1] * (1 << n)
         by_level: list[list[int]] = [[] for _ in range(n + 1)]
         members: list[list[int]] = []
         # scanning masks by (size, value) makes discovery order canonical:
         # ids sort by level, then by smallest member
-        order = sorted(range(total), key=lambda m: (m.bit_count(), m))
-        next_id = 0
-        for m in order:
-            if orbit_of[m] >= 0:
-                continue
-            oid = next_id
-            next_id += 1
-            orbit_of[m] = oid
-            stack = [m]
-            mem = [m]
-            while stack:
-                cur = stack.pop()
-                for t in tables:
-                    img = t[cur]
-                    if orbit_of[img] < 0:
-                        orbit_of[img] = oid
-                        mem.append(img)
-                        stack.append(img)
-            mem.sort()
-            members.append(mem)
-            by_level[m.bit_count()].append(oid)
+        for m in sorted(range(1 << n), key=lambda m: (m.bit_count(), m)):
+            if orbit_of[m] < 0:
+                mem = sorted(closure((m,), maps))
+                for x in mem:
+                    orbit_of[x] = len(members)
+                by_level[m.bit_count()].append(len(members))
+                members.append(mem)
 
-        self.orbit_count = next_id
+        self.orbit_count = len(members)
         self._orbit_of = orbit_of
         self.members = members
         self.level = [m[0].bit_count() for m in members]
@@ -133,7 +117,7 @@ class OrbitTable:
         self.min_mask = [m[0] for m in members]
         self.containing_x1 = [sum(1 for x in m if x & 1) for m in members]
         self.ids_at_level = by_level
-        self.index_in_level = [0] * next_id
+        self.index_in_level = [0] * self.orbit_count
         for lvl_ids in by_level:
             for j, oid in enumerate(lvl_ids):
                 self.index_in_level[oid] = j
@@ -196,33 +180,19 @@ class OrbitPoset:
                     b = rem & -rem
                     rem ^= b
                     seen.add(table.orbit_of(m ^ b))
+        # ids run up the levels, so the closures of an orbit's covers are
+        # built before its own; id 0 stays out of every closure
         lower = [0] * count
-        for o in sorted(range(count), key=lambda o: table.level[o]):
-            if table.level[o] == 0:
-                continue
+        upper = [0] * count
+        for o in range(1, count):
             acc = 1 << o
             for p in direct_below[o]:
-                if table.level[p] >= 1:
-                    acc |= lower[p]
+                acc |= lower[p]
             lower[o] = acc
-        upper = [0] * count
-        for o in range(count):
-            if table.level[o] == 0:
-                continue
-            for p in iter_bits(lower[o] & ~(1 << o)):
+            for p in iter_bits(acc):
                 upper[p] |= 1 << o
-        for o in range(count):
-            if table.level[o] >= 1:
-                upper[o] |= 1 << o
         self.lower = lower
         self.upper = upper
 
-    def leq(self, o1: int, o2: int) -> bool:
-        """True iff o1 is (weakly) below o2 in the inclusion order."""
-        return bool(self.lower[o2] >> o1 & 1)
-
     def lower_ids(self, o: int) -> list[int]:
         return list(iter_bits(self.lower[o]))
-
-    def upper_ids(self, o: int) -> list[int]:
-        return list(iter_bits(self.upper[o]))

@@ -12,7 +12,7 @@ import math
 import re
 from dataclasses import dataclass
 
-DEFAULT_CLOSURE_CAP = 1_000_000
+DEFAULT_CLOSURE_CAP = 100_000
 
 
 class ParseError(ValueError):
@@ -69,12 +69,6 @@ class Permutation:
                 out.append(tuple(cyc))
         return out
 
-    def cycle_type(self) -> tuple[int, ...]:
-        """Sorted cycle lengths including fixed points."""
-        lengths = [len(c) for c in self.cycles()]
-        lengths += [1] * (len(self.images) - sum(lengths))
-        return tuple(sorted(lengths))
-
     def order(self) -> int:
         return math.lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
 
@@ -106,8 +100,11 @@ def parse_cycles(text: str, n: int) -> Permutation:
     """Parse a product of disjoint cycles over points 1..n.
 
     Empty text (or bare whitespace, or '()') denotes the identity.  Raises
-    ParseError on repeated points, out-of-range points, or stray characters.
+    ParseError on repeated points, out-of-range points, stray characters,
+    or a value that is not a string.
     """
+    if not isinstance(text, str):
+        raise ParseError(f"cycle notation must be a string, not {text!r}")
     body = text.strip()
     if body in ("", "()", "id"):
         return identity(n)
@@ -154,79 +151,63 @@ class PermGroup:
     def __contains__(self, sigma: Permutation) -> bool:
         return sigma in self.element_set
 
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
     def __repr__(self) -> str:
         gens = ", ".join(str(g) for g in self.generators) or "()"
         return f"PermGroup(degree={self.degree}, order={self.order}, <{gens}>)"
 
     def point_orbits(self) -> list[tuple[int, ...]]:
         """Orbits on points (0-based), each sorted, ordered by smallest point."""
-        seen = [False] * self.degree
+        maps = [g.images.__getitem__ for g in self.generators]
+        seen: set[int] = set()
         orbits = []
         for start in range(self.degree):
-            if seen[start]:
-                continue
-            orbit = {start}
-            frontier = [start]
-            while frontier:
-                p = frontier.pop()
-                for g in self.generators:
-                    q = g(p)
-                    if q not in orbit:
-                        orbit.add(q)
-                        frontier.append(q)
-            for p in orbit:
-                seen[p] = True
-            orbits.append(tuple(sorted(orbit)))
+            if start not in seen:
+                orbit = closure((start,), maps)
+                seen |= orbit
+                orbits.append(tuple(sorted(orbit)))
         return orbits
 
 
-def _closure(degree: int, gens: list[Permutation], cap: int) -> tuple[Permutation, ...]:
-    ident = identity(degree)
-    seen = {ident}
-    frontier = [ident]
+def closure(seeds, maps, cap: int | None = None) -> set:
+    """The least set that contains ``seeds`` and is closed under every
+    function in ``maps``.  Group elements, point orbits, conjugacy classes,
+    normal closures and subset orbits all come from here.  A closure of
+    more than ``cap`` elements raises ClosureCapExceeded."""
+    found = set(seeds)
+    frontier = list(found)
     while frontier:
-        nxt = []
-        for e in frontier:
-            for g in gens:
-                h = e * g
-                if h not in seen:
-                    seen.add(h)
-                    if len(seen) > cap:
-                        raise ClosureCapExceeded(
-                            f"closure exceeded cap of {cap} elements")
-                    nxt.append(h)
-        frontier = nxt
-    return tuple(sorted(seen, key=lambda p: p.images))
+        x = frontier.pop()
+        for f in maps:
+            y = f(x)
+            if y not in found:
+                found.add(y)
+                frontier.append(y)
+        if cap is not None and len(found) > cap:
+            raise ClosureCapExceeded(f"closure exceeded cap of {cap} elements")
+    return found
 
 
 def generate(generators: list[Permutation] | tuple[Permutation, ...],
              cap: int = DEFAULT_CLOSURE_CAP) -> PermGroup:
-    """Materialize the group generated by ``generators`` via BFS closure."""
+    """Materialize the group generated by ``generators``."""
     gens = list(generators)
     if not gens:
         raise ValueError("need at least one generator (use identity for the trivial group)")
     degree = gens[0].degree
     if any(g.degree != degree for g in gens):
         raise ValueError("generators have mixed degrees")
-    return PermGroup(degree, tuple(gens), _closure(degree, gens, cap))
+    # left multiplication by the generators reaches every product of them
+    elements = closure((identity(degree),), [g.__mul__ for g in gens], cap)
+    return PermGroup(degree, tuple(gens),
+                     tuple(sorted(elements, key=lambda p: p.images)))
 
 
-def trivial_group(n: int) -> PermGroup:
-    return generate([identity(n)])
-
-
-def subgroup(G: PermGroup, gens: list[Permutation], cap: int = DEFAULT_CLOSURE_CAP) -> PermGroup:
+def subgroup(G: PermGroup, gens: list[Permutation]) -> PermGroup:
     """Closure of ``gens`` inside G; raises WitnessError if gens leave G."""
     for g in gens:
         if g not in G:
             raise WitnessError(f"element {g} is not in the group")
-    return generate(gens if gens else [identity(G.degree)], cap=cap)
+    return generate(gens if gens else [identity(G.degree)])
 
 
 def is_transitive(G: PermGroup) -> bool:
@@ -251,22 +232,17 @@ def is_normal(G: PermGroup, H: PermGroup) -> bool:
     return True
 
 
+def _conjugations(G: PermGroup) -> list:
+    """x -> g x g^-1 for each generator g of G."""
+    return [lambda x, g=g, ginv=g.inverse(): g * x * ginv for g in G.generators]
+
+
 def normal_closure(G: PermGroup, seed: Permutation) -> PermGroup:
     """Smallest normal subgroup of G containing ``seed``."""
     if seed not in G:
         raise WitnessError("seed element is not in the group")
-    gens = {seed}
-    frontier = [seed]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for g in G.generators:
-                c = g * s * g.inverse()
-                if c not in gens:
-                    gens.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    return generate(sorted(gens, key=lambda p: p.images), cap=G.order)
+    conjugates = closure((seed,), _conjugations(G))
+    return generate(sorted(conjugates, key=lambda p: p.images), cap=G.order)
 
 
 class Quotient:
@@ -413,23 +389,13 @@ class Classification:
 
 def conjugacy_class_representatives(G: PermGroup) -> list[Permutation]:
     """One element per conjugacy class, smallest image tuple first."""
+    conjugations = _conjugations(G)
     seen: set[Permutation] = set()
     reps: list[Permutation] = []
-    gen_pairs = [(g, g.inverse()) for g in G.generators]
     for e in G.elements:
-        if e in seen:
-            continue
-        reps.append(e)
-        cls = {e}
-        frontier = [e]
-        while frontier:
-            x = frontier.pop()
-            for g, ginv in gen_pairs:
-                y = g * x * ginv
-                if y not in cls:
-                    cls.add(y)
-                    frontier.append(y)
-        seen |= cls
+        if e not in seen:
+            reps.append(e)
+            seen |= closure((e,), conjugations)
     return reps
 
 

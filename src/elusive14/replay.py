@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .bundle import Campaign, expand_labels
-from .complexes import FALSE, FREE, TRUE
+from .complexes import FALSE, FREE, TRUE, TypeAssignment
 from .orbits import iter_bits
-from .search import SearchState, SearchStats, SubgroupCheck, condition_met
+from .search import SearchStats, SubgroupCheck, condition_met
 
 
 class MappingIncomplete(Exception):
@@ -73,7 +73,7 @@ class ReplayResult:
         return not self.problems
 
 
-def count_local_cases(camp: Campaign, st: SearchState,
+def count_local_cases(camp: Campaign, st: TypeAssignment,
                       check: SubgroupCheck) -> int:
     """Number of assignments of the check's free governed orbits that are
     consistent at block level: a block collection can be a face only when
@@ -129,36 +129,29 @@ def count_local_cases(camp: Campaign, st: SearchState,
     return count
 
 
-def _compare_theta(camp: Campaign, state: SearchState, printed_t: list[str],
+def _compare_theta(camp: Campaign, state: TypeAssignment, printed_t: list[str],
                    printed_f: list[str], problems: list[str],
                    where: str) -> tuple[ThetaComparison, ThetaComparison]:
     table, anchors = camp.table, camp.anchors
     t_set, f_set = set(printed_t), set(printed_f)
     per_level_counts = {k: len(table.ids_at_level[k]) for k in range(table.n + 1)}
 
-    def state_of(oid: int) -> str:
-        if state.t_bits >> oid & 1:
-            return TRUE
-        if state.f_bits >> oid & 1:
-            return FALSE
-        return FREE
-
     comparisons = []
     for side, labels, want in ((TRUE, printed_t, TRUE), (FALSE, printed_f, FALSE)):
         comp = ThetaComparison(
             side=side, printed_count=len(labels),
             computed_count=sum(1 for o in range(1, table.orbit_count)
-                               if state_of(o) == want))
+                               if state.state(o) == want))
         for lbl in labels:
             oid = anchors.oid(lbl)
             if oid is None:
                 comp.skipped.append(lbl)
-            elif state_of(oid) == want:
+            elif state.state(oid) == want:
                 comp.matched.append(lbl)
             else:
                 comp.mismatched.append(lbl)
                 problems.append(f"{where}: published {lbl} should be {want} "
-                                f"but computed {state_of(oid)}")
+                                f"but computed {state.state(oid)}")
         # levels listed in full pin every orbit of that level, anchored or not
         by_level: dict[int, set[int]] = {}
         for lbl in labels:
@@ -168,16 +161,16 @@ def _compare_theta(camp: Campaign, state: SearchState, printed_t: list[str],
             if idxs == set(range(per_level_counts[k])):
                 comp.complete_levels.append(k)
                 for oid in table.ids_at_level[k]:
-                    if state_of(oid) != want:
+                    if state.state(oid) != want:
                         problems.append(
                             f"{where}: level {k} is fully listed as {want} "
                             f"but orbit {table.label(oid)} computed "
-                            f"{state_of(oid)}")
+                            f"{state.state(oid)}")
         comparisons.append(comp)
 
     # reverse direction: every anchored label must sit where the state says
     for lbl, oid in anchors.label_to_oid.items():
-        st = state_of(oid)
+        st = state.state(oid)
         if st == TRUE and lbl not in t_set:
             problems.append(f"{where}: anchored {lbl} computed T but absent "
                             f"from the published T set")
@@ -190,9 +183,9 @@ def _compare_theta(camp: Campaign, state: SearchState, printed_t: list[str],
     return comparisons[0], comparisons[1]
 
 
-def _select_case(camp: Campaign, children: list[SearchState],
-                 parent: SearchState, governed: tuple[int, ...],
-                 select: dict, where: str) -> tuple[SearchState, dict[str, str]]:
+def _select_case(camp: Campaign, children: list[TypeAssignment],
+                 parent: TypeAssignment, governed: tuple[int, ...],
+                 select: dict, where: str) -> tuple[TypeAssignment, dict[str, str]]:
     anchors = camp.anchors
     named: dict[int, str] = {}
     echo: dict[str, str] = {}
@@ -203,22 +196,15 @@ def _select_case(camp: Campaign, children: list[SearchState],
         named[oid] = want
         echo[lbl] = want
     default = select.get("default_free")
-    assigned_before = parent.t_bits | parent.f_bits
-    free_before = [o for o in governed if not assigned_before >> o & 1]
+    if default is not None:
+        # every other governed orbit free before this step takes the default
+        assigned_before = parent.t_bits | parent.f_bits
+        named.update((o, default) for o in governed
+                     if not assigned_before >> o & 1 and o not in named)
 
-    def matches(child: SearchState) -> bool:
-        for oid, want in named.items():
-            got = TRUE if child.t_bits >> oid & 1 else FALSE
-            if got != want:
-                return False
-        if default is not None:
-            for o in free_before:
-                if o in named:
-                    continue
-                got = TRUE if child.t_bits >> o & 1 else FALSE
-                if got != default:
-                    return False
-        return True
+    def matches(child: TypeAssignment) -> bool:
+        return all((TRUE if child.t_bits >> o & 1 else FALSE) == want
+                   for o, want in named.items())
 
     chosen = [c for c in children if matches(c)]
     if len(chosen) != 1:
@@ -306,7 +292,7 @@ def replay_case_study(camp: Campaign, cap: int = 1 << 20) -> ReplayResult:
         for a in free for b in free
         if a != b and camp.poset.lower[b] >> a & 1]
 
-    cases: list[SearchState] = []
+    cases: list[TypeAssignment] = []
     survivors = engine.leaf_survivors(state, stats, link_check=True,
                                       collect_cases=cases)
     leaf_cases = [{

@@ -1,12 +1,13 @@
 """Backtracking case analysis over orbit-type assignments.
 
-Every node of the search carries a monotone-consistent partial assignment
-as two int bitsets plus incrementally maintained Euler characteristics of
-the encoded complex and of its link at x1.  Each schedule entry is a
-subgroup whose fixed-point complex must satisfy an Euler condition; the
-identity subgroup closes the schedule and is handled as the leaf: the
-remaining free orbits are enumerated against chi(Delta) = 1 and the
-survivors are tested against chi(Link(Delta, x1)) = 1.
+Every node of the search is a monotone-consistent partial TypeAssignment:
+two int bitsets over orbit ids plus the Euler characteristics of the
+encoded complex and of its link at x1, which propagation updates as orbits
+turn TRUE.  Each schedule entry is a subgroup whose fixed-point complex
+must satisfy an Euler condition; the identity subgroup closes the schedule
+and is handled as the leaf: the remaining free orbits are enumerated
+against chi(Delta) = 1 and the survivors are tested against
+chi(Link(Delta, x1)) = 1.
 
 A subgroup check and the leaf run one completion recursion, which assigns
 the free orbits in id order with propagation and hands every complete
@@ -25,19 +26,6 @@ from .perm import PermGroup
 
 class CaseCapExceeded(RuntimeError):
     """A single check tried to enumerate more cases than the configured cap."""
-
-
-@dataclass(frozen=True)
-class SearchState:
-    """Immutable search node; chi fields track the TRUE orbits so far."""
-
-    t_bits: int
-    f_bits: int
-    chi: int
-    chi_link: int
-
-    def assignment(self, table: OrbitTable, poset: OrbitPoset) -> TypeAssignment:
-        return TypeAssignment(table, poset, self.t_bits, self.f_bits)
 
 
 @dataclass(frozen=True)
@@ -127,16 +115,13 @@ class SearchEngine:
         self.link_delta = link_x1_deltas(table)
         self.top_oid = table.oid(f"{table.n}.0")
 
-    def initial_state(self) -> SearchState:
-        """All orbits free except the full-set orbit, pinned FALSE
-        (a TRUE full set would make the function constant)."""
-        blank = SearchState(0, 0, 0, 0)
-        st = self.propagate(blank, self.top_oid, FALSE, SearchStats())
-        assert st is not None
-        return st
+    def initial_state(self) -> TypeAssignment:
+        """All orbits free except the full-set orbit, pinned FALSE (a TRUE
+        full set would make the function constant); no orbit lies above it."""
+        return TypeAssignment(self.table, self.poset, 0, 1 << self.top_oid, 0, 0)
 
-    def propagate(self, st: SearchState, oid: int, value: str,
-                  stats: SearchStats) -> SearchState | None:
+    def propagate(self, st: TypeAssignment, oid: int, value: str,
+                  stats: SearchStats) -> TypeAssignment | None:
         """Assign one orbit and close monotonically; None signals a pruned
         branch (some orbit would need both values)."""
         if value == TRUE:
@@ -155,19 +140,21 @@ class SearchEngine:
                 i = b.bit_length() - 1
                 chi += self.chi_delta[i]
                 link += self.link_delta[i]
-            return SearchState(st.t_bits | add, st.f_bits, chi, link)
+            return TypeAssignment(self.table, self.poset, st.t_bits | add,
+                                  st.f_bits, chi, link)
         if st.f_bits >> oid & 1:
             return st
         add = self.poset.upper[oid] & ~st.f_bits
         if add & st.t_bits:
             stats.prunes_by_conflict += 1
             return None
-        return SearchState(st.t_bits, st.f_bits | add, st.chi, st.chi_link)
+        return TypeAssignment(self.table, self.poset, st.t_bits,
+                              st.f_bits | add, st.chi, st.chi_link)
 
-    def subgroup_chi(self, st: SearchState, check: SubgroupCheck) -> int:
+    def subgroup_chi(self, st: TypeAssignment, check: SubgroupCheck) -> int:
         return sum(w for o, w in check.weights if st.t_bits >> o & 1)
 
-    def _complete(self, st: SearchState, orbits, leaf, stats: SearchStats,
+    def _complete(self, st: TypeAssignment, orbits, leaf, stats: SearchStats,
                   cap_message: str) -> None:
         """Call ``leaf`` on every assignment of the still-free ``orbits``
         that survives propagation; orbits are branched in the given order,
@@ -176,7 +163,7 @@ class SearchEngine:
         free = [o for o in orbits if not assigned >> o & 1]
         budget = self.cap
 
-        def rec(s: SearchState, k: int) -> None:
+        def rec(s: TypeAssignment, k: int) -> None:
             nonlocal budget
             done = s.t_bits | s.f_bits
             while k < len(free) and done >> free[k] & 1:
@@ -195,13 +182,13 @@ class SearchEngine:
 
         rec(st, 0)
 
-    def enumerate_cases(self, st: SearchState, check: SubgroupCheck,
-                        stats: SearchStats) -> list[SearchState]:
+    def enumerate_cases(self, st: TypeAssignment, check: SubgroupCheck,
+                        stats: SearchStats) -> list[TypeAssignment]:
         """All assignments of the check's free governed orbits that survive
         propagation and meet the check's Euler condition."""
-        out: list[SearchState] = []
+        out: list[TypeAssignment] = []
 
-        def leaf(s: SearchState) -> None:
+        def leaf(s: TypeAssignment) -> None:
             if condition_met(check.condition, self.subgroup_chi(s, check)):
                 out.append(s)
             else:
@@ -212,14 +199,14 @@ class SearchEngine:
         stats.cases_enumerated += len(out)
         return out
 
-    def leaf_survivors(self, st: SearchState, stats: SearchStats,
+    def leaf_survivors(self, st: TypeAssignment, stats: SearchStats,
                        link_check: bool = True,
-                       collect_cases: list | None = None) -> list[SearchState]:
+                       collect_cases: list | None = None) -> list[TypeAssignment]:
         """Resolve all remaining free orbits against chi(Delta) = 1, then
         test chi(Link(Delta, x1)) = 1 on each chi-feasible assignment."""
-        survivors: list[SearchState] = []
+        survivors: list[TypeAssignment] = []
 
-        def leaf(s: SearchState) -> None:
+        def leaf(s: TypeAssignment) -> None:
             stats.leaf_assignments += 1
             if s.chi != 1:
                 stats.prunes_by_chi += 1
@@ -245,23 +232,22 @@ class SearchEngine:
         return ordered
 
 
-def survivor_states(state: SearchState, table: OrbitTable) -> dict[str, str]:
+def survivor_states(state: TypeAssignment) -> dict[str, str]:
     """Canonical label -> T/F map for a fully assigned state."""
-    out = {}
-    for o in range(1, table.orbit_count):
-        out[str(table.label(o))] = TRUE if state.t_bits >> o & 1 else FALSE
-    return out
+    table = state.table
+    return {str(table.label(o)): state.state(o)
+            for o in range(1, table.orbit_count)}
 
 
-def _walk(engine: SearchEngine, checks: list[SubgroupCheck], st: SearchState,
+def _walk(engine: SearchEngine, checks: list[SubgroupCheck], st: TypeAssignment,
           depth: int, stats: SearchStats, link_check: bool,
-          audit=None) -> list[SearchState]:
+          audit=None) -> list[TypeAssignment]:
     stats.nodes_explored += 1
     if audit is not None:
         audit(st)
     if checks[depth].is_identity:
         return engine.leaf_survivors(st, stats, link_check=link_check)
-    found: list[SearchState] = []
+    found: list[TypeAssignment] = []
     for child in engine.enumerate_cases(st, checks[depth], stats):
         found.extend(_walk(engine, checks, child, depth + 1, stats,
                            link_check, audit))
@@ -281,5 +267,5 @@ def run_search(engine: SearchEngine, schedule: Schedule, link_check: bool = True
     wall = time.perf_counter() - t0
     return SearchReport(
         schedule=schedule.name, link_check=link_check,
-        feasible_functions=[survivor_states(s, engine.table) for s in found],
+        feasible_functions=[survivor_states(s) for s in found],
         stats=stats, wall_time=wall, cap=engine.cap)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from elusive14.bundle import build_campaign
+from elusive14.oracle import BooleanFunction
 from elusive14.perm import generate, parse_cycles
 
 
@@ -41,3 +42,18 @@ def random_monotone_bits(table, poset, rng: random.Random,
     for o in rng.sample(candidates, rng.randint(1, max_seeds)):
         t |= poset.lower[o]
     return t
+
+
+def r_vector(a) -> list[int]:
+    """Reference face counts of a full assignment, counted over its explicit
+    faces: r[k] faces of size k, r[0] = 1 for the empty face."""
+    r = [1] + [0] * a.table.n
+    for m in a.true_masks():
+        r[m.bit_count()] += 1
+    return r
+
+
+def opposite(f: BooleanFunction) -> BooleanFunction:
+    """f with every truth value flipped; monotone and the group carry over."""
+    return BooleanFunction(f.n, bytes(1 - v for v in f.table),
+                           monotone=f.monotone, group=f.group)

@@ -35,6 +35,49 @@ def test_bad_input_exits_two(capsys):
     assert main(["group", "order", "/no/such/file.json"]) == 2
 
 
+@pytest.mark.parametrize("body", [
+    {"name": "D0", "degree": 0, "generators": ["()"]},
+    {"name": "D-3", "degree": -3, "generators": ["()"]},
+    {"name": "Nested", "degree": 4, "generators": [["(1,2)"]]},
+    {"name": "Bool", "degree": True, "generators": ["()"]},
+], ids=["degree 0", "degree -3", "nested generator", "degree true"])
+def test_malformed_group_files_exit_two(capsys, tmp_path, body):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(body))
+    for command in (["group", "order"], ["group", "classify"],
+                    ["orbits", "compute"]):
+        assert main([*command, str(path)]) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad group file"), err
+        assert "Traceback" not in err
+
+
+def test_closure_cap_bounds_a_large_group_file(capsys, tmp_path):
+    # S12 has 479001600 elements; the closure stops at 10^5
+    path = tmp_path / "s12.json"
+    path.write_text(json.dumps({
+        "name": "S12", "degree": 12,
+        "generators": ["(1,2)", "(" + ",".join(map(str, range(1, 13))) + ")"]}))
+    assert main(["group", "order", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: closure exceeded cap of 100000 elements")
+
+
+@pytest.mark.parametrize("argv, body", [
+    (["verify14", "--groups-file"], {}),
+    (["verify14", "--groups-file"], []),
+    (["verify14", "--subgroups-file"], {}),
+    (["replay-appendix", "--case-study-file"], {}),
+], ids=["groups {}", "groups []", "subgroups {}", "case study {}"])
+def test_malformed_override_files_exit_two(capsys, tmp_path, argv, body):
+    path = tmp_path / "override.json"
+    path.write_text(json.dumps(body))
+    assert main([*argv, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}"), err
+    assert "Traceback" not in err
+
+
 def test_orbits_compute_byte_stable(capsys):
     code, first = run_cli(capsys, "--format", "json", "orbits", "compute", "G6")
     assert code == 0

@@ -3,17 +3,25 @@ from itertools import permutations
 
 import pytest
 
+from conftest import opposite
 from elusive14.complexes import TypeAssignment, euler
 from elusive14.oracle import (ArityError, BooleanFunction, ConjectureReport,
                               DepthSolver, SymmetryScan,
                               decision_tree_depth, decision_tree_depth_plain,
                               enumerate_monotone, euler_of_bitvector,
                               exhaustive_conjecture_check,
-                              is_elusive, is_monotone_nonincreasing,
+                              is_elusive,
                               restriction_lemma_check,
                               sample_invariant_function)
 from elusive14.orbits import OrbitPoset, OrbitTable
 from elusive14.perm import generate, parse_cycles
+
+
+def is_monotone_nonincreasing(f):
+    """Reference: no false input has a true superset."""
+    tab = f.table
+    return all(tab[m] or not tab[m | 1 << i]
+               for m in range(1 << f.n) for i in range(f.n))
 
 
 def not_all_ones(n):
@@ -90,7 +98,7 @@ def test_depth_of_opposite_function():
     for n in (2, 3, 4):
         for bits in enumerate_monotone(n):
             f = BooleanFunction.from_bitvector(n, bits, monotone=True)
-            assert decision_tree_depth(f) == decision_tree_depth(f.opposite())
+            assert decision_tree_depth(f) == decision_tree_depth(opposite(f))
 
 
 def test_subtree_bound_for_invariant_functions():
@@ -300,7 +308,7 @@ def _c6_invariant_functions(c6):
     fs = [sample_invariant_function(table, poset, rng,
                                     seed_orbits=rng.randint(1, 4))
           for _ in range(8)]
-    fs += [f.opposite() for f in fs]
+    fs += [opposite(f) for f in fs]
     fs += [BooleanFunction(6, bytes([v]) * 64, monotone=True, group=c6)
            for v in (0, 1)]
     return fs
@@ -380,7 +388,7 @@ def test_group_follows_the_function(c6):
     table = OrbitTable(c6)
     f = sample_invariant_function(table, OrbitPoset(table), random.Random(64))
     assert f.group is c6
-    assert f.opposite().group is c6
+    assert opposite(f).group is c6
     assert f.restricted_true(1).group is None
     assert BooleanFunction.from_bitvector(2, 0b0111).group is None
 
@@ -392,7 +400,7 @@ def test_g6_queries_one_variable_per_stabilizer_orbit(campaign):
     assert queries[0] == 1                     # transitive: x1 alone
     g6 = campaign.groups["G6"]
     for assigned, reps in queries.items():
-        stab = [g for g in g6
+        stab = [g for g in g6.elements
                 if all(g.images[p] == p for p in range(14) if assigned >> p & 1)]
         assert len(stab) > 1
         least = {min(g.images[p] for g in stab)

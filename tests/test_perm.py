@@ -3,10 +3,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elusive14.perm import (ClosureCapExceeded, OliverWitness, ParseError,
-                            Quotient, WitnessError, classify, generate,
-                            identity, is_cyclic, is_normal, is_transitive,
-                            parse_cycles, subgroup, trivial_group,
-                            verify_psi_p, verify_psi_pq, verify_sylow_lemma)
+                            Permutation, Quotient, WitnessError, classify,
+                            closure, conjugacy_class_representatives,
+                            generate, identity, is_cyclic, is_normal,
+                            is_transitive, normal_closure, parse_cycles,
+                            subgroup, verify_psi_p, verify_psi_pq,
+                            verify_sylow_lemma)
 
 
 def test_parse_identity_forms():
@@ -94,13 +96,13 @@ def test_lagrange(groups):
 
 def test_transitivity(groups):
     assert all(is_transitive(groups[n]) for n in ("G1", "G2", "G3", "G4", "G5", "G6"))
-    assert not is_transitive(trivial_group(14))
+    assert not is_transitive(generate([identity(14)]))
 
 
 def test_cyclicity(groups):
     assert is_cyclic(groups["G1"])
     assert not is_cyclic(groups["G5"])
-    assert is_cyclic(trivial_group(14))
+    assert is_cyclic(generate([identity(14)]))
 
 
 def test_psi_p_witnesses(campaign, groups):
@@ -154,7 +156,7 @@ def test_sylow_lemma(groups):
     assert e is not None
     assert e.order() == 13
     assert len(e.fixed_points()) == 1
-    assert e.cycle_type() == (1, 13)
+    assert [len(c) for c in e.cycles()] == [13]
     assert verify_sylow_lemma(groups["G6"]) is None   # 13 does not divide 168
     assert verify_sylow_lemma(groups["G1"]) is None   # 13 does not divide 14
 
@@ -221,3 +223,85 @@ def test_random_words_stay_inside(groups, seed):
     for _ in range(rng.randint(1, 12)):
         word = word * rng.choice(G.generators)
     assert word in G
+
+
+# -- perm.closure against brute-force references ---------------------------
+
+def compose(a, b):
+    return tuple(a[j] for j in b)
+
+
+def products_fixpoint(n, perms):
+    """Reference group: the identity and ``perms`` (image tuples), with
+    every pairwise product added until none is new."""
+    group = {tuple(range(n))} | set(perms)
+    while True:
+        bigger = group | {compose(a, b) for a in group for b in group}
+        if bigger == group:
+            return group
+        group = bigger
+
+
+def union_find_orbits(n, perms):
+    """Reference point orbits: the classes of the edges p -- g(p)."""
+    parent = list(range(n))
+
+    def find(p):
+        while parent[p] != p:
+            p = parent[p]
+        return p
+
+    for g in perms:
+        for p in range(n):
+            parent[find(p)] = find(g[p])
+    classes = {}
+    for p in range(n):
+        classes.setdefault(find(p), []).append(p)
+    return sorted(tuple(c) for c in classes.values())
+
+
+@st.composite
+def generated_groups(draw):
+    """Degree 1..6 and one to three random generators (image tuples)."""
+    n = draw(st.integers(1, 6))
+    perms = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+    return n, [tuple(p) for p in perms]
+
+
+@settings(max_examples=40, deadline=None)
+@given(generated_groups())
+def test_closure_generates_the_products_fixpoint(case):
+    n, perms = case
+    gens = [Permutation(p) for p in perms]
+    G = generate(gens)
+    assert {e.images for e in G.elements} == products_fixpoint(n, perms)
+    assert G.point_orbits() == union_find_orbits(n, perms)
+    assert generate(gens, cap=G.order).elements == G.elements
+    with pytest.raises(ClosureCapExceeded):
+        generate(gens, cap=G.order - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(generated_groups(), st.data())
+def test_conjugacy_classes_and_normal_closure(case, data):
+    n, perms = case
+    G = generate([Permutation(p) for p in perms])
+    pairs = [(g.images, g.inverse().images) for g in G.elements]
+    classes = {}
+    for x in G.elements:
+        cls = frozenset(compose(compose(g, x.images), ginv) for g, ginv in pairs)
+        classes.setdefault(cls, x)   # the first member in element order
+    assert conjugacy_class_representatives(G) == list(classes.values())
+    seed = data.draw(st.sampled_from(G.elements))
+    (conjugates,) = [cls for cls in classes if seed.images in cls]
+    N = normal_closure(G, seed)
+    assert {e.images for e in N.elements} == products_fixpoint(n, conjugates)
+
+
+@given(st.integers(1, 60), st.integers(0, 5))
+def test_closure_cap_raises_at_cap_plus_one(k, start):
+    step = [lambda x: (x + 1) % k]
+    assert closure({start % k}, step, cap=k) == set(range(k))
+    with pytest.raises(ClosureCapExceeded):
+        closure({start % k}, step, cap=k - 1)
+
