@@ -93,10 +93,20 @@ class GroupSpec:
                              h_generators=hg)
 
 
+# Group files are read for degree-14 work; the cap keeps a typo such as
+# degree 300000 from building degree-sized tuples for every generator, and
+# keeps a closure that reaches perm's element cap at about 70 MiB
+MAX_GROUP_DEGREE = 32
+
+
 def _degree(value) -> int:
-    """A group table's degree: a positive integer (JSON true is not one)."""
+    """A group table's degree: a positive integer (JSON true is not one)
+    of at most MAX_GROUP_DEGREE."""
     if type(value) is not int or value < 1:
         raise ValueError(f"degree {value!r} is not a positive integer")
+    if value > MAX_GROUP_DEGREE:
+        raise ValueError(f"degree {value} exceeds the cap of "
+                         f"{MAX_GROUP_DEGREE}")
     return value
 
 
@@ -143,15 +153,20 @@ class SubgroupSpec:
 
 def load_subgroup_specs(override: str | None = None) -> list[SubgroupSpec]:
     raw = load_json("subgroups.json", override)
+    where = override or "subgroups.json"
     try:
-        return [SubgroupSpec(
+        specs = [SubgroupSpec(
             name=s["name"], gap_subgroup_index=s["gap_subgroup_index"],
             generators=tuple(s["generators"]), printed_type=s["printed_type"],
             blocks=tuple(s["blocks"]), type_erratum=s.get("type_erratum"))
             for s in raw["subgroups"]]
     except (KeyError, TypeError) as exc:
         raise DataIntegrityError(
-            f"{override or 'subgroups.json'}: bad subgroup table: {exc!r}") from exc
+            f"{where}: bad subgroup table: {exc!r}") from exc
+    for spec in specs:
+        for block in spec.blocks:
+            _require_anchor(block, f"{where} {spec.name} block")
+    return specs
 
 
 _STEP_KEYS = ("step", "subgroup", "printed_cases", "select", "theta_t",
@@ -168,6 +183,18 @@ def _require_keys(obj, keys, where: str) -> None:
             f"{where} needs an object with keys {', '.join(keys)}")
 
 
+def _require_anchor(entry, where: str) -> None:
+    """A published block or union anchor: a list of 1-based points and the
+    printed orbit label they represent."""
+    _require_keys(entry, ("points", "printed_orbit"), where)
+    points = entry["points"]
+    if not (isinstance(points, list) and isinstance(entry["printed_orbit"], str)
+            and all(type(p) is int and p >= 1 for p in points)):
+        raise DataIntegrityError(
+            f"{where}: points must be a list of positive integers and "
+            "printed_orbit a string")
+
+
 def load_case_study(override: str | None = None) -> dict:
     """The worked-example data, with every key replay_case_study reads."""
     raw = load_json("case_study.json", override)
@@ -180,6 +207,11 @@ def load_case_study(override: str | None = None) -> dict:
     _require_keys(raw["final"], _FINAL_KEYS, f"{where} final")
     _require_keys(raw["combination_table"], ("1", "2", "3"),
                   f"{where} combination_table")
+    anchors = raw.get("union_anchors", [])
+    if not isinstance(anchors, list):
+        raise DataIntegrityError(f"{where}: union_anchors must be a list")
+    for entry in anchors:
+        _require_anchor(entry, f"{where} union anchor")
     return raw
 
 
@@ -231,6 +263,10 @@ def build_anchor_map(table: OrbitTable, subgroup_specs: list[SubgroupSpec],
             skipped.append(f"{origin} {entry['points']} -> {label}: {entry['erratum']}")
             continue
         mask = mask_from_points(entry["points"])
+        if mask >> table.n:
+            raise DataIntegrityError(
+                f"{origin}: representative {entry['points']} leaves the "
+                f"points 1..{table.n}")
         level = int(label.split(".")[0])
         if mask.bit_count() != level:
             raise DataIntegrityError(

@@ -13,11 +13,21 @@ pass stops at the first query whose two children are both non-evasive.
 Only a non-evasive restriction falls back to the exact minimax, which then
 finds its evasive children already settled.
 
-When the function carries its invariance group G, a restriction queries
-only the least variable of each orbit of the pointwise stabilizer of its
-assigned variables: a sigma in G fixing every assigned variable maps the
-restriction and f to themselves, so queries in one orbit lead to isomorphic
-subproblems.  For a transitive G the root queries x1 alone.
+When the function carries its invariance group G, the memo is keyed by
+G-orbit instead: a restriction's key is the radix-3 index of its image
+under an element that carries its assigned mask to the least mask of that
+mask's orbit (``OrbitKeys``).  Restrictions with equal keys are G-images of
+each other and have the same depth, so isomorphic subproblems share one
+memo entry and every free variable can be queried.  This replaced querying
+one variable per orbit of the pointwise stabilizer of the assigned
+variables, which only merged siblings; orbit keys also merge restrictions
+reached along different paths, and cut the restrictions entered on a
+G6-invariant function about twentyfold.
+
+The oracle deliberately leaves out the Rivest-Vuillemin parity shortcut
+(a restriction whose true inputs have a nonzero signed count is evasive).
+At the x1 = 1 child that shortcut is the link lemma the search relies on,
+and the oracle's worth is that it reaches its verdict without it.
 
 For monotone functions, constancy on a subcube reduces to comparing the
 all-zeros and all-ones completions, which is what makes arity 14 tractable.
@@ -29,8 +39,12 @@ functions whose variables each lie in the same number of true inputs.
 from __future__ import annotations
 
 import random
+import weakref
+from array import array
+from collections import deque
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import permutations, repeat
+from operator import itemgetter, or_
 
 from .orbits import (OrbitPoset, OrbitTable, action_table, iter_bits,
                      subset_unions)
@@ -54,8 +68,8 @@ class BooleanFunction:
     ``monotone`` asserts the function is monotone (in either direction),
     which licenses the two-completion constancy shortcut.  ``group``, when
     set, is a permutation group of the variables that the function is
-    invariant under; the depth solver checks it and uses it to skip
-    symmetric queries.
+    invariant under; the depth solver checks it and keys its memo by
+    G-orbits of restrictions.
     """
 
     __slots__ = ("n", "table", "monotone", "group")
@@ -124,43 +138,96 @@ def _check_invariant(f: BooleanFunction) -> None:
             raise ValueError(f"truth table is not invariant under {g}")
 
 
-def _orbit_queries(group: PermGroup) -> dict[int, int]:
-    """Query masks per assigned-variable mask: the least free point of each
-    orbit of the pointwise stabilizer of the assigned points.
+def _scatter(target, positions, values) -> None:
+    """target[p] = v for each pair, in order, at C speed."""
+    deque(map(target.__setitem__, positions, values), maxlen=0)
 
-    Only masks reached from the empty mask through such queries, while the
-    stabilizer stays nontrivial, are listed.  Any other mask queries every
-    free variable, which is always sound.
 
-    The walk does not go through perm.closure: a mask's successors, one per
-    stabilizer orbit, depend on the mask rather than on a fixed set of
-    maps, and each mask hands its stabilizer down so that the next one is
-    filtered from it, not from the whole group."""
-    queries: dict[int, int] = {}
-    stack = [(0, group.elements)]
-    while stack:
-        assigned, stab = stack.pop()
-        if len(stab) == 1 or assigned in queries:
-            continue
-        reps = 0
-        for p in range(group.degree):
-            if not assigned >> p & 1 and all(g.images[p] >= p for g in stab):
-                reps |= 1 << p
-        queries[assigned] = reps
-        for p in range(group.degree):
-            if reps >> p & 1:
-                stack.append((assigned | 1 << p,
-                              [g for g in stab if g.images[p] == p]))
-    return queries
+class OrbitKeys:
+    """Memo keys of restrictions (assigned mask A, values mask V) that G
+    carries onto each other.
+
+    ``trans[A]`` is the index in ``group.elements`` of an element g that
+    maps A to the least mask of its orbit, and the key of (A, V) is the
+    radix-3 index of (gA, gV): ``base[A]`` is the index of gA with every
+    variable answered 0, and ``lo[k][V & low] + hi[k][V >> half]`` raises
+    the digit of each point of gV from 1 to 2.  Equal keys mean gA = g'A'
+    and gV = g'V', so g'^-1 g carries one restriction onto the other, and
+    a G-invariant function has the same depth on both.  The keys need not
+    be complete: the stabilizer of the least mask may still move gV.
+    """
+
+    __slots__ = ("trans", "base", "lo", "hi", "half", "low")
+
+    def __init__(self, group: PermGroup):
+        n = group.degree
+        elements = group.elements
+        index = {g: k for k, g in enumerate(elements)}
+        inverse = [index[g.inverse()] for g in elements]
+        self.half = half = n // 2
+        self.low = low = (1 << half) - 1
+        # radix[M]: the radix-3 index of M with every point answered 0
+        radix = [0]
+        for i in range(n):
+            w = 3 ** i
+            radix += [x + w for x in radix]
+        # mask images under each element, half a mask at a time, kept as
+        # 16-bit arrays while the build lasts; the key tables reuse radix's
+        # int objects rather than making their own
+        bits = [[1 << p for p in g.images] for g in elements]
+        lo_img = [array("H", subset_unions(b[:half])) for b in bits]
+        hi_img = [array("H", subset_unions(b[half:])) for b in bits]
+        self.lo = [[radix[x] for x in t] for t in lo_img]
+        self.hi = [[radix[x] for x in t] for t in hi_img]
+        trans = [0] * (1 << n)
+        base = [0] * (1 << n)
+        placed = bytearray(1 << n)
+        inverse.reverse()
+        m = 0
+        while m >= 0:
+            # masks run upward, so the first one not yet placed is the least
+            # of its orbit.  Element k carries it to images[k], and the
+            # inverse of k carries that image back; written in reverse, the
+            # first such k is the one that stays
+            images = list(map(or_, map(itemgetter(m & low), lo_img),
+                              map(itemgetter(m >> half), hi_img)))
+            images.reverse()
+            _scatter(trans, images, inverse)
+            _scatter(base, images, repeat(radix[m]))
+            _scatter(placed, images, repeat(1))
+            m = placed.find(0, m + 1)
+        self.trans = trans
+        self.base = base
+
+    def key(self, assigned: int, values: int) -> int:
+        k = self.trans[assigned]
+        return (self.base[assigned] + self.lo[k][values & self.low]
+                + self.hi[k][values >> self.half])
+
+
+# one OrbitKeys per group, shared by the solvers of its functions and
+# dropped with the group
+_keys_of_group: "weakref.WeakKeyDictionary[PermGroup, OrbitKeys]" = (
+    weakref.WeakKeyDictionary())
+
+
+def _orbit_keys(group: PermGroup) -> OrbitKeys:
+    keys = _keys_of_group.get(group)
+    if keys is None:
+        keys = _keys_of_group[group] = OrbitKeys(group)
+    return keys
 
 
 class DepthSolver:
     """Evasiveness by the adversary recursion, with memoized minimax for
     the exact depth of non-evasive restrictions.
 
-    ``memo[idx]`` holds a restriction's exact depth (an evasive one's is
+    ``memo[key]`` holds a restriction's exact depth (an evasive one's is
     its free count), ``NOT_EVASIVE`` once the decision pass has shown its
-    depth is below its free count, or ``UNFILLED``.
+    depth is below its free count, or ``UNFILLED``.  Without a group the
+    key is the radix-3 index of the restriction, updated by one digit per
+    query; with one it is the ``OrbitKeys`` key, shared by restrictions
+    that G carries onto each other.
     """
 
     def __init__(self, f: BooleanFunction):
@@ -171,10 +238,10 @@ class DepthSolver:
         self.full = (1 << f.n) - 1
         self.pow3 = [3 ** i for i in range(f.n)]
         self.memo = bytearray([UNFILLED]) * (3 ** f.n)
-        self.queries: dict[int, int] = {}
+        self.keys: OrbitKeys | None = None
         if f.group is not None:
             _check_invariant(f)
-            self.queries = _orbit_queries(f.group)
+            self.keys = _orbit_keys(f.group)
 
     def _constant(self, assigned: int, values: int) -> bool:
         table = self.f.table
@@ -188,6 +255,21 @@ class DepthSolver:
                 return False
         return True
 
+    @property
+    def _decide(self):
+        """The decision pass for this solver's kind of memo key."""
+        return self._evasive if self.keys is None else self._evasive_keyed
+
+    def _children(self, assigned: int, values: int, idx: int,
+                  b: int) -> tuple[int, int]:
+        """Keys of the answered-0 and answered-1 children on query bit b."""
+        keys = self.keys
+        if keys is None:
+            step = self.pow3[b.bit_length() - 1]
+            return idx + step, idx + 2 * step
+        a = assigned | b
+        return keys.key(a, values), keys.key(a, values | b)
+
     def _evasive(self, assigned: int, values: int, idx: int, free: int) -> bool:
         memo = self.memo
         r = memo[idx]
@@ -198,7 +280,7 @@ class DepthSolver:
             return free == 0
         pow3 = self.pow3
         evasive = self._evasive
-        rem = self.queries.get(assigned, self.full ^ assigned)
+        rem = self.full ^ assigned
         sub = free - 1
         # lowest-bit loop kept inline: this is the oracle's hot path
         while rem:
@@ -221,31 +303,67 @@ class DepthSolver:
         memo[idx] = free
         return True
 
+    def _evasive_keyed(self, assigned: int, values: int, key: int,
+                       free: int) -> bool:
+        # _evasive with OrbitKeys keys; a copy, not a branch, so that the
+        # group-less path keeps its one-digit key update per query
+        memo = self.memo
+        r = memo[key]
+        if r != UNFILLED:
+            return r == free
+        if self._constant(assigned, values):
+            memo[key] = 0
+            return free == 0
+        keys = self.keys
+        trans, base, lo, hi = keys.trans, keys.base, keys.lo, keys.hi
+        low, half = keys.low, keys.half
+        evasive = self._evasive_keyed
+        rem = self.full ^ assigned
+        sub = free - 1
+        while rem:
+            b = rem & -rem
+            rem ^= b
+            a = assigned | b
+            k = trans[a]
+            v = values | b
+            c = base[a] + lo[k][v & low] + hi[k][v >> half]
+            r = memo[c]
+            if r == sub or (r == UNFILLED and evasive(a, v, c, sub)):
+                continue
+            c = base[a] + lo[k][values & low] + hi[k][values >> half]
+            r = memo[c]
+            if r == sub or (r == UNFILLED and evasive(a, values, c, sub)):
+                continue
+            memo[key] = NOT_EVASIVE
+            return False
+        memo[key] = free
+        return True
+
     def evasive(self) -> bool:
         """Whether the function has full decision-tree depth."""
-        return self._evasive(0, 0, 0, self.n)
+        return self._decide(0, 0, 0, self.n)
 
     def depth(self, assigned: int = 0, values: int = 0, idx: int = 0) -> int:
-        """Exact depth of the restriction whose radix-3 key is ``idx``."""
+        """Exact depth of the restriction whose memo key is ``idx``."""
         memo = self.memo
         free = self.n - assigned.bit_count()
-        if self._evasive(assigned, values, idx, free):
+        if self._decide(assigned, values, idx, free):
             return free
         r = memo[idx]
         if r != NOT_EVASIVE:
             return r
         # non-evasive, so some query reaches depth <= free - 1
         best = free
-        pow3 = self.pow3
-        rem = self.queries.get(assigned, self.full ^ assigned)
+        children = self._children
+        rem = self.full ^ assigned
         # lowest-bit loop kept inline: the exact minimax is a hot path too
         while rem:
             b = rem & -rem
             rem ^= b
-            step = pow3[b.bit_length() - 1]
-            d1 = self.depth(assigned | b, values | b, idx + 2 * step)
+            c0, c1 = children(assigned, values, idx, b)
+            d1 = self.depth(assigned | b, values | b, c1)
             if d1 + 1 < best:
-                d0 = self.depth(assigned | b, values, idx + step)
+                d0 = self.depth(assigned | b, values, c0)
                 d = (d0 if d0 > d1 else d1) + 1
                 if d < best:
                     best = d
@@ -255,9 +373,10 @@ class DepthSolver:
         return best
 
     def adversary_path(self) -> list[tuple[int, int]]:
-        """A worst-case play: at each restriction the solver queries an
-        optimal variable and the adversary answers toward the deeper
-        subtree.  Returns (variable, answer) pairs, 1-based variables.
+        """A worst-case play: at each restriction the solver queries the
+        least variable that reaches the optimum, and the adversary answers
+        toward the deeper subtree.  Returns (variable, answer) pairs,
+        1-based variables.
 
         From an evasive restriction every query is optimal and has an
         evasive child, so the play takes the lowest free variable and
@@ -267,30 +386,20 @@ class DepthSolver:
             return self._evasive_path()
         path: list[tuple[int, int]] = []
         assigned = values = idx = 0
-        pow3 = self.pow3
         while not self._constant(assigned, values):
             target = self.depth(assigned, values, idx)
-            move = None
-            # the least variable reaching the target is its orbit's least
-            # point, so the orbit representatives suffice
-            for i in iter_bits(self.queries.get(assigned,
-                                                self.full ^ assigned)):
+            for i in iter_bits(self.full ^ assigned):
                 b = 1 << i
-                ci = idx + pow3[i]
-                d0 = self.depth(assigned | b, values, ci)
-                d1 = self.depth(assigned | b, values | b, ci + pow3[i])
+                c0, c1 = self._children(assigned, values, idx, b)
+                d0 = self.depth(assigned | b, values, c0)
+                d1 = self.depth(assigned | b, values | b, c1)
                 if 1 + max(d0, d1) == target:
-                    move = (i, b, ci, d0, d1)
                     break
-            i, b, ci, d0, d1 = move
             answer = 1 if d1 >= d0 else 0
             path.append((i + 1, answer))
             assigned |= b
-            if answer:
-                values |= b
-                idx = ci + pow3[i]
-            else:
-                idx = ci
+            values |= b * answer
+            idx = c1 if answer else c0
         return path
 
     def _evasive_path(self) -> list[tuple[int, int]]:
@@ -299,11 +408,11 @@ class DepthSolver:
         values = idx = 0
         for i in range(self.n):
             b = 1 << i
-            step = self.pow3[i]
-            answer = int(self._evasive(2 * b - 1, values | b, idx + 2 * step,
-                                       self.n - 1 - i))
+            c0, c1 = self._children(b - 1, values, idx, b)
+            answer = int(self._decide(2 * b - 1, values | b, c1,
+                                      self.n - 1 - i))
             values |= b * answer
-            idx += (1 + answer) * step
+            idx = c1 if answer else c0
             path.append((i + 1, answer))
         return path
 

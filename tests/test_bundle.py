@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from elusive14.bundle import (DataIntegrityError, build_campaign, data_digests,
-                              expand_labels, load_case_study, load_group_file,
+from elusive14.bundle import (DataIntegrityError, build_anchor_map,
+                              build_campaign, data_digests, expand_labels,
+                              load_case_study, load_group_file,
                               load_group_specs, load_subgroup_specs)
 from elusive14.orbits import mask_from_points
 
@@ -66,6 +67,13 @@ def test_anchor_map(campaign):
     # every anchored label has the level its name claims
     for label, oid in anchors.label_to_oid.items():
         assert campaign.table.level[oid] == int(label.split(".")[0])
+
+
+def test_anchor_outside_the_degree_aborts(campaign):
+    case_study = {"union_anchors": [{"points": [1, 15],
+                                     "printed_orbit": "2.0"}]}
+    with pytest.raises(DataIntegrityError, match="1..14"):
+        build_anchor_map(campaign.table, [], case_study)
 
 
 def test_dropped_anchor_labels_really_collide(campaign):

@@ -1,10 +1,15 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
+from elusive14.bundle import load_json
 from elusive14.cli import main, verify14
 from elusive14.orbits import mask_from_points
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -40,7 +45,9 @@ def test_bad_input_exits_two(capsys):
     {"name": "D-3", "degree": -3, "generators": ["()"]},
     {"name": "Nested", "degree": 4, "generators": [["(1,2)"]]},
     {"name": "Bool", "degree": True, "generators": ["()"]},
-], ids=["degree 0", "degree -3", "nested generator", "degree true"])
+    {"name": "big", "degree": 300000, "generators": ["()"]},
+], ids=["degree 0", "degree -3", "nested generator", "degree true",
+        "degree 300000"])
 def test_malformed_group_files_exit_two(capsys, tmp_path, body):
     path = tmp_path / "group.json"
     path.write_text(json.dumps(body))
@@ -63,15 +70,32 @@ def test_closure_cap_bounds_a_large_group_file(capsys, tmp_path):
         "error: closure exceeded cap of 100000 elements")
 
 
+def _subgroups_without_block_points():
+    raw = load_json("subgroups.json")
+    first = next(s for s in raw["subgroups"] if s["blocks"])
+    del first["blocks"][0]["points"]
+    return raw
+
+
+def _case_study_without_anchor_points():
+    raw = load_json("case_study.json")
+    del raw["union_anchors"][0]["points"]
+    return raw
+
+
 @pytest.mark.parametrize("argv, body", [
     (["verify14", "--groups-file"], {}),
     (["verify14", "--groups-file"], []),
     (["verify14", "--subgroups-file"], {}),
     (["replay-appendix", "--case-study-file"], {}),
-], ids=["groups {}", "groups []", "subgroups {}", "case study {}"])
+    (["verify14", "--subgroups-file"], _subgroups_without_block_points),
+    (["replay-appendix", "--case-study-file"],
+     _case_study_without_anchor_points),
+], ids=["groups {}", "groups []", "subgroups {}", "case study {}",
+        "block without points", "union anchor without points"])
 def test_malformed_override_files_exit_two(capsys, tmp_path, argv, body):
     path = tmp_path / "override.json"
-    path.write_text(json.dumps(body))
+    path.write_text(json.dumps(body() if callable(body) else body))
     assert main([*argv, str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}"), err
@@ -318,11 +342,22 @@ CANONICAL_DIGESTS = {
         "83feecd3218e28472bc939856a984a487711bc98f217cafa791e8a9b83a950f4",
     ("conjecture-check", "--n", "5"):
         "28615f55e36bc8bfab67913bc8447984b061212fb89c218bf35846a587ca8daf",
+    # full G6 assignments from the benchmark's oracle pool; the digests
+    # were taken with the stabilizer-query oracle the orbit keys replaced
+    ("dtree", "G6", "tests/data/g6_closure_1.json"):
+        "3897780469d000ae131afb923254871ada26b332661b83afe3e72321a4e8011a",
+    ("dtree", "G6", "tests/data/g6_closure_2.json"):
+        "4d52f400e62fc79b3656684734d26e4df166e6b7ba971e4995e5ed0b05609e24",
+    ("dtree", "G6", "tests/data/g6_survivor_1.json"):
+        "18653195ddfedc379e4d34c7a4e96cf8e239a528715865487cebc19fc2e90d1e",
+    ("dtree", "G6", "tests/data/g6_survivor_2.json"):
+        "8780be54aaa4de5931ae308dd837a2d24e424c9b8b7fa2f03f09b09696251a7e",
 }
 
 
 @pytest.mark.parametrize("argv", sorted(CANONICAL_DIGESTS), ids=" ".join)
-def test_canonical_output_digests(capsys, argv):
+def test_canonical_output_digests(capsys, monkeypatch, argv):
+    monkeypatch.chdir(ROOT)          # the dtree rows name repo-relative files
     code, out = run_cli(capsys, "--format", "json", *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == CANONICAL_DIGESTS[argv]

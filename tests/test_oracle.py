@@ -2,18 +2,20 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import opposite
 from elusive14.complexes import TypeAssignment, euler
 from elusive14.oracle import (ArityError, BooleanFunction, ConjectureReport,
-                              DepthSolver, SymmetryScan,
+                              DepthSolver, OrbitKeys, SymmetryScan,
                               decision_tree_depth, decision_tree_depth_plain,
                               enumerate_monotone, euler_of_bitvector,
                               exhaustive_conjecture_check,
                               is_elusive,
                               restriction_lemma_check,
                               sample_invariant_function)
-from elusive14.orbits import OrbitPoset, OrbitTable
+from elusive14.orbits import OrbitPoset, OrbitTable, act
 from elusive14.perm import generate, parse_cycles
 
 
@@ -321,7 +323,10 @@ def _without_group(f):
 def test_group_aware_depth_matches_plain(c6):
     for f in _c6_invariant_functions(c6):
         assert f.group is c6
-        assert DepthSolver(f).depth() == decision_tree_depth_plain(f)
+        d = decision_tree_depth_plain(f)
+        assert DepthSolver(f).depth() == d
+        # the decision pass alone, with no minimax to fall back on
+        assert DepthSolver(f).evasive() == (d == 6)
 
 
 def test_group_aware_adversary_path(c6):
@@ -338,13 +343,16 @@ def test_group_aware_adversary_path(c6):
     assert elusive == 16
 
 
+D6 = generate([parse_cycles("(1,2,3,4,5,6)", 6),
+               parse_cycles("(2,6)(3,5)", 6)])
+C6 = generate([parse_cycles("(1,2,3,4,5,6)", 6)])
+
+
 def test_symmetry_reduction_on_every_dihedral_function():
-    # every union of dihedral orbits on 6 points, monotone or not: the point
-    # stabilizers are nontrivial, and two of these functions are neither
-    # constant nor evasive, so the exact fallback runs on reduced queries
-    d6 = generate([parse_cycles("(1,2,3,4,5,6)", 6),
-                   parse_cycles("(2,6)(3,5)", 6)])
-    table = OrbitTable(d6)
+    # every union of dihedral orbits on 6 points, monotone or not: two of
+    # these functions are neither constant nor evasive, so the exact
+    # fallback runs on orbit keys
+    table = OrbitTable(D6)
     non_evasive = 0
     for bits in range(1 << table.orbit_count):
         tab = bytearray(64)
@@ -352,7 +360,7 @@ def test_symmetry_reduction_on_every_dihedral_function():
             if bits >> o & 1:
                 for m in table.members[o]:
                     tab[m] = 1
-        f = BooleanFunction(6, tab, group=d6)
+        f = BooleanFunction(6, tab, group=D6)
         solver = DepthSolver(f)
         reference = DepthSolver(_without_group(f))
         d = solver.depth()
@@ -361,8 +369,40 @@ def test_symmetry_reduction_on_every_dihedral_function():
         if 0 < d < 6:
             assert d == decision_tree_depth_plain(f)
             non_evasive += 1
-    assert solver.queries[0] == 1
     assert non_evasive == 2
+    keys = solver.keys
+    # transitive: the six one-variable restrictions share a key per answer
+    for answer in (0, 1):
+        assert len({keys.key(1 << i, answer << i) for i in range(6)}) == 1
+    restrictions = [(a, v) for a in range(64) for v in range(64) if v & ~a == 0]
+    assert len({keys.key(a, v) for a, v in restrictions}) < len(restrictions)
+
+
+def _brute_orbit(group, assigned, values):
+    return {(act(g, assigned), act(g, values)) for g in group.elements}
+
+
+@st.composite
+def _restrictions(draw):
+    group = draw(st.sampled_from([C6, D6]))
+    assigned = draw(st.integers(0, 63))
+    return group, assigned, draw(st.integers(0, 63)) & assigned
+
+
+@settings(max_examples=60, deadline=None)
+@given(_restrictions())
+def test_orbit_keys_against_brute_force_orbits(case):
+    group, assigned, values = case
+    keys = OrbitKeys(group)
+    least = min(act(g, assigned) for g in group.elements)
+    assert act(group.elements[keys.trans[assigned]], assigned) == least
+    # equal keys: some g carries one restriction onto the other
+    orbit = _brute_orbit(group, assigned, values)
+    key = keys.key(assigned, values)
+    for a in range(64):
+        for v in range(64):
+            if v & ~a == 0 and keys.key(a, v) == key:
+                assert (a, v) in orbit
 
 
 def test_group_must_leave_the_table_invariant(c6):
@@ -393,19 +433,15 @@ def test_group_follows_the_function(c6):
     assert BooleanFunction.from_bitvector(2, 0b0111).group is None
 
 
-def test_g6_queries_one_variable_per_stabilizer_orbit(campaign):
+def test_g6_orbit_keys_map_to_least_masks(campaign):
     f = sample_invariant_function(campaign.table, campaign.poset,
                                   random.Random(65))
-    queries = DepthSolver(f).queries
-    assert queries[0] == 1                     # transitive: x1 alone
-    g6 = campaign.groups["G6"]
-    for assigned, reps in queries.items():
-        stab = [g for g in g6.elements
-                if all(g.images[p] == p for p in range(14) if assigned >> p & 1)]
-        assert len(stab) > 1
-        least = {min(g.images[p] for g in stab)
-                 for p in range(14) if not assigned >> p & 1}
-        assert reps == sum(1 << p for p in least)
-        for p in least:                        # listed while nontrivial
-            if sum(g.images[p] == p for g in stab) > 1:
-                assert assigned | 1 << p in queries
+    keys = DepthSolver(f).keys
+    table, g6 = campaign.table, campaign.groups["G6"]
+    for a in range(1 << 14):
+        least = table.min_mask[table.orbit_of(a)]
+        assert act(g6.elements[keys.trans[a]], a) == least
+        assert keys.key(a, 0) == sum(3 ** i for i in range(14)
+                                     if least >> i & 1)
+    # transitive: the fourteen one-variable restrictions share one key
+    assert len({keys.key(1 << i, 0) for i in range(14)}) == 1
