@@ -3,8 +3,16 @@ recursion, exact decision-tree depth, exhaustive small-arity sweeps, and the
 restriction lemma check.
 
 Both recursions walk restrictions (assigned mask, answered mask) of the
-variable set and share one memo keyed by the radix-3 encoding of the
-restriction, one digit per variable (free / answered 0 / answered 1).
+variable set and share one memo.  There is one key scheme
+(``OrbitKeys``): a restriction's key is the radix-3 index, one digit per
+variable (free / answered 0 / answered 1), of its image under an element of
+the function's invariance group G that carries its assigned mask to the
+least mask of that mask's orbit.  Restrictions with equal keys are G-images
+of each other and have the same depth, so isomorphic subproblems share one
+memo entry and every free variable can be queried.  A function without a
+group gets the keys of the trivial group of its arity, which are the plain
+radix-3 indices.  The same tables check a given group: the truth table is
+G-invariant iff it is constant on every mask orbit.
 
 The decision pass comes first.  A restriction is evasive (its depth equals
 its number of free variables) iff it has no free variable, or it is
@@ -12,17 +20,6 @@ nonconstant and every free query has an answer whose child is evasive; the
 pass stops at the first query whose two children are both non-evasive.
 Only a non-evasive restriction falls back to the exact minimax, which then
 finds its evasive children already settled.
-
-When the function carries its invariance group G, the memo is keyed by
-G-orbit instead: a restriction's key is the radix-3 index of its image
-under an element that carries its assigned mask to the least mask of that
-mask's orbit (``OrbitKeys``).  Restrictions with equal keys are G-images of
-each other and have the same depth, so isomorphic subproblems share one
-memo entry and every free variable can be queried.  This replaced querying
-one variable per orbit of the pointwise stabilizer of the assigned
-variables, which only merged siblings; orbit keys also merge restrictions
-reached along different paths, and cut the restrictions entered on a
-G6-invariant function about twentyfold.
 
 The oracle deliberately leaves out the Rivest-Vuillemin parity shortcut
 (a restriction whose true inputs have a nonzero signed count is evasive).
@@ -43,12 +40,13 @@ import weakref
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import permutations, repeat
 from operator import itemgetter, or_
 
 from .orbits import (OrbitPoset, OrbitTable, action_table, iter_bits,
                      subset_unions)
-from .perm import Permutation, PermGroup
+from .perm import Permutation, PermGroup, generate, identity
 
 
 class ArityError(ValueError):
@@ -120,24 +118,6 @@ class BooleanFunction:
         return BooleanFunction(self.n - 1, tab, monotone=self.monotone)
 
 
-def _check_invariant(f: BooleanFunction) -> None:
-    n, group, table = f.n, f.group, f.table
-    if group.degree != n:
-        raise ValueError(f"group degree {group.degree} does not match "
-                         f"arity {n}")
-    half = n // 2
-    low_mask = (1 << half) - 1
-    for g in group.generators:
-        # a mask's image is the union of its low and high halves' images;
-        # two small tables instead of one per mask keep the peak RSS flat
-        bit = [1 << i for i in g.images]
-        low = subset_unions(bit[:half])
-        high = subset_unions(bit[half:])
-        if any(table[low[m & low_mask] | high[m >> half]] != table[m]
-               for m in range(1 << n)):
-            raise ValueError(f"truth table is not invariant under {g}")
-
-
 def _scatter(target, positions, values) -> None:
     """target[p] = v for each pair, in order, at C speed."""
     deque(map(target.__setitem__, positions, values), maxlen=0)
@@ -147,17 +127,20 @@ class OrbitKeys:
     """Memo keys of restrictions (assigned mask A, values mask V) that G
     carries onto each other.
 
-    ``trans[A]`` is the index in ``group.elements`` of an element g that
-    maps A to the least mask of its orbit, and the key of (A, V) is the
-    radix-3 index of (gA, gV): ``base[A]`` is the index of gA with every
-    variable answered 0, and ``lo[k][V & low] + hi[k][V >> half]`` raises
-    the digit of each point of gV from 1 to 2.  Equal keys mean gA = g'A'
-    and gV = g'V', so g'^-1 g carries one restriction onto the other, and
-    a G-invariant function has the same depth on both.  The keys need not
-    be complete: the stabilizer of the least mask may still move gV.
+    ``least[A]`` is the least mask of A's orbit.  ``rows[A]`` is a triple
+    ``(base, lo, hi)`` for an element g of G that maps A to ``least[A]``:
+    ``base`` is the radix-3 index of ``least[A]`` with every variable
+    answered 0, and ``lo[V & low] + hi[V >> half]`` raises the digit of
+    each point of gV from 1 to 2.  The key of (A, V) is the radix-3 index
+    of (gA, gV), one digit per variable (free / answered 0 / answered 1).
+    Equal keys mean gA = g'A' and gV = g'V', so g'^-1 g carries one
+    restriction onto the other, and a G-invariant function has the same
+    depth on both.  The keys need not be complete: the stabilizer of the
+    least mask may still move gV.  Under the trivial group the key is the
+    plain radix-3 index of (A, V).
     """
 
-    __slots__ = ("trans", "base", "lo", "hi", "half", "low")
+    __slots__ = ("least", "rows", "half", "low")
 
     def __init__(self, group: PermGroup):
         n = group.degree
@@ -177,10 +160,10 @@ class OrbitKeys:
         bits = [[1 << p for p in g.images] for g in elements]
         lo_img = [array("H", subset_unions(b[:half])) for b in bits]
         hi_img = [array("H", subset_unions(b[half:])) for b in bits]
-        self.lo = [[radix[x] for x in t] for t in lo_img]
-        self.hi = [[radix[x] for x in t] for t in hi_img]
+        lo = [[radix[x] for x in t] for t in lo_img]
+        hi = [[radix[x] for x in t] for t in hi_img]
         trans = [0] * (1 << n)
-        base = [0] * (1 << n)
+        least = [0] * (1 << n)
         placed = bytearray(1 << n)
         inverse.reverse()
         m = 0
@@ -193,16 +176,17 @@ class OrbitKeys:
                               map(itemgetter(m >> half), hi_img)))
             images.reverse()
             _scatter(trans, images, inverse)
-            _scatter(base, images, repeat(radix[m]))
+            _scatter(least, images, repeat(m))
             _scatter(placed, images, repeat(1))
             m = placed.find(0, m + 1)
-        self.trans = trans
-        self.base = base
+        self.least = least
+        # one triple per mask: the decision pass reads a child's key from
+        # one list lookup
+        self.rows = [(radix[x], lo[k], hi[k]) for x, k in zip(least, trans)]
 
     def key(self, assigned: int, values: int) -> int:
-        k = self.trans[assigned]
-        return (self.base[assigned] + self.lo[k][values & self.low]
-                + self.hi[k][values >> self.half])
+        base, lo, hi = self.rows[assigned]
+        return base + lo[values & self.low] + hi[values >> self.half]
 
 
 # one OrbitKeys per group, shared by the solvers of its functions and
@@ -212,10 +196,15 @@ _keys_of_group: "weakref.WeakKeyDictionary[PermGroup, OrbitKeys]" = (
 
 
 def _orbit_keys(group: PermGroup) -> OrbitKeys:
-    keys = _keys_of_group.get(group)
-    if keys is None:
-        keys = _keys_of_group[group] = OrbitKeys(group)
-    return keys
+    if group not in _keys_of_group:
+        _keys_of_group[group] = OrbitKeys(group)
+    return _keys_of_group[group]
+
+
+@cache
+def _identity_keys(n: int) -> OrbitKeys:
+    """The keys of group-less functions of arity n: the trivial group's."""
+    return OrbitKeys(generate([identity(n)]))
 
 
 class DepthSolver:
@@ -224,28 +213,39 @@ class DepthSolver:
 
     ``memo[key]`` holds a restriction's exact depth (an evasive one's is
     its free count), ``NOT_EVASIVE`` once the decision pass has shown its
-    depth is below its free count, or ``UNFILLED``.  Without a group the
-    key is the radix-3 index of the restriction, updated by one digit per
-    query; with one it is the ``OrbitKeys`` key, shared by restrictions
-    that G carries onto each other.
+    depth is below its free count, or ``UNFILLED``.  The key is the
+    ``OrbitKeys`` key of the function's group, shared by restrictions that
+    G carries onto each other; a function without a group gets the trivial
+    group's keys, which are the plain radix-3 indices.  A function's group
+    is checked against its table through the same keys: the table must be
+    constant on every mask orbit.
     """
 
     def __init__(self, f: BooleanFunction):
         if f.n > MAX_ARITY:
             raise ArityError(f"arity {f.n} exceeds the {MAX_ARITY} limit")
-        self.f = f
         self.n = f.n
         self.full = (1 << f.n) - 1
-        self.pow3 = [3 ** i for i in range(f.n)]
         self.memo = bytearray([UNFILLED]) * (3 ** f.n)
-        self.keys: OrbitKeys | None = None
-        if f.group is not None:
-            _check_invariant(f)
-            self.keys = _orbit_keys(f.group)
+        group = f.group
+        if group is None:
+            keys = _identity_keys(f.n)
+        elif group.degree != f.n:
+            raise ValueError(f"group degree {group.degree} does not match "
+                             f"arity {f.n}")
+        else:
+            keys = _orbit_keys(group)
+            if bytes(map(f.table.__getitem__, keys.least)) != f.table:
+                raise ValueError(f"truth table is not invariant under "
+                                 f"{group!r}")
+        self.keys = keys
+        # the decision pass reads these from the solver, one attribute each
+        self.table, self.monotone = f.table, f.monotone
+        self.rows, self.low, self.half = keys.rows, keys.low, keys.half
 
     def _constant(self, assigned: int, values: int) -> bool:
-        table = self.f.table
-        if self.f.monotone:
+        table = self.table
+        if self.monotone:
             return table[values] == table[values | (self.full ^ assigned)]
         # a plain loop: a generator here would turn table and values into
         # closure cells and slow the monotone branch on every call
@@ -255,82 +255,36 @@ class DepthSolver:
                 return False
         return True
 
-    @property
-    def _decide(self):
-        """The decision pass for this solver's kind of memo key."""
-        return self._evasive if self.keys is None else self._evasive_keyed
-
-    def _children(self, assigned: int, values: int, idx: int,
-                  b: int) -> tuple[int, int]:
-        """Keys of the answered-0 and answered-1 children on query bit b."""
-        keys = self.keys
-        if keys is None:
-            step = self.pow3[b.bit_length() - 1]
-            return idx + step, idx + 2 * step
-        a = assigned | b
-        return keys.key(a, values), keys.key(a, values | b)
-
-    def _evasive(self, assigned: int, values: int, idx: int, free: int) -> bool:
-        memo = self.memo
-        r = memo[idx]
-        if r != UNFILLED:
-            return r == free
-        if self._constant(assigned, values):
-            memo[idx] = 0
-            return free == 0
-        pow3 = self.pow3
-        evasive = self._evasive
-        rem = self.full ^ assigned
-        sub = free - 1
-        # lowest-bit loop kept inline: this is the oracle's hot path
-        while rem:
-            b = rem & -rem
-            rem ^= b
-            step = pow3[b.bit_length() - 1]
-            # most children are memo hits, so look them up before recursing
-            c = idx + 2 * step
-            r = memo[c]
-            if r == sub or (r == UNFILLED
-                            and evasive(assigned | b, values | b, c, sub)):
-                continue
-            c = idx + step
-            r = memo[c]
-            if r == sub or (r == UNFILLED
-                            and evasive(assigned | b, values, c, sub)):
-                continue
-            memo[idx] = NOT_EVASIVE
-            return False
-        memo[idx] = free
-        return True
-
-    def _evasive_keyed(self, assigned: int, values: int, key: int,
-                       free: int) -> bool:
-        # _evasive with OrbitKeys keys; a copy, not a branch, so that the
-        # group-less path keeps its one-digit key update per query
+    def _evasive(self, assigned: int, values: int, key: int,
+                 free: int) -> bool:
         memo = self.memo
         r = memo[key]
         if r != UNFILLED:
             return r == free
-        if self._constant(assigned, values):
+        table = self.table
+        rem = self.full ^ assigned
+        # the monotone test of _constant, inline: this is the oracle's hot
+        # path
+        if (table[values] == table[values | rem] if self.monotone
+                else self._constant(assigned, values)):
             memo[key] = 0
             return free == 0
-        keys = self.keys
-        trans, base, lo, hi = keys.trans, keys.base, keys.lo, keys.hi
-        low, half = keys.low, keys.half
-        evasive = self._evasive_keyed
-        rem = self.full ^ assigned
+        rows, low, half = self.rows, self.low, self.half
+        evasive = self._evasive
         sub = free - 1
+        # lowest-bit loop kept inline for the same reason
         while rem:
             b = rem & -rem
             rem ^= b
             a = assigned | b
-            k = trans[a]
+            base, lo, hi = rows[a]
             v = values | b
-            c = base[a] + lo[k][v & low] + hi[k][v >> half]
+            # most children are memo hits, so look them up before recursing
+            c = base + lo[v & low] + hi[v >> half]
             r = memo[c]
             if r == sub or (r == UNFILLED and evasive(a, v, c, sub)):
                 continue
-            c = base[a] + lo[k][values & low] + hi[k][values >> half]
+            c = base + lo[values & low] + hi[values >> half]
             r = memo[c]
             if r == sub or (r == UNFILLED and evasive(a, values, c, sub)):
                 continue
@@ -341,35 +295,39 @@ class DepthSolver:
 
     def evasive(self) -> bool:
         """Whether the function has full decision-tree depth."""
-        return self._decide(0, 0, 0, self.n)
+        return self._evasive(0, 0, self.keys.key(0, 0), self.n)
 
-    def depth(self, assigned: int = 0, values: int = 0, idx: int = 0) -> int:
-        """Exact depth of the restriction whose memo key is ``idx``."""
+    def depth(self, assigned: int = 0, values: int = 0) -> int:
+        """Exact depth of the restriction with the variables in ``assigned``
+        answered, those in ``values`` with 1 and the rest with 0."""
+        return self._depth(assigned, values, self.keys.key(assigned, values))
+
+    def _depth(self, assigned: int, values: int, key: int) -> int:
         memo = self.memo
         free = self.n - assigned.bit_count()
-        if self._decide(assigned, values, idx, free):
+        if self._evasive(assigned, values, key, free):
             return free
-        r = memo[idx]
+        r = memo[key]
         if r != NOT_EVASIVE:
             return r
         # non-evasive, so some query reaches depth <= free - 1
         best = free
-        children = self._children
+        depth, key_of = self._depth, self.keys.key
         rem = self.full ^ assigned
         # lowest-bit loop kept inline: the exact minimax is a hot path too
         while rem:
             b = rem & -rem
             rem ^= b
-            c0, c1 = children(assigned, values, idx, b)
-            d1 = self.depth(assigned | b, values | b, c1)
+            a = assigned | b
+            d1 = depth(a, values | b, key_of(a, values | b))
             if d1 + 1 < best:
-                d0 = self.depth(assigned | b, values, c0)
+                d0 = depth(a, values, key_of(a, values))
                 d = (d0 if d0 > d1 else d1) + 1
                 if d < best:
                     best = d
                     if best == 1:
                         break
-        memo[idx] = best
+        memo[key] = best
         return best
 
     def adversary_path(self) -> list[tuple[int, int]]:
@@ -385,34 +343,31 @@ class DepthSolver:
         if self.evasive():
             return self._evasive_path()
         path: list[tuple[int, int]] = []
-        assigned = values = idx = 0
+        assigned = values = 0
         while not self._constant(assigned, values):
-            target = self.depth(assigned, values, idx)
+            target = self.depth(assigned, values)
             for i in iter_bits(self.full ^ assigned):
                 b = 1 << i
-                c0, c1 = self._children(assigned, values, idx, b)
-                d0 = self.depth(assigned | b, values, c0)
-                d1 = self.depth(assigned | b, values | b, c1)
+                d0 = self.depth(assigned | b, values)
+                d1 = self.depth(assigned | b, values | b)
                 if 1 + max(d0, d1) == target:
                     break
             answer = 1 if d1 >= d0 else 0
             path.append((i + 1, answer))
             assigned |= b
             values |= b * answer
-            idx = c1 if answer else c0
         return path
 
     def _evasive_path(self) -> list[tuple[int, int]]:
         # with x1..xi assigned, the lowest free variable is x(i+1)
         path: list[tuple[int, int]] = []
-        values = idx = 0
+        values = 0
         for i in range(self.n):
             b = 1 << i
-            c0, c1 = self._children(b - 1, values, idx, b)
-            answer = int(self._decide(2 * b - 1, values | b, c1,
-                                      self.n - 1 - i))
+            child = (2 * b - 1, values | b)
+            answer = int(self._evasive(*child, self.keys.key(*child),
+                                       self.n - 1 - i))
             values |= b * answer
-            idx = c1 if answer else c0
             path.append((i + 1, answer))
         return path
 

@@ -68,12 +68,30 @@ def test_memoized_vs_plain_on_random_functions():
         f = BooleanFunction.from_bitvector(n, bits)
         assigned = rng.getrandbits(n)
         values = rng.getrandbits(n) & assigned
-        idx = sum((1 + (values >> i & 1)) * 3 ** i
-                  for i in range(n) if assigned >> i & 1)
-        solver = DepthSolver(f)
-        assert solver.depth(assigned, values, idx) == \
+        assert DepthSolver(f).depth(assigned, values) == \
             decision_tree_depth_plain(f, assigned, values)
         checked += 1
+
+
+def _radix3(assigned, values):
+    return sum((1 + (values >> i & 1)) * 3 ** i
+               for i in range(assigned.bit_length()) if assigned >> i & 1)
+
+
+def test_trivial_keys_are_the_radix3_index():
+    for n in range(1, 7):
+        keys = DepthSolver(BooleanFunction(n, bytes(1 << n))).keys
+        assert keys.least == list(range(1 << n))
+        for assigned in range(1 << n):
+            values = assigned
+            while True:
+                assert keys.key(assigned, values) == _radix3(assigned, values)
+                if values == 0:
+                    break
+                values = (values - 1) & assigned
+    # built once per arity and shared by every group-less solver
+    assert (DepthSolver(BooleanFunction.from_bitvector(4, 0b0111)).keys
+            is DepthSolver(not_all_ones(4)).keys)
 
 
 def test_monotone_shortcut_agrees_with_subcube_scan():
@@ -317,6 +335,8 @@ def _c6_invariant_functions(c6):
 
 
 def _without_group(f):
+    # the same table on the trivial group's keys: a run on it differs from
+    # one on f only in the memo key
     return BooleanFunction(f.n, f.table, monotone=f.monotone)
 
 
@@ -395,7 +415,9 @@ def test_orbit_keys_against_brute_force_orbits(case):
     group, assigned, values = case
     keys = OrbitKeys(group)
     least = min(act(g, assigned) for g in group.elements)
-    assert act(group.elements[keys.trans[assigned]], assigned) == least
+    assert keys.least[assigned] == least
+    # the row's element carries the assigned mask itself to the least one
+    assert keys.key(assigned, assigned) == 2 * _radix3(least, 0)
     # equal keys: some g carries one restriction onto the other
     orbit = _brute_orbit(group, assigned, values)
     key = keys.key(assigned, values)
@@ -437,11 +459,11 @@ def test_g6_orbit_keys_map_to_least_masks(campaign):
     f = sample_invariant_function(campaign.table, campaign.poset,
                                   random.Random(65))
     keys = DepthSolver(f).keys
-    table, g6 = campaign.table, campaign.groups["G6"]
+    table = campaign.table
     for a in range(1 << 14):
         least = table.min_mask[table.orbit_of(a)]
-        assert act(g6.elements[keys.trans[a]], a) == least
-        assert keys.key(a, 0) == sum(3 ** i for i in range(14)
-                                     if least >> i & 1)
+        assert keys.least[a] == least
+        assert keys.key(a, 0) == _radix3(least, 0)
+        assert keys.key(a, a) == 2 * keys.key(a, 0)
     # transitive: the fourteen one-variable restrictions share one key
     assert len({keys.key(1 << i, 0) for i in range(14)}) == 1

@@ -233,13 +233,18 @@ def compose(a, b):
 
 def products_fixpoint(n, perms):
     """Reference group: the identity and ``perms`` (image tuples), with
-    every pairwise product added until none is new."""
+    every pairwise product added until none is new.  Semi-naive: each round
+    multiplies the elements new in the last round by the whole set, on
+    either side, so every product of two elements is formed once."""
     group = {tuple(range(n))} | set(perms)
-    while True:
-        bigger = group | {compose(a, b) for a in group for b in group}
-        if bigger == group:
-            return group
-        group = bigger
+    new = group
+    while new:
+        older = group - new
+        products = {compose(a, b) for a in new for b in group}
+        products |= {compose(a, b) for a in older for b in new}
+        new = products - group
+        group = group | new
+    return group
 
 
 def union_find_orbits(n, perms):

@@ -120,6 +120,27 @@ def test_link_condition_is_load_bearing(campaign):
     # the survivor set, not just its size, is schedule independent
     other = run_search(engine, campaign.schedule("alternate"), link_check=False)
     assert rep.feasible_functions == other.feasible_functions
+    # Alexander duality (the dual complex holds a set iff its complement is
+    # not in the complex) commutes with taking a subgroup's fixed-point
+    # complex and changes the reduced Euler characteristic at most in sign,
+    # so it keeps every condition chi = 1 and chi = 1 mod q and must map
+    # the leaf set onto itself.  On orbit ids, o is TRUE in the dual iff
+    # the orbit of its complement is FALSE
+    table = campaign.table
+    full = (1 << table.n) - 1
+    complement = [table.orbit_of(full ^ m) for m in table.min_mask]
+    labels = [str(table.label(o)) for o in range(table.orbit_count)]
+    leaves = {frozenset(o for o in range(1, table.orbit_count)
+                        if states[labels[o]] == TRUE) | {0}
+              for states in rep.feasible_functions}
+    assert len(leaves) == 4224
+
+    def dual(true_ids):
+        return frozenset(o for o in range(table.orbit_count)
+                         if complement[o] not in true_ids)
+
+    assert {dual(t) for t in leaves} == leaves
+    assert not any(dual(t) == t for t in leaves)
 
 
 def test_disabled_link_survivors_really_satisfy_everything_else(campaign):
