@@ -234,14 +234,10 @@ class AnchorMap:
     """Partial bijection published label <-> canonical orbit id."""
 
     label_to_oid: dict[str, int]
-    oid_to_label: dict[int, str]
     skipped: list[str] = field(default_factory=list)
 
     def oid(self, label: str) -> int | None:
         return self.label_to_oid.get(label)
-
-    def __contains__(self, label: str) -> bool:
-        return label in self.label_to_oid
 
 
 def _anchor_entries(subgroup_specs, case_study):
@@ -282,7 +278,7 @@ def build_anchor_map(table: OrbitTable, subgroup_specs: list[SubgroupSpec],
                 f"{oid_to_label[oid]} and {label}")
         label_to_oid[label] = oid
         oid_to_label[oid] = label
-    return AnchorMap(label_to_oid, oid_to_label, skipped)
+    return AnchorMap(label_to_oid, skipped)
 
 
 _CONDITION_OF_PRINTED_TYPE = {

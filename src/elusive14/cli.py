@@ -128,7 +128,7 @@ def cmd_orbits(args) -> int:
     for o2 in range(1, table.orbit_count):
         for o1 in poset.lower_ids(o2):
             if o1 != o2:
-                edges.append([str(table.label(o1)), str(table.label(o2))])
+                edges.append([table.label(o1), table.label(o2)])
     report = {"group": name, "comparable_pairs": edges}
     sys.stdout.write(emit(report, args.format))
     return 0
@@ -199,8 +199,7 @@ def _search_summary(report) -> dict:
 
 
 def verify14(schedule: str = "default", seed_independent: bool = False,
-             cap: int = 1 << 20, use_sylow: bool = True,
-             campaign: Campaign | None = None) -> dict:
+             cap: int = 1 << 20, campaign: Campaign | None = None) -> dict:
     """Run the whole campaign: orders and transitivity for all six groups,
     classification for G1..G5, and the orbit-type search for G6."""
     camp = campaign if campaign is not None else build_campaign()
@@ -239,7 +238,7 @@ def verify14(schedule: str = "default", seed_independent: bool = False,
                     reports[0].feasible_functions == reports[1].feasible_functions)
                 entry["verified"] = entry["verified"] and entry["schedules_agree"]
         else:
-            cls = classify(group, spec.oliver_witness(), use_sylow=use_sylow)
+            cls = classify(group, spec.oliver_witness())
             entry["classification"] = _classification_dict(cls)
             entry["method"] = cls.kind
             entry["verified"] = cls.kind in ("cyclic", "psi_p", "psi_pq",

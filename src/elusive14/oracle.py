@@ -520,12 +520,10 @@ def sample_invariant_function(table: OrbitTable, poset: OrbitPoset,
 
 @dataclass
 class RestrictionReport:
-    group_degree: int
     samples: int
     lemma_applicable: int
     lemma_violations: list[dict] = field(default_factory=list)
     remark_violations: list[dict] = field(default_factory=list)
-    vacuous: int = 0
 
     @property
     def ok(self) -> bool:
@@ -544,8 +542,7 @@ def restriction_lemma_check(G: PermGroup, samples: int,
     table = OrbitTable(G)
     poset = OrbitPoset(table)
     rng = random.Random(seed)
-    report = RestrictionReport(group_degree=n, samples=samples,
-                               lemma_applicable=0)
+    report = RestrictionReport(samples=samples, lemma_applicable=0)
     for _ in range(samples):
         f = sample_invariant_function(table, poset, rng,
                                       seed_orbits=rng.randint(1, 4))
@@ -553,7 +550,6 @@ def restriction_lemma_check(G: PermGroup, samples: int,
                        for v in range(1, n + 1)]
         elusive_links = [d == n - 1 for d in link_depths]
         if not any(elusive_links):
-            report.vacuous += 1
             continue
         report.lemma_applicable += 1
         if not all(elusive_links):

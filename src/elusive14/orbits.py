@@ -9,7 +9,6 @@ the subset, so x_1 is the least significant bit.  Everything for n = 14
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 from .perm import Permutation, PermGroup, closure, is_transitive
 
@@ -24,8 +23,8 @@ def mask_from_points(points, one_based: bool = True) -> int:
     return m
 
 
-def points_from_mask(mask: int, one_based: bool = True) -> list[int]:
-    return [i + 1 if one_based else i for i in iter_bits(mask)]
+def points_from_mask(mask: int) -> list[int]:
+    return [i + 1 for i in iter_bits(mask)]
 
 
 def iter_bits(mask: int):
@@ -67,15 +66,6 @@ def block_masks(group: PermGroup) -> tuple[int, ...]:
     """The group's point orbits as masks, ordered by smallest point."""
     return tuple(mask_from_points(orbit, one_based=False)
                  for orbit in group.point_orbits())
-
-
-@dataclass(frozen=True)
-class OrbitId:
-    level: int
-    index: int
-
-    def __str__(self) -> str:
-        return f"{self.level}.{self.index}"
 
 
 class OrbitTable:
@@ -125,22 +115,20 @@ class OrbitTable:
     def orbit_of(self, mask: int) -> int:
         return self._orbit_of[mask]
 
-    def oid(self, label: OrbitId | str) -> int:
+    def oid(self, label: str) -> int:
         """Dense id from a canonical level.index label; ValueError for a
         label that names no orbit."""
-        if isinstance(label, str):
-            try:
-                lvl, idx = label.split(".")
-                label = OrbitId(int(lvl), int(idx))
-            except ValueError:
-                raise ValueError(f"bad orbit label {label!r}") from None
-        if not (0 <= label.level <= self.n
-                and 0 <= label.index < len(self.ids_at_level[label.level])):
-            raise ValueError(f"no orbit {label} in this table")
-        return self.ids_at_level[label.level][label.index]
+        try:
+            lvl, idx = map(int, label.split("."))
+        except ValueError:
+            raise ValueError(f"bad orbit label {label!r}") from None
+        if not (0 <= lvl <= self.n and 0 <= idx < len(self.ids_at_level[lvl])):
+            raise ValueError(f"no orbit {lvl}.{idx} in this table")
+        return self.ids_at_level[lvl][idx]
 
-    def label(self, oid: int) -> OrbitId:
-        return OrbitId(self.level[oid], self.index_in_level[oid])
+    def label(self, oid: int) -> str:
+        """The canonical level.index label of an orbit id."""
+        return f"{self.level[oid]}.{self.index_in_level[oid]}"
 
     def census(self) -> list[dict]:
         """Per-orbit summary rows, byte-stable ordering."""
@@ -167,12 +155,11 @@ class OrbitPoset:
 
     def __init__(self, table: OrbitTable):
         self.table = table
-        count = table.orbit_count
-        direct_below: list[set[int]] = [set() for _ in range(count)]
-        for o in range(count):
+        direct_below: dict[int, set[int]] = {
+            o: set() for o in range(1, table.orbit_count)}
+        for o, seen in direct_below.items():
             if table.level[o] < 2:
                 continue
-            seen = direct_below[o]
             # lowest-bit loop kept inline: iter_bits doubles this loop's time
             for m in table.members[o]:
                 rem = m
@@ -180,19 +167,32 @@ class OrbitPoset:
                     b = rem & -rem
                     rem ^= b
                     seen.add(table.orbit_of(m ^ b))
-        # ids run up the levels, so the closures of an orbit's covers are
-        # built before its own; id 0 stays out of every closure
-        lower = [0] * count
-        upper = [0] * count
-        for o in range(1, count):
+        self._close(direct_below)
+
+    @classmethod
+    def generated_by(cls, table: OrbitTable,
+                     covers: dict[int, set[int]]) -> "OrbitPoset":
+        """The order generated by ``covers`` alone (orbit id -> the ids
+        directly below it), closed by the same pass as the inclusion order;
+        orbits that are not keys of ``covers`` stay out of every closure."""
+        order = cls.__new__(cls)
+        order.table = table
+        order._close(covers)
+        return order
+
+    def _close(self, covers: dict[int, set[int]]) -> None:
+        """Lower and upper closures of the order with direct-below sets
+        ``covers``.  Covers have smaller ids than the orbits above them (ids
+        run up the levels), so ascending ids close covers first."""
+        self.lower = lower = [0] * self.table.orbit_count
+        self.upper = upper = [0] * self.table.orbit_count
+        for o in sorted(covers):
             acc = 1 << o
-            for p in direct_below[o]:
+            for p in covers[o]:
                 acc |= lower[p]
             lower[o] = acc
             for p in iter_bits(acc):
                 upper[p] |= 1 << o
-        self.lower = lower
-        self.upper = upper
 
     def lower_ids(self, o: int) -> list[int]:
         return list(iter_bits(self.lower[o]))

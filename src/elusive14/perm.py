@@ -446,13 +446,12 @@ def _heuristic_oliver_search(G: PermGroup) -> Classification | None:
     return None
 
 
-def classify(G: PermGroup, bundled_witness: OliverWitness | None = None, *,
-             use_sylow: bool = True, use_heuristic: bool = True) -> Classification:
+def classify(G: PermGroup,
+             bundled_witness: OliverWitness | None = None) -> Classification:
     """Classify G for the elusiveness argument.
 
     Tries, in order: cyclic test, bundled witness verification, the Sylow
     prime test, and the bounded heuristic witness search.  Deterministic.
-    The keyword switches exist for negative-path testing.
     """
     if is_cyclic(G):
         order = max((e for e in G.elements), key=lambda e: (e.order(), e.images))
@@ -467,12 +466,10 @@ def classify(G: PermGroup, bundled_witness: OliverWitness | None = None, *,
                 return Classification("psi_pq", p=bundled_witness.p,
                                       q=bundled_witness.q,
                                       witness=bundled_witness, note="bundled witness")
-    if use_sylow:
-        sylow = verify_sylow_lemma(G)
-        if sylow is not None:
-            return Classification("sylow_lemma", p=G.degree - 1, witness=sylow)
-    if use_heuristic:
-        found = _heuristic_oliver_search(G)
-        if found is not None:
-            return found
+    sylow = verify_sylow_lemma(G)
+    if sylow is not None:
+        return Classification("sylow_lemma", p=G.degree - 1, witness=sylow)
+    found = _heuristic_oliver_search(G)
+    if found is not None:
+        return found
     return Classification("unresolved", note="neither cyclic nor a found Oliver witness")

@@ -8,9 +8,10 @@ recorded as skipped, never guessed.
 
 Case counts come in two flavours.  The published counts are block-local:
 assignments of the free block-union orbits consistent with the inclusion
-order among the governed unions and the subgroup's Euler condition.  The
-search itself explores the (possibly smaller) set of children that also
-survive full orbit closure; both numbers are reported.
+order among the governed unions and the subgroup's Euler condition, as
+the search engine enumerates them under that order instead of the orbit
+poset.  The search itself explores the (possibly smaller) set of children
+that also survive full orbit closure; both numbers are reported.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass, field
 
 from .bundle import Campaign, expand_labels
 from .complexes import FALSE, FREE, TRUE, TypeAssignment
-from .orbits import iter_bits
-from .search import SearchStats, SubgroupCheck, condition_met
+from .orbits import OrbitPoset, iter_bits
+from .search import SearchEngine, SearchStats, SubgroupCheck, condition_met
 
 
 class MappingIncomplete(Exception):
@@ -74,59 +75,31 @@ class ReplayResult:
 
 
 def count_local_cases(camp: Campaign, st: TypeAssignment,
-                      check: SubgroupCheck) -> int:
+                      check: SubgroupCheck, cap: int = 1 << 20) -> int:
     """Number of assignments of the check's free governed orbits that are
     consistent at block level: a block collection can be a face only when
     all its sub-collections are faces, and the Euler condition holds.  This
-    is the counting convention the published worked example uses; it knows
-    nothing of orbit relations beyond the governed unions themselves.
+    is the counting convention the published worked example uses.  It is
+    the search engine's own case enumeration under the order the governed
+    unions generate, which knows nothing of other orbit relations.
 
-    The closures here are block-local on purpose: they differ from the
-    orbit poset's closures restricted to the governed orbits, and with
-    those the published step-4 count of 4 comes out as 3."""
+    The closures are block-local on purpose: they differ from the orbit
+    poset's closures restricted to the governed orbits, and with those the
+    published step-4 count of 4 comes out as 3."""
     table = camp.table
     unions = check.unions
-    covers: dict[int, set[int]] = {}
+    covers: dict[int, set[int]] = {o: set() for o in check.governed}
     for s in range(1, len(unions)):
-        o_sup = table.orbit_of(unions[s])
         for i in iter_bits(s):
             if s ^ 1 << i:
-                covers.setdefault(o_sup, set()).add(
+                covers[table.orbit_of(unions[s])].add(
                     table.orbit_of(unions[s ^ 1 << i]))
-    lower: dict[int, int] = {}
-    for o in sorted(check.governed, key=lambda o: table.level[o]):
-        acc = 1 << o
-        for p in covers.get(o, ()):
-            acc |= lower.get(p, 1 << p)
-        lower[o] = acc
-    upper: dict[int, int] = {o: 1 << o for o in check.governed}
-    for o in check.governed:
-        for p in iter_bits(lower[o] & ~(1 << o)):
-            upper[p] |= 1 << o
-    assigned = st.t_bits | st.f_bits
-    free = [o for o in check.governed if not assigned >> o & 1]
-    count = 0
-
-    def rec(t_bits: int, f_bits: int, k: int) -> None:
-        nonlocal count
-        while k < len(free) and (t_bits | f_bits) >> free[k] & 1:
-            k += 1
-        if k == len(free):
-            chi = sum(w for o, w in check.weights if t_bits >> o & 1)
-            if condition_met(check.condition, chi):
-                count += 1
-            return
-        o = free[k]
-        add_t = lower[o] & ~t_bits
-        if not add_t & f_bits:
-            rec(t_bits | add_t, f_bits, k + 1)
-        add_f = upper[o] & ~f_bits
-        if not add_f & t_bits:
-            rec(t_bits, f_bits | add_f, k + 1)
-
+    engine = SearchEngine(table, OrbitPoset.generated_by(table, covers),
+                          camp.checks, cap=cap)
     gbits = sum(1 << o for o in check.governed)
-    rec(st.t_bits & gbits, st.f_bits & gbits, 0)
-    return count
+    start = TypeAssignment(table, engine.poset, st.t_bits & gbits,
+                           st.f_bits & gbits)
+    return len(engine.enumerate_cases(start, check, SearchStats()))
 
 
 def _compare_theta(camp: Campaign, state: TypeAssignment, printed_t: list[str],
@@ -233,7 +206,7 @@ def replay_case_study(camp: Campaign, cap: int = 1 << 20) -> ReplayResult:
         where = f"step {raw['step']}"
         check = camp.checks[raw["subgroup"]]
         visited.add(raw["subgroup"])
-        local = count_local_cases(camp, state, check)
+        local = count_local_cases(camp, state, check, cap)
         children = engine.enumerate_cases(state, check, stats)
         if local != raw["printed_cases"]:
             problems.append(f"{where}: {local} block-local cases computed, "
@@ -282,21 +255,20 @@ def replay_case_study(camp: Campaign, cap: int = 1 << 20) -> ReplayResult:
         problems.append(f"final: {len(free)} free orbits, bundled "
                         f"regression value {final['computed_free_orbits']}")
     free_orbits = [{
-        "orbit": str(table.label(o)),
+        "orbit": table.label(o),
         "level": table.level[o],
         "size": table.size[o],
         "containing_x1": table.containing_x1[o],
     } for o in free]
     free_relations = [
-        (str(table.label(a)), str(table.label(b)))
+        (table.label(a), table.label(b))
         for a in free for b in free
         if a != b and camp.poset.lower[b] >> a & 1]
 
     cases: list[TypeAssignment] = []
-    survivors = engine.leaf_survivors(state, stats, link_check=True,
-                                      collect_cases=cases)
+    survivors = engine.leaf_survivors(state, stats, collect_cases=cases)
     leaf_cases = [{
-        "true_free_orbits": [str(table.label(o)) for o in free
+        "true_free_orbits": [table.label(o) for o in free
                              if c.t_bits >> o & 1],
         "chi": c.chi,
         "chi_link": c.chi_link,

@@ -16,7 +16,6 @@ case to a leaf test of its own.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .complexes import FALSE, TRUE, TypeAssignment, chi_deltas, link_x1_deltas
@@ -30,12 +29,10 @@ class CaseCapExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class SubgroupCheck:
-    """A subgroup together with its Euler condition and the precomputed
-    mapping from block unions to governed orbits."""
+    """A subgroup's Euler condition and the precomputed mapping from its
+    block unions to governed orbits."""
 
     name: str
-    group: PermGroup
-    blocks: tuple[int, ...]
     condition: tuple[str, int]          # ("exact", 1) or ("mod", q)
     governed: tuple[int, ...]           # orbit ids of all block unions
     weights: tuple[tuple[int, int], ...]  # (orbit id, alternating-sum weight)
@@ -64,7 +61,7 @@ def build_check(table: OrbitTable, sub: PermGroup, name: str,
         o = table.orbit_of(unions[s])
         weights[o] = weights.get(o, 0) + (-1) ** (s.bit_count() + 1)
     return SubgroupCheck(
-        name=name, group=sub, blocks=blocks, condition=condition,
+        name=name, condition=condition,
         governed=tuple(sorted(weights)), weights=tuple(sorted(weights.items())),
         unions=unions, is_identity=identity)
 
@@ -94,8 +91,6 @@ class SearchReport:
     link_check: bool
     feasible_functions: list[dict[str, str]]
     stats: SearchStats
-    wall_time: float
-    cap: int
 
     @property
     def verified(self) -> bool:
@@ -235,7 +230,7 @@ class SearchEngine:
 def survivor_states(state: TypeAssignment) -> dict[str, str]:
     """Canonical label -> T/F map for a fully assigned state."""
     table = state.table
-    return {str(table.label(o)): state.state(o)
+    return {table.label(o): state.state(o)
             for o in range(1, table.orbit_count)}
 
 
@@ -260,12 +255,10 @@ def run_search(engine: SearchEngine, schedule: Schedule, link_check: bool = True
     every surviving full assignment (expected: none)."""
     checks = engine.schedule_checks(schedule)
     stats = SearchStats()
-    t0 = time.perf_counter()
     found = _walk(engine, checks, engine.initial_state(), 0, stats,
                   link_check, audit)
     found.sort(key=lambda s: s.t_bits)
-    wall = time.perf_counter() - t0
     return SearchReport(
         schedule=schedule.name, link_check=link_check,
         feasible_functions=[survivor_states(s) for s in found],
-        stats=stats, wall_time=wall, cap=engine.cap)
+        stats=stats)

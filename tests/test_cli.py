@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from elusive14 import perm
 from elusive14.bundle import load_json
 from elusive14.cli import main, verify14
 from elusive14.orbits import mask_from_points
@@ -307,8 +308,10 @@ def test_verify14_report(campaign):
                    if ln.strip().startswith(f"{name}:") and method in ln) == 1
 
 
-def test_verify14_negative_path(campaign):
-    report = verify14(use_sylow=False, campaign=campaign)
+def test_verify14_negative_path(campaign, monkeypatch):
+    monkeypatch.setattr(perm, "verify_sylow_lemma", lambda G: None)
+    monkeypatch.setattr(perm, "_heuristic_oliver_search", lambda G: None)
+    report = verify14(campaign=campaign)
     by_name = {g["name"]: g for g in report["groups"]}
     assert by_name["G5"]["classification"]["kind"] == "unresolved"
     assert not by_name["G5"]["verified"]
@@ -352,6 +355,15 @@ CANONICAL_DIGESTS = {
         "18653195ddfedc379e4d34c7a4e96cf8e239a528715865487cebc19fc2e90d1e",
     ("dtree", "G6", "tests/data/g6_survivor_2.json"):
         "8780be54aaa4de5931ae308dd837a2d24e424c9b8b7fa2f03f09b09696251a7e",
+    # orbit labels, block points and the classification paths
+    ("fixedpoint", "G6", "G6_3", "tests/data/g6_closure_1.json"):
+        "3e282382fe529cdbe46619c71725a0a79671514e479de940dbc07c1d7bee4008",
+    ("euler", "G6", "tests/data/g6_survivor_1.json"):
+        "f6aa8f7650dfbce839ab537c58a05f5ae36fd46c3ecd4ecc567e76c96874e940",
+    ("group", "classify", "G4"):
+        "6dd40adac6f0314dcc72c759b940d4f63f4584f36ba3880ca7f492ad94b445a2",
+    ("group", "classify", "G5"):
+        "28506837b0e8610d25059b24b25c39bad6dc8ec8559693c7d138c538944f7e34",
 }
 
 

@@ -3,7 +3,9 @@ from dataclasses import replace
 
 import pytest
 
-from elusive14.replay import MappingIncomplete, replay_case_study
+from elusive14.replay import (MappingIncomplete, count_local_cases,
+                              replay_case_study)
+from elusive14.search import condition_met, run_search
 
 
 @pytest.fixture(scope="module")
@@ -21,6 +23,45 @@ def test_published_case_counts(result):
     assert [s.local_cases for s in result.steps] == [2, 2, 2, 4, 3, 2]
     # full orbit closure kills one of the four block-level cases at step 4
     assert [s.child_cases for s in result.steps] == [2, 2, 2, 3, 3, 2]
+
+
+def brute_force_local_count(table, st, check) -> int:
+    """Settings of the check's free governed orbits whose TRUE unions are
+    closed downward under dropping one block, and that meet the check's
+    Euler condition, counted by trying every setting."""
+    unions = check.unions
+    covers = {(table.orbit_of(unions[s]), table.orbit_of(unions[s ^ 1 << i]))
+              for s in range(1, len(unions)) for i in range(s.bit_length())
+              if s >> i & 1 and s ^ 1 << i}
+    assigned = st.t_bits | st.f_bits
+    free = [o for o in check.governed if not assigned >> o & 1]
+    governed_t = st.t_bits & sum(1 << o for o in check.governed)
+    count = 0
+    for setting in range(1 << len(free)):
+        t = governed_t | sum(1 << o for j, o in enumerate(free)
+                             if setting >> j & 1)
+        closed = all(t >> below & 1 for above, below in covers
+                     if t >> above & 1)
+        chi = sum(w for o, w in check.weights if t >> o & 1)
+        count += closed and condition_met(check.condition, chi)
+    return count
+
+
+def test_local_count_matches_brute_force(campaign):
+    nodes = []
+    run_search(campaign.engine(), campaign.schedule("default"),
+               audit=nodes.append)
+    pairs = 0
+    for st in nodes[::13]:
+        assigned = st.t_bits | st.f_bits
+        for check in campaign.checks.values():
+            free = [o for o in check.governed if not assigned >> o & 1]
+            if check.is_identity or len(free) > 12:
+                continue
+            pairs += 1
+            assert (count_local_cases(campaign, st, check)
+                    == brute_force_local_count(campaign.table, st, check))
+    assert pairs == 404
 
 
 def test_theta_comparisons_have_no_mismatches(result):
