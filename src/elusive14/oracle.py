@@ -29,7 +29,8 @@ and the oracle's worth is that it reaches its verdict without it.
 For monotone functions, constancy on a subcube reduces to comparing the
 all-zeros and all-ones completions, which is what makes arity 14 tractable.
 
-The small-arity sweep runs its n!-permutation invariance scan only on
+The small-arity sweep decides one function per class under relabelling
+the variables, and runs its n!-permutation invariance scan only on
 functions whose variables each lie in the same number of true inputs.
 """
 
@@ -38,7 +39,7 @@ from __future__ import annotations
 import random
 import weakref
 from array import array
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import permutations, repeat
@@ -46,7 +47,7 @@ from operator import itemgetter, or_
 
 from .orbits import (OrbitPoset, OrbitTable, action_table, iter_bits,
                      subset_unions)
-from .perm import Permutation, PermGroup, generate, identity
+from .perm import Permutation, PermGroup, closure, generate, identity
 
 
 class ArityError(ValueError):
@@ -401,24 +402,58 @@ def is_elusive(f: BooleanFunction) -> bool:
     return DepthSolver(f).evasive()
 
 
+def _bit_mover(targets: list[int]):
+    """The map that sends bit m of an integer to bit ``targets[m]``, a byte
+    at a time."""
+    chunks = [subset_unions([1 << t for t in targets[i:i + 8]])
+              for i in range(0, len(targets), 8)]
+
+    def move(bits: int) -> int:
+        out = 0
+        for chunk in chunks:
+            out |= chunk[bits & 0xFF]
+            bits >>= 8
+        return out
+
+    return move
+
+
 def enumerate_monotone(n: int) -> list[int]:
     """All monotone non-increasing functions on n variables as truth-table
-    bitvectors (bit m = value on input mask m)."""
-    masks = sorted(range(1 << n), key=lambda m: (m.bit_count(), m))
-    subs = [[m ^ (1 << i) for i in range(n) if m >> i & 1] for m in range(1 << n)]
-    out: list[int] = []
+    bitvectors (bit m = value on input mask m).  The order is lexicographic
+    in the values on the masks taken by (size, value), false before true."""
+    # a down-set on k + 1 variables is a pair of down-sets on k variables,
+    # f0 where x_{k+1} is false and f1 where it is true, with f1 inside f0
+    down = [0, 1]
+    for k in range(n):
+        shift = 1 << k
+        down = [f0 | f1 << shift for f0 in down for f1 in down
+                if not f1 & ~f0]
+    # the sort key moves the first mask's bit to the top, and so on down
+    top = (1 << n) - 1
+    targets = [0] * (1 << n)
+    for pos, m in enumerate(sorted(range(1 << n),
+                                   key=lambda m: (m.bit_count(), m))):
+        targets[m] = top - pos
+    return sorted(down, key=_bit_mover(targets))
 
-    def rec(pos: int, fbits: int) -> None:
-        if pos == len(masks):
-            out.append(fbits)
-            return
-        m = masks[pos]
-        rec(pos + 1, fbits)
-        if all(fbits >> s & 1 for s in subs[m]):
-            rec(pos + 1, fbits | (1 << m))
 
-    rec(0, 0)
-    return out
+def _relabelling_classes(n: int, functions: list[int]) -> dict[int, int]:
+    """Each truth-table bitvector of ``functions`` (closed under relabelling
+    the n variables) mapped to the first member in ``functions`` of its
+    class.  A transposition and an n-cycle generate S_n, so the classes are
+    the closures under their truth-table images."""
+    maps = []
+    if n > 1:
+        swap = (1, 0) + tuple(range(2, n))
+        cycle = tuple(range(1, n)) + (0,)
+        maps = [_bit_mover(action_table(Permutation(p)))
+                for p in (swap, cycle)]
+    rep_of: dict[int, int] = {}
+    for fbits in functions:
+        if fbits not in rep_of:
+            rep_of.update(dict.fromkeys(closure((fbits,), maps), fbits))
+    return rep_of
 
 
 def euler_of_bitvector(n: int, fbits: int) -> int:
@@ -477,31 +512,43 @@ class ConjectureReport:
 def exhaustive_conjecture_check(n: int) -> ConjectureReport:
     """Sweep every monotone non-increasing function on n variables.
 
-    Asserts two facts function by function: every nontrivial one whose
-    invariance group is transitive has full decision-tree depth, and every
-    non-elusive one except the constant-0 function (whose complex is empty)
-    has Euler characteristic 1.
+    Asserts two facts of every function, deciding one member of each class
+    under relabelling the variables: every nontrivial one whose invariance
+    group is transitive has full decision-tree depth, and every non-elusive
+    one except the constant-0 function (whose complex is empty) has Euler
+    characteristic 1.
     """
     if n > 5:
         raise ArityError("the sweep scans n! permutations; capped at n = 5")
     symmetric = SymmetryScan(n)
     report = ConjectureReport(n=n)
     full_input = 1 << ((1 << n) - 1)
-    for fbits in enumerate_monotone(n):
-        report.monotone_functions += 1
+    functions = enumerate_monotone(n)
+    rep_of = _relabelling_classes(n, functions)
+    elusive_failing: set[int] = set()
+    chi_failing: set[int] = set()
+    # depth, nontriviality, weak symmetry and the Euler characteristic are
+    # unchanged by relabelling, so the first member decides for its class
+    for fbits, size in Counter(rep_of.values()).items():
+        report.monotone_functions += size
         elusive = is_elusive(
             BooleanFunction.from_bitvector(n, fbits, monotone=True))
         if not elusive:
-            report.non_elusive += 1
+            report.non_elusive += size
             if fbits != 0 and euler_of_bitvector(n, fbits) != 1:
-                report.chi_one_failures.append(fbits)
+                chi_failing.add(fbits)
         # nontrivial: true on the empty input, false on the full one
         if fbits & 1 and not fbits & full_input and symmetric(fbits):
-            report.weakly_symmetric_nontrivial += 1
+            report.weakly_symmetric_nontrivial += size
             if elusive:
-                report.elusive_verified += 1
+                report.elusive_verified += size
             else:
-                report.elusive_failures.append(fbits)
+                elusive_failing.add(fbits)
+    # a failing class lists every member, in enumeration order
+    report.elusive_failures = [f for f in functions
+                               if rep_of[f] in elusive_failing]
+    report.chi_one_failures = [f for f in functions
+                               if rep_of[f] in chi_failing]
     return report
 
 

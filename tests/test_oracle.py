@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import opposite
+from elusive14 import oracle
 from elusive14.complexes import TypeAssignment, euler
 from elusive14.oracle import (ArityError, BooleanFunction, ConjectureReport,
                               DepthSolver, OrbitKeys, SymmetryScan,
@@ -14,7 +15,8 @@ from elusive14.oracle import (ArityError, BooleanFunction, ConjectureReport,
                               exhaustive_conjecture_check,
                               is_elusive,
                               restriction_lemma_check,
-                              sample_invariant_function)
+                              sample_invariant_function,
+                              _relabelling_classes)
 from elusive14.orbits import OrbitPoset, OrbitTable, act
 from elusive14.perm import generate, parse_cycles
 
@@ -215,12 +217,13 @@ def _reference_screen(n, fbits):
     return len(counts) == 1
 
 
-def _reference_report(n):
+def _reference_report(n, elusive_of=None):
     rep = ConjectureReport(n=n)
     for fbits in enumerate_monotone(n):
         rep.monotone_functions += 1
         f = BooleanFunction.from_bitvector(n, fbits, monotone=True)
-        elusive = decision_tree_depth(f) == n
+        elusive = (decision_tree_depth(f) == n if elusive_of is None
+                   else elusive_of(f))
         if not elusive:
             rep.non_elusive += 1
             if fbits != 0 and euler_of_bitvector(n, fbits) != 1:
@@ -243,6 +246,93 @@ def test_sweep_matches_full_scan_and_exact_depth():
             assert is_elusive(f) == (decision_tree_depth(f) == n)
             assert scan(fbits) == _reference_weakly_symmetric(n, fbits)
         assert exhaustive_conjecture_check(n) == _reference_report(n)
+
+
+def _reference_enumerate_monotone(n):
+    """Every down-set, branching on the masks by (size, value), the branch
+    without the mask first."""
+    masks = sorted(range(1 << n), key=lambda m: (m.bit_count(), m))
+    subs = [[m ^ (1 << i) for i in range(n) if m >> i & 1]
+            for m in range(1 << n)]
+    out = []
+
+    def rec(pos, fbits):
+        if pos == len(masks):
+            out.append(fbits)
+            return
+        m = masks[pos]
+        rec(pos + 1, fbits)
+        if all(fbits >> s & 1 for s in subs[m]):
+            rec(pos + 1, fbits | (1 << m))
+
+    rec(0, 0)
+    return out
+
+
+def test_enumeration_matches_the_recursive_reference():
+    for n in range(6):
+        assert enumerate_monotone(n) == _reference_enumerate_monotone(n)
+
+
+def _relabelled(n, p, fbits):
+    return sum(1 << sum(1 << p[i] for i in range(n) if m >> i & 1)
+               for m in range(1 << n) if fbits >> m & 1)
+
+
+def test_relabelling_classes():
+    counts = []
+    for n in range(1, 6):
+        functions = enumerate_monotone(n)
+        rep_of = _relabelling_classes(n, functions)
+        # a partition of the functions, each class named by its first member
+        assert sorted(rep_of) == sorted(functions)
+        first = {}
+        for fbits in functions:
+            first.setdefault(rep_of[fbits], fbits)
+        assert all(rep == f for rep, f in first.items())
+        counts.append(len(first))
+        if n <= 4:
+            # each class is one orbit under all n! relabellings
+            for rep in first:
+                assert {f for f in functions if rep_of[f] == rep} == {
+                    _relabelled(n, p, rep) for p in permutations(range(n))}
+    # OEIS A003182
+    assert counts == [3, 5, 10, 30, 210]
+
+
+def test_every_function_agrees_with_its_class_representative():
+    n = 5
+    scan = SymmetryScan(n)
+    functions = enumerate_monotone(n)
+    rep_of = _relabelling_classes(n, functions)
+
+    def facts(fbits):
+        f = BooleanFunction.from_bitvector(n, fbits, monotone=True)
+        nontrivial = fbits & 1 and not fbits >> ((1 << n) - 1) & 1
+        return (is_elusive(f), bool(nontrivial), scan(fbits),
+                euler_of_bitvector(n, fbits))
+
+    decided = {rep: facts(rep) for rep in set(rep_of.values())}
+    assert len(decided) == 210
+    for fbits in functions:
+        assert facts(fbits) == decided[rep_of[fbits]]
+
+
+def test_failing_classes_list_every_member(monkeypatch):
+    # relabelling-invariant: non-elusive iff 7 inputs are true.  At n = 4
+    # that fails one weakly symmetric class of three members and several
+    # classes with Euler characteristic other than 1
+    def elusive_of(f):
+        return sum(f.table) != 7
+
+    monkeypatch.setattr(oracle, "is_elusive", elusive_of)
+    rep = exhaustive_conjecture_check(4)
+    assert rep == _reference_report(4, elusive_of)
+    assert len(rep.elusive_failures) == 3
+    assert len(rep.chi_one_failures) == 19
+    order = enumerate_monotone(4)
+    for failures in (rep.elusive_failures, rep.chi_one_failures):
+        assert failures == sorted(failures, key=order.index)
 
 
 def test_symmetry_scan_on_arbitrary_tables():
