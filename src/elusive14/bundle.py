@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .orbits import OrbitPoset, OrbitTable, mask_from_points
-from .perm import (Classification, OliverWitness, PermGroup, classify,
-                   generate, identity, parse_cycles)
+from .perm import (Classification, OliverWitness, PermGroup, Permutation,
+                   classify, generate, identity, parse_cycles)
 from .search import Schedule, SearchEngine, SubgroupCheck, build_check
 
 DATA_FILES = ("groups.json", "subgroups.json", "case_study.json")
@@ -83,14 +83,31 @@ class GroupSpec:
         return generate(gens)
 
     def oliver_witness(self) -> OliverWitness | None:
-        if self.witness is None:
-            return None
+        """The printed witness, or None; raises DataIntegrityError unless
+        it has an integer p, a generator list, and q and h_generators both
+        (an integer and a generator list) or neither."""
         w = self.witness
-        pg = tuple(parse_cycles(s, self.degree) for s in w["p_generators"])
-        hg = (tuple(parse_cycles(s, self.degree) for s in w["h_generators"])
-              if "h_generators" in w else None)
+        if w is None:
+            return None
+        try:
+            if not isinstance(w, dict):
+                raise ValueError(f"{w!r} is not an object")
+            if ("q" in w) != ("h_generators" in w):
+                raise ValueError("q and h_generators must come together")
+            if type(w.get("p")) is not int or type(w.get("q", 0)) is not int:
+                raise ValueError("p and q must be integers")
+            pg = self._parse_all(w.get("p_generators"))
+            hg = (self._parse_all(w["h_generators"]) if "h_generators" in w
+                  else None)
+        except ValueError as exc:
+            raise DataIntegrityError(f"{self.name}: bad witness: {exc}") from exc
         return OliverWitness(p=w["p"], q=w.get("q"), p_generators=pg,
                              h_generators=hg)
+
+    def _parse_all(self, generators) -> tuple[Permutation, ...]:
+        if not isinstance(generators, list):
+            raise ValueError(f"generators {generators!r} are not a list")
+        return tuple(parse_cycles(s, self.degree) for s in generators)
 
 
 # Group files are read for degree-14 work; the cap keeps a typo such as
@@ -164,6 +181,10 @@ def load_subgroup_specs(override: str | None = None) -> list[SubgroupSpec]:
         raise DataIntegrityError(
             f"{where}: bad subgroup table: {exc!r}") from exc
     for spec in specs:
+        if not (isinstance(spec.printed_type, str)
+                and spec.printed_type in _CONDITION_OF_PRINTED_TYPE):
+            raise DataIntegrityError(f"{where}: {spec.name}: unknown printed "
+                                     f"type {spec.printed_type!r}")
         for block in spec.blocks:
             _require_anchor(block, f"{where} {spec.name} block")
     return specs

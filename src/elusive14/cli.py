@@ -241,8 +241,7 @@ def verify14(schedule: str = "default", seed_independent: bool = False,
             cls = classify(group, spec.oliver_witness())
             entry["classification"] = _classification_dict(cls)
             entry["method"] = cls.kind
-            entry["verified"] = cls.kind in ("cyclic", "psi_p", "psi_pq",
-                                             "sylow_lemma")
+            entry["verified"] = cls.chi_condition is not None
             if spec.expected_method and cls.kind != spec.expected_method:
                 entry["expected_method"] = spec.expected_method
                 entry["verified"] = False

@@ -70,7 +70,7 @@ class Permutation:
         return out
 
     def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
+        return math.lcm(*(len(c) for c in self.cycles()))
 
     def fixed_points(self) -> tuple[int, ...]:
         return tuple(i for i, j in enumerate(self.images) if i == j)
@@ -237,77 +237,41 @@ def _conjugations(G: PermGroup) -> list:
     return [lambda x, g=g, ginv=g.inverse(): g * x * ginv for g in G.generators]
 
 
-def normal_closure(G: PermGroup, seed: Permutation) -> PermGroup:
-    """Smallest normal subgroup of G containing ``seed``."""
+def normal_closure(G: PermGroup, seed: Permutation,
+                   cap: int | None = None) -> PermGroup:
+    """Smallest normal subgroup of G containing ``seed``; one of more than
+    ``cap`` elements (default |G|) raises ClosureCapExceeded."""
     if seed not in G:
         raise WitnessError("seed element is not in the group")
     conjugates = closure((seed,), _conjugations(G))
-    return generate(sorted(conjugates, key=lambda p: p.images), cap=G.order)
+    return generate(sorted(conjugates, key=lambda p: p.images),
+                    cap=G.order if cap is None else cap)
 
 
-class Quotient:
-    """Coset table for G/H with H normal in G.
-
-    Cosets are materialized as frozensets of elements; multiplication goes
-    through representatives, which is well defined by normality.
-    """
-
-    def __init__(self, G: PermGroup, H: PermGroup):
-        self.order = G.order // H.order
-        coset_of: dict[Permutation, int] = {}
-        reps: list[Permutation] = []
-        for e in G.elements:
-            if e in coset_of:
-                continue
-            cid = len(reps)
-            reps.append(e)
-            for h in H.elements:
-                coset_of[e * h] = cid
-        self.reps = reps
-        self.coset_of = coset_of
-        self._h = H.element_set
-
-    def coset_order(self, cid: int) -> int:
-        """Order of a coset in the quotient group."""
-        r = self.reps[cid]
-        acc = r
-        k = 1
-        while acc not in self._h:
-            acc = acc * r
-            k += 1
-        return k
-
-    def is_cyclic(self) -> bool:
-        return any(self.coset_order(c) == self.order for c in range(self.order))
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+def _cyclic_mod(H: PermGroup, P: PermGroup) -> bool:
+    """True iff H/P is cyclic, for P normal in H: some h has h^k outside P
+    for every 0 < k < |H:P|."""
+    index = H.order // P.order
+    pset = P.element_set
+    for h in H.elements:
+        power = h
+        for _ in range(1, index):
+            if power in pset:
+                break
+            power = power * h
+        else:
+            return True
+    return False
 
 
 def _prime_power(n: int) -> int | None:
     """Return p if n = p^k for a prime p and k >= 1, else None."""
     if n < 2:
         return None
-    for p in range(2, n + 1):
-        if p * p > n:
-            return n if _is_prime(n) else None
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            return p if n == 1 else None
-    return None
+    p = next((f for f in range(2, math.isqrt(n) + 1) if n % f == 0), n)
+    while n % p == 0:
+        n //= p
+    return p if n == 1 else None
 
 
 @dataclass(frozen=True)
@@ -320,42 +284,42 @@ class OliverWitness:
     h_generators: tuple[Permutation, ...] | None = None
 
 
-def verify_psi_p(G: PermGroup, w: OliverWitness) -> bool:
-    """Check P = <w.p_generators> is a normal p-subgroup with cyclic quotient."""
-    if w.q is not None:
-        raise ValueError("psi_p witness must not carry q")
-    P = subgroup(G, list(w.p_generators))
-    if _prime_power(P.order) != w.p:
-        return False
-    if not is_normal(G, P):
-        return False
-    return Quotient(G, P).is_cyclic()
+def _oliver_chain(G: PermGroup, P: PermGroup, H: PermGroup) -> int | None:
+    """|G:H| if P <= H <= G is an Oliver chain, else None: |P| a prime
+    power, P normal in H, H normal in G, |G:H| 1 or a prime power, and H/P
+    cyclic (Oliver 1975).  Such a G licenses an Euler condition on
+    fixed-point complexes."""
+    index = G.order // H.order
+    if _prime_power(P.order) is None:
+        return None
+    if index > 1 and (_prime_power(index) is None or not is_normal(G, H)):
+        return None
+    if not is_normal(H, P) or not _cyclic_mod(H, P):
+        return None
+    return index
 
 
-def verify_psi_pq(G: PermGroup, w: OliverWitness) -> bool:
-    """Check the chain P normal-in H normal-in G with |P| a p-power,
-    H/P cyclic, and |G/H| a q-power."""
-    if w.q is None or w.h_generators is None:
-        raise ValueError("psi_p^q witness needs q and H generators")
+def verify_witness(G: PermGroup, w: OliverWitness) -> bool:
+    """Check the witness's chain P <= H <= G, where P = <w.p_generators>,
+    H = <w.h_generators> for psi_p^q and H = G for psi_p: an Oliver chain
+    with |P| a w.p-power and |G:H| 1 or a w.q-power."""
+    if (w.q is None) != (w.h_generators is None):
+        raise ValueError("a witness carries q and H generators together "
+                         "or neither")
     P = subgroup(G, list(w.p_generators))
-    H = subgroup(G, list(w.h_generators))
+    H = G if w.h_generators is None else subgroup(G, list(w.h_generators))
     if not P.element_set <= H.element_set:
         raise WitnessError("P is not contained in H")
-    if _prime_power(P.order) != w.p:
-        return False
-    if not is_normal(H, P) or not is_normal(G, H):
-        return False
-    if not Quotient(H, P).is_cyclic():
-        return False
-    index = G.order // H.order
-    return index == 1 or _prime_power(index) == w.q
+    index = _oliver_chain(G, P, H)
+    return (index is not None and _prime_power(P.order) == w.p
+            and (index == 1 or _prime_power(index) == w.q))
 
 
 def verify_sylow_lemma(G: PermGroup) -> Permutation | None:
     """For degree n with n-1 =: p prime, p | |G| and p^2 not | |G|, return an
     element of order p fixing exactly one point (a p-cycle on the rest)."""
     p = G.degree - 1
-    if not _is_prime(p):
+    if _prime_power(p) != p:
         return None
     if G.order % p != 0 or G.order % (p * p) == 0:
         return None
@@ -373,7 +337,7 @@ class Classification:
     kind: str
     p: int | None = None
     q: int | None = None
-    witness: OliverWitness | Permutation | None = None
+    witness: OliverWitness | None = None
     note: str = ""
 
     @property
@@ -385,6 +349,11 @@ class Classification:
         if self.kind == "psi_pq":
             return ("mod", self.q)
         return None
+
+
+def _oliver_class(w: OliverWitness, note: str) -> Classification:
+    return Classification("psi_p" if w.q is None else "psi_pq", p=w.p,
+                          q=w.q, witness=w, note=note)
 
 
 def conjugacy_class_representatives(G: PermGroup) -> list[Permutation]:
@@ -400,49 +369,48 @@ def conjugacy_class_representatives(G: PermGroup) -> list[Permutation]:
 
 
 def _heuristic_oliver_search(G: PermGroup) -> Classification | None:
-    """Bounded witness search: candidate normal subgroups are normal
-    closures of single elements of prime-power order.  Sound but
-    deliberately incomplete.  Normal closures and the derived chains are
-    class functions, so one representative per conjugacy class suffices."""
+    """Bounded witness search: P runs over the normal closures of single
+    elements of prime-power order that are p-groups, smallest first; H is
+    G, then <P, e> for each further element e.  Sound but deliberately
+    incomplete.  Normal closures and the derived chains are class
+    functions, so one representative per conjugacy class suffices."""
     reps = conjugacy_class_representatives(G)
-    candidates: list[PermGroup] = []
-    seen_sets: set[frozenset[Permutation]] = set()
+    found: dict[frozenset[Permutation], PermGroup] = {}
     for e in reps:
-        if e.is_identity() or _prime_power(e.order()) is None:
+        p = _prime_power(e.order())
+        if p is None:
             continue
-        P = normal_closure(G, e)
-        if P.element_set in seen_sets:
-            continue
-        seen_sets.add(P.element_set)
-        if _prime_power(P.order) is not None:
-            candidates.append(P)
-    candidates.sort(key=lambda P: P.order)
-    for P in candidates:
-        p = _prime_power(P.order)
-        if Quotient(G, P).is_cyclic():
-            w = OliverWitness(p=p, p_generators=P.generators)
-            return Classification("psi_p", p=p, witness=w, note="heuristic witness")
-    for P in candidates:
-        p = _prime_power(P.order)
-        seen_h: set[frozenset[Permutation]] = set()
-        for e in reps:
-            if e.is_identity():
-                continue
-            hgens = list(P.generators) + [e]
-            H = subgroup(G, hgens)
-            if H.element_set in seen_h or H.order == G.order:
-                continue
-            seen_h.add(H.element_set)
-            index = G.order // H.order
+        try:
+            # p ** bit_length(|G|) exceeds |G|, so the gcd is |G|'s p-part
+            P = normal_closure(G, e, cap=math.gcd(G.order,
+                                                  p ** G.order.bit_length()))
+        except ClosureCapExceeded:
+            continue      # larger than any p-subgroup of G
+        if _prime_power(P.order) == p:
+            found.setdefault(P.element_set, P)
+    candidates = sorted(found.values(), key=lambda P: P.order)
+
+    def chains():
+        for P in candidates:
+            yield P, G
+        for P in candidates:
+            seen: set[frozenset[Permutation]] = set()
+            for e in reps:
+                if e.is_identity():
+                    continue
+                H = subgroup(G, list(P.generators) + [e])
+                if H.element_set not in seen and H.order != G.order:
+                    seen.add(H.element_set)
+                    yield P, H
+
+    for P, H in chains():
+        index = _oliver_chain(G, P, H)
+        if index is not None:
             q = _prime_power(index)
-            if q is None:
-                continue
-            if not is_normal(G, H) or not Quotient(H, P).is_cyclic():
-                continue
-            w = OliverWitness(p=p, q=q, p_generators=P.generators,
-                              h_generators=H.generators)
-            return Classification("psi_pq", p=p, q=q, witness=w,
-                                  note="heuristic witness")
+            return _oliver_class(OliverWitness(
+                p=_prime_power(P.order), p_generators=P.generators, q=q,
+                h_generators=None if q is None else H.generators),
+                "heuristic witness")
     return None
 
 
@@ -454,21 +422,11 @@ def classify(G: PermGroup,
     prime test, and the bounded heuristic witness search.  Deterministic.
     """
     if is_cyclic(G):
-        order = max((e for e in G.elements), key=lambda e: (e.order(), e.images))
-        return Classification("cyclic", witness=order)
-    if bundled_witness is not None:
-        if bundled_witness.q is None:
-            if verify_psi_p(G, bundled_witness):
-                return Classification("psi_p", p=bundled_witness.p,
-                                      witness=bundled_witness, note="bundled witness")
-        else:
-            if verify_psi_pq(G, bundled_witness):
-                return Classification("psi_pq", p=bundled_witness.p,
-                                      q=bundled_witness.q,
-                                      witness=bundled_witness, note="bundled witness")
-    sylow = verify_sylow_lemma(G)
-    if sylow is not None:
-        return Classification("sylow_lemma", p=G.degree - 1, witness=sylow)
+        return Classification("cyclic")
+    if bundled_witness is not None and verify_witness(G, bundled_witness):
+        return _oliver_class(bundled_witness, "bundled witness")
+    if verify_sylow_lemma(G) is not None:
+        return Classification("sylow_lemma", p=G.degree - 1)
     found = _heuristic_oliver_search(G)
     if found is not None:
         return found

@@ -27,7 +27,7 @@ from elusive14.oracle import (BooleanFunction, decision_tree_depth,
                               enumerate_monotone,
                               exhaustive_conjecture_check,
                               sample_invariant_function)
-from elusive14.perm import classify, subgroup, verify_psi_pq
+from elusive14.perm import classify, subgroup, verify_witness
 from elusive14.replay import replay_case_study
 from elusive14.search import SearchEngine, SearchStats, run_search
 
@@ -53,7 +53,7 @@ def test_criterion_1_group_orders(campaign):
     assert g4.order != specs["G4"].printed_order == 169
     assert specs["G4"].witness_order == 196 == g4.order
     w = specs["G4"].oliver_witness()
-    assert verify_psi_pq(g4, w)
+    assert verify_witness(g4, w)
     P = subgroup(g4, list(w.p_generators))
     H = subgroup(g4, list(w.h_generators))
     assert P.order == 49 and g4.order // H.order == 2

@@ -84,6 +84,38 @@ def _case_study_without_anchor_points():
     return raw
 
 
+def _groups_with_g2_witness(change):
+    def body():
+        raw = load_json("groups.json")
+        g2 = next(g for g in raw["groups"] if g["name"] == "G2")
+        g2["witness"] = change(g2["witness"])
+        return raw
+    return body
+
+
+@pytest.mark.parametrize("change", [
+    lambda w: {k: v for k, v in w.items() if k != "p_generators"},
+    lambda w: "psi_p",
+    lambda w: {**w, "p_generators": 5},
+    lambda w: {**w, "h_generators": w["p_generators"]},
+    lambda w: {**w, "p": "7"},
+], ids=["no p_generators", "string witness", "p_generators 5",
+        "h_generators without q", "p a string"])
+def test_malformed_witnesses_exit_two(capsys, tmp_path, change):
+    path = tmp_path / "groups.json"
+    path.write_text(json.dumps(_groups_with_g2_witness(change)()))
+    assert main(["verify14", "--groups-file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: G2: bad witness: "), err
+    assert "Traceback" not in err
+
+
+def _subgroups_with_unknown_type():
+    raw = load_json("subgroups.json")
+    raw["subgroups"][0]["printed_type"] = "psi_5"
+    return raw
+
+
 @pytest.mark.parametrize("argv, body", [
     (["verify14", "--groups-file"], {}),
     (["verify14", "--groups-file"], []),
@@ -92,8 +124,10 @@ def _case_study_without_anchor_points():
     (["verify14", "--subgroups-file"], _subgroups_without_block_points),
     (["replay-appendix", "--case-study-file"],
      _case_study_without_anchor_points),
+    (["verify14", "--subgroups-file"], _subgroups_with_unknown_type),
 ], ids=["groups {}", "groups []", "subgroups {}", "case study {}",
-        "block without points", "union anchor without points"])
+        "block without points", "union anchor without points",
+        "unknown printed type"])
 def test_malformed_override_files_exit_two(capsys, tmp_path, argv, body):
     path = tmp_path / "override.json"
     path.write_text(json.dumps(body() if callable(body) else body))

@@ -4,12 +4,11 @@ from hypothesis import strategies as st
 
 from elusive14 import perm
 from elusive14.perm import (ClosureCapExceeded, OliverWitness, ParseError,
-                            Permutation, Quotient, WitnessError, classify,
+                            Permutation, WitnessError, _cyclic_mod, classify,
                             closure, conjugacy_class_representatives,
                             generate, identity, is_cyclic, is_normal,
                             is_transitive, normal_closure, parse_cycles,
-                            subgroup, verify_psi_p, verify_psi_pq,
-                            verify_sylow_lemma)
+                            subgroup, verify_sylow_lemma, verify_witness)
 
 
 def test_parse_identity_forms():
@@ -108,26 +107,28 @@ def test_cyclicity(groups):
 
 def test_psi_p_witnesses(campaign, groups):
     w2 = campaign.specs["G2"].oliver_witness()
-    assert verify_psi_p(groups["G2"], w2)
+    assert verify_witness(groups["G2"], w2)
     w3 = campaign.specs["G3"].oliver_witness()
-    assert verify_psi_p(groups["G3"], w3)
+    assert verify_witness(groups["G3"], w3)
     # the reflection subgroup of G2 is not normal
     b = parse_cycles("(1,12)(2,11)(3,10)(4,9)(5,8)(6,7)(13,14)", 14)
-    assert not verify_psi_p(groups["G2"], OliverWitness(p=2, p_generators=(b,)))
+    assert not verify_witness(groups["G2"], OliverWitness(p=2, p_generators=(b,)))
 
 
 def test_quotient_cyclicity_certificate(campaign, groups):
     w2 = campaign.specs["G2"].oliver_witness()
     P = subgroup(groups["G2"], list(w2.p_generators))
-    q = Quotient(groups["G2"], P)
-    assert q.order == groups["G2"].order // P.order == 2
-    assert any(q.coset_order(c) == q.order for c in range(q.order))
+    assert groups["G2"].order // P.order == 2
+    assert _cyclic_mod(groups["G2"], P)
+    # the Klein four-group over its trivial subgroup is not cyclic
+    V4 = generate([parse_cycles("(1,2)(3,4)", 4), parse_cycles("(1,3)(2,4)", 4)])
+    assert not _cyclic_mod(V4, generate([identity(4)]))
 
 
 def test_psi_pq_witness(campaign, groups):
     G4 = groups["G4"]
     w = campaign.specs["G4"].oliver_witness()
-    assert verify_psi_pq(G4, w)
+    assert verify_witness(G4, w)
     P = subgroup(G4, list(w.p_generators))
     H = subgroup(G4, list(w.h_generators))
     assert P.order == 49 and H.order == 98 and G4.order // H.order == 2
@@ -135,13 +136,28 @@ def test_psi_pq_witness(campaign, groups):
     # degenerate chain: the whole group is not a 7-power
     degenerate = OliverWitness(p=7, q=2, p_generators=G4.generators,
                                h_generators=G4.generators)
-    assert not verify_psi_pq(G4, degenerate)
+    assert not verify_witness(G4, degenerate)
+    # V4 < A4 < S4 is a chain; V4 < D8 < S4 is not, as D8 is not normal
+    S4 = generate([parse_cycles("(1,2)", 4), parse_cycles("(1,2,3,4)", 4)])
+    v4 = (parse_cycles("(1,2)(3,4)", 4), parse_cycles("(1,3)(2,4)", 4))
+    a4 = v4 + (parse_cycles("(1,2,3)", 4),)
+    d8 = v4 + (parse_cycles("(1,2,3,4)", 4),)
+    assert verify_witness(S4, OliverWitness(p=2, q=2, p_generators=v4,
+                                            h_generators=a4))
+    assert not verify_witness(S4, OliverWitness(p=2, q=3, p_generators=v4,
+                                                h_generators=d8))
+    # a witness carries q and H together or neither
+    for half in (OliverWitness(p=7, p_generators=w.p_generators, q=2),
+                 OliverWitness(p=7, p_generators=w.p_generators,
+                               h_generators=w.h_generators)):
+        with pytest.raises(ValueError):
+            verify_witness(G4, half)
 
 
 def test_witness_outside_group(groups):
     outside = parse_cycles("(1,2)", 14)
     with pytest.raises(WitnessError):
-        verify_psi_p(groups["G2"], OliverWitness(p=2, p_generators=(outside,)))
+        verify_witness(groups["G2"], OliverWitness(p=2, p_generators=(outside,)))
 
 
 def test_lemma_generators_give_index_two_subgroup(campaign, groups):
@@ -191,6 +207,26 @@ def test_classify_negative_path(groups, monkeypatch):
     monkeypatch.setattr(perm, "_heuristic_oliver_search", lambda G: None)
     c = classify(groups["G5"])
     assert c.kind == "unresolved"
+
+
+def assert_heuristic_witness(G):
+    """A psi_p or psi_pq verdict from classify() without a bundled witness
+    carries a witness that verify_witness accepts."""
+    cls = classify(G)
+    if cls.kind in ("psi_p", "psi_pq"):
+        w = cls.witness
+        assert (w.p, w.q) == (cls.p, cls.q)
+        assert verify_witness(G, w)
+    else:
+        assert cls.witness is None
+    return cls
+
+
+def test_heuristic_witnesses_verify(campaign, groups):
+    kinds = [assert_heuristic_witness(G).kind for G in
+             [groups[n] for n in ("G2", "G3", "G4")]
+             + list(campaign.subgroups.values())]
+    assert kinds.count("psi_pq") == 1 and kinds.count("psi_p") == 9
 
 
 def test_subgroup_classifications(campaign):
@@ -307,7 +343,16 @@ def test_conjugacy_classes_and_normal_closure(case, data):
     seed = data.draw(st.sampled_from(G.elements))
     (conjugates,) = [cls for cls in classes if seed.images in cls]
     N = normal_closure(G, seed)
-    assert {e.images for e in N.elements} == products_fixpoint(n, conjugates)
+    brute = products_fixpoint(n, conjugates)
+    assert {e.images for e in N.elements} == brute
+    cap = data.draw(st.integers(1, G.order))
+    if len(brute) > cap:
+        with pytest.raises(ClosureCapExceeded):
+            normal_closure(G, seed, cap=cap)
+    else:
+        assert normal_closure(G, seed, cap=cap).elements == N.elements
+    # the witness search is built on the same classes and closures
+    assert_heuristic_witness(G)
 
 
 @given(st.integers(1, 60), st.integers(0, 5))

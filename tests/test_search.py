@@ -50,30 +50,33 @@ def test_propagate_conflict(campaign):
 
 
 def test_propagate_against_brute_force_closure(campaign):
-    """Closure bitsets agree with a from-scratch member-wise recomputation."""
+    """Closure bitsets agree with a from-scratch sweep over all 2^n sets."""
     engine, table = campaign.engine(), campaign.table
     rng = random.Random(13)
     top = table.oid("14.0")
     ids = [o for o in range(1, table.orbit_count) if o != top]
     stats = SearchStats()
     blank = TypeAssignment(table, campaign.poset)
+    full = (1 << table.n) - 1
     for _ in range(100):
         o = rng.choice(ids)
         value = rng.choice((TRUE, FALSE))
         st = engine.propagate(blank, o, value, stats)
-        members_o = table.members[o]
-        brute = {o}
-        for p in range(1, table.orbit_count):
-            if value == TRUE:
-                # p is below o: some member of o contains a member of p
-                hit = any(m2 & ~m1 == 0 for m1 in members_o
-                          for m2 in table.members[p])
-            else:
-                # p is above o: some member of p contains a member of o
-                hit = any(m1 & ~m2 == 0 for m1 in members_o
-                          for m2 in table.members[p])
-            if hit:
-                brute.add(p)
+        # TRUE: p is below o iff some member of p lies inside a member of o.
+        # FALSE: p is above o, the same test on complemented sets.
+        flip = 0 if value == TRUE else full
+        inside = bytearray(full + 1)
+        for m in table.members[o]:
+            inside[m ^ flip] = 1
+        for m in range(full, 0, -1):     # supersets before their subsets
+            if inside[m]:
+                rest = m
+                while rest:
+                    bit = rest & -rest
+                    inside[m ^ bit] = 1
+                    rest ^= bit
+        brute = {p for p in range(1, table.orbit_count)
+                 if any(inside[m ^ flip] for m in table.members[p])}
         bits = st.t_bits if value == TRUE else st.f_bits
         got = {p for p in range(1, table.orbit_count) if bits >> p & 1}
         assert got == brute
