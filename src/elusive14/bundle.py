@@ -84,8 +84,9 @@ class GroupSpec:
 
     def oliver_witness(self) -> OliverWitness | None:
         """The printed witness, or None; raises DataIntegrityError unless
-        it has an integer p, a generator list, and q and h_generators both
-        (an integer and a generator list) or neither."""
+        it has an integer p, a generator list, and either q and
+        h_generators both (an integer and a generator list) with kind
+        psi_pq, or neither with kind psi_p."""
         w = self.witness
         if w is None:
             return None
@@ -94,6 +95,9 @@ class GroupSpec:
                 raise ValueError(f"{w!r} is not an object")
             if ("q" in w) != ("h_generators" in w):
                 raise ValueError("q and h_generators must come together")
+            kind = "psi_pq" if "q" in w else "psi_p"
+            if w.get("kind") != kind:
+                raise ValueError(f"kind {w.get('kind')!r} should be {kind!r}")
             if type(w.get("p")) is not int or type(w.get("q", 0)) is not int:
                 raise ValueError("p and q must be integers")
             pg = self._parse_all(w.get("p_generators"))

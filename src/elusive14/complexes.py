@@ -28,12 +28,18 @@ class IndeterminateFace(Exception):
     """A FREE orbit governs a face whose value is needed."""
 
 
+def _chi_delta(table: OrbitTable, o: int) -> int:
+    return (-1) ** (table.level[o] + 1) * table.size[o] if table.level[o] else 0
+
+
+def _link_delta(table: OrbitTable, o: int) -> int:
+    return ((-1) ** table.level[o] * table.containing_x1[o]
+            if table.level[o] >= 2 else 0)
+
+
 def chi_deltas(table: OrbitTable) -> list[int]:
     """Per-orbit increment to chi(Delta) when the orbit turns TRUE."""
-    return [
-        (-1) ** (table.level[o] + 1) * table.size[o] if table.level[o] >= 1 else 0
-        for o in range(table.orbit_count)
-    ]
+    return [_chi_delta(table, o) for o in range(table.orbit_count)]
 
 
 def link_x1_deltas(table: OrbitTable) -> list[int]:
@@ -43,10 +49,7 @@ def link_x1_deltas(table: OrbitTable) -> list[int]:
     of size k-1, hence (-1)^k times the containing count; level-1 members
     contribute only the empty link face, which chi ignores.
     """
-    return [
-        (-1) ** table.level[o] * table.containing_x1[o] if table.level[o] >= 2 else 0
-        for o in range(table.orbit_count)
-    ]
+    return [_link_delta(table, o) for o in range(table.orbit_count)]
 
 
 class TypeAssignment:
@@ -71,9 +74,8 @@ class TypeAssignment:
         self.f_bits = f_bits
         if chi is None:
             true = list(iter_bits(t_bits))
-            chi_d, link_d = chi_deltas(table), link_x1_deltas(table)
-            chi = sum(chi_d[o] for o in true)
-            chi_link = sum(link_d[o] for o in true)
+            chi = sum(_chi_delta(table, o) for o in true)
+            chi_link = sum(_link_delta(table, o) for o in true)
         self.chi = chi
         self.chi_link = chi_link
 

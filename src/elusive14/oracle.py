@@ -42,12 +42,12 @@ from array import array
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import permutations, repeat
+from itertools import permutations
 from operator import itemgetter, or_
 
 from .orbits import (OrbitPoset, OrbitTable, action_table, iter_bits,
                      subset_unions)
-from .perm import Permutation, PermGroup, closure, generate, identity
+from .perm import Permutation, PermGroup, closure
 
 
 class ArityError(ValueError):
@@ -68,10 +68,12 @@ class BooleanFunction:
     which licenses the two-completion constancy shortcut.  ``group``, when
     set, is a permutation group of the variables that the function is
     invariant under; the depth solver checks it and keys its memo by
-    G-orbits of restrictions.
+    G-orbits of restrictions.  ``orbit_table``, set by ``from_orbit_types``,
+    is the group's ``OrbitTable``, from which the solver builds its keys
+    rather than from a table of its own.
     """
 
-    __slots__ = ("n", "table", "monotone", "group")
+    __slots__ = ("n", "table", "monotone", "group", "orbit_table")
 
     def __init__(self, n: int, table: bytes | bytearray, monotone: bool = False,
                  group: PermGroup | None = None):
@@ -81,6 +83,7 @@ class BooleanFunction:
         self.table = bytes(table)
         self.monotone = monotone
         self.group = group
+        self.orbit_table: OrbitTable | None = None
 
     def __call__(self, mask: int) -> int:
         return self.table[mask]
@@ -105,7 +108,9 @@ class BooleanFunction:
                                      "FALSE one")
                 for m in table.members[o]:
                     tab[m] = 1
-        return cls(table.n, tab, monotone=True, group=table.group)
+        f = cls(table.n, tab, monotone=True, group=table.group)
+        f.orbit_table = table
+        return f
 
     def restricted_true(self, v: int) -> "BooleanFunction":
         """The function with variable x_v (1-based) answered 1, on the
@@ -138,14 +143,15 @@ class OrbitKeys:
     restriction onto the other, and a G-invariant function has the same
     depth on both.  The keys need not be complete: the stabilizer of the
     least mask may still move gV.  Under the trivial group the key is the
-    plain radix-3 index of (A, V).
+    plain radix-3 index of (A, V).  Both come from the group's OrbitTable,
+    the elements g from the images of its orbits' least masks alone.
     """
 
     __slots__ = ("least", "rows", "half", "low")
 
-    def __init__(self, group: PermGroup):
-        n = group.degree
-        elements = group.elements
+    def __init__(self, table: OrbitTable):
+        n = table.n
+        elements = table.group.elements
         index = {g: k for k, g in enumerate(elements)}
         inverse = [index[g.inverse()] for g in elements]
         self.half = half = n // 2
@@ -161,26 +167,20 @@ class OrbitKeys:
         bits = [[1 << p for p in g.images] for g in elements]
         lo_img = [array("H", subset_unions(b[:half])) for b in bits]
         hi_img = [array("H", subset_unions(b[half:])) for b in bits]
-        lo = [[radix[x] for x in t] for t in lo_img]
-        hi = [[radix[x] for x in t] for t in hi_img]
+        lo = [list(map(radix.__getitem__, t)) for t in lo_img]
+        hi = [list(map(radix.__getitem__, t)) for t in hi_img]
         trans = [0] * (1 << n)
-        least = [0] * (1 << n)
-        placed = bytearray(1 << n)
         inverse.reverse()
-        m = 0
-        while m >= 0:
-            # masks run upward, so the first one not yet placed is the least
-            # of its orbit.  Element k carries it to images[k], and the
+        for m in table.min_mask:
+            # element k carries the orbit's least mask to images[k], and the
             # inverse of k carries that image back; written in reverse, the
             # first such k is the one that stays
             images = list(map(or_, map(itemgetter(m & low), lo_img),
                               map(itemgetter(m >> half), hi_img)))
             images.reverse()
             _scatter(trans, images, inverse)
-            _scatter(least, images, repeat(m))
-            _scatter(placed, images, repeat(1))
-            m = placed.find(0, m + 1)
-        self.least = least
+        self.least = least = list(map(table.min_mask.__getitem__,
+                                      map(table.orbit_of, range(1 << n))))
         # one triple per mask: the decision pass reads a child's key from
         # one list lookup
         self.rows = [(radix[x], lo[k], hi[k]) for x, k in zip(least, trans)]
@@ -191,21 +191,22 @@ class OrbitKeys:
 
 
 # one OrbitKeys per group, shared by the solvers of its functions and
-# dropped with the group
+# dropped with the group; built from the group's OrbitTable, a new one if
+# the function carries none
 _keys_of_group: "weakref.WeakKeyDictionary[PermGroup, OrbitKeys]" = (
     weakref.WeakKeyDictionary())
 
 
-def _orbit_keys(group: PermGroup) -> OrbitKeys:
+def _orbit_keys(group: PermGroup, table: OrbitTable | None) -> OrbitKeys:
     if group not in _keys_of_group:
-        _keys_of_group[group] = OrbitKeys(group)
+        _keys_of_group[group] = OrbitKeys(table or OrbitTable(group))
     return _keys_of_group[group]
 
 
 @cache
 def _identity_keys(n: int) -> OrbitKeys:
     """The keys of group-less functions of arity n: the trivial group's."""
-    return OrbitKeys(generate([identity(n)]))
+    return OrbitKeys(OrbitTable.of_identity(n))
 
 
 class DepthSolver:
@@ -235,7 +236,7 @@ class DepthSolver:
             raise ValueError(f"group degree {group.degree} does not match "
                              f"arity {f.n}")
         else:
-            keys = _orbit_keys(group)
+            keys = _orbit_keys(group, f.orbit_table)
             if bytes(map(f.table.__getitem__, keys.least)) != f.table:
                 raise ValueError(f"truth table is not invariant under "
                                  f"{group!r}")
@@ -376,17 +377,6 @@ class DepthSolver:
 def decision_tree_depth(f: BooleanFunction) -> int:
     """Minimum over decision trees of the worst-case number of queries."""
     return DepthSolver(f).depth()
-
-
-def decision_tree_depth_plain(f: BooleanFunction, assigned: int = 0,
-                              values: int = 0) -> int:
-    """Memo-free reference recursion; exponential, for cross-checks only."""
-    free = ((1 << f.n) - 1) ^ assigned
-    if len({f.table[values | s] for s in _submasks(free)}) == 1:
-        return 0
-    return 1 + min(max(decision_tree_depth_plain(f, assigned | b, values),
-                       decision_tree_depth_plain(f, assigned | b, values | b))
-                   for b in (1 << i for i in range(f.n)) if free & b)
 
 
 def _submasks(mask: int):

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import warnings
 
-from .perm import Permutation, PermGroup, closure, is_transitive
+from .perm import (Permutation, PermGroup, closure, generate, identity,
+                   is_transitive)
 
 # OrbitTable keeps several 2^n-entry lists: about 200 MiB at degree 20
 MAX_DEGREE = 20
@@ -43,22 +44,9 @@ def subset_unions(bits) -> list[int]:
     return out
 
 
-def act(sigma: Permutation, mask: int) -> int:
-    """Image of a subset mask under a permutation: bit sigma(i) of the
-    output is set iff bit i of the input is set."""
-    out = 0
-    i = 0
-    images = sigma.images
-    while mask:
-        if mask & 1:
-            out |= 1 << images[i]
-        mask >>= 1
-        i += 1
-    return out
-
-
 def action_table(sigma: Permutation) -> list[int]:
-    """act(sigma, m) for every mask m, built from single-bit images."""
+    """The image of every mask m under sigma (bit sigma(i) of entry m is
+    set iff bit i of m is), built from single-bit images."""
     return subset_unions([1 << i for i in sigma.images])
 
 
@@ -83,34 +71,48 @@ class OrbitTable:
                              f"(2^n entries each; at most {MAX_DEGREE})")
         if not is_transitive(group):
             warnings.warn("group is not transitive; orbit census still computed")
-        self.group = group
-        self.n = n
         maps = [action_table(g).__getitem__ for g in group.generators]
-        orbit_of = [-1] * (1 << n)
-        by_level: list[list[int]] = [[] for _ in range(n + 1)]
+        seen = bytearray(1 << n)
         members: list[list[int]] = []
-        # scanning masks by (size, value) makes discovery order canonical:
-        # ids sort by level, then by smallest member
-        for m in sorted(range(1 << n), key=lambda m: (m.bit_count(), m)):
-            if orbit_of[m] < 0:
-                mem = sorted(closure((m,), maps))
-                for x in mem:
-                    orbit_of[x] = len(members)
-                by_level[m.bit_count()].append(len(members))
-                members.append(mem)
+        # masks run upward, so the first one not yet seen is the least of
+        # its orbit
+        m = 0
+        while m >= 0:
+            members.append(sorted(closure((m,), maps)))
+            for x in members[-1]:
+                seen[x] = 1
+            m = seen.find(0, m + 1)
+        self._index(group, members)
 
+    @classmethod
+    def of_identity(cls, n: int) -> "OrbitTable":
+        """The trivial group's table, whose orbits are the single masks:
+        no scan, and no warning that the group is not transitive."""
+        table = cls.__new__(cls)
+        table._index(generate([identity(n)]), [[m] for m in range(1 << n)])
+        return table
+
+    def _index(self, group: PermGroup, members: list[list[int]]) -> None:
+        """The tables of the orbits with the sorted member lists
+        ``members``, in any order; ids sort by level, then least member."""
+        members.sort(key=lambda mem: (mem[0].bit_count(), mem[0]))
+        self.group = group
+        self.n = n = group.degree
+        self._orbit_of = orbit_of = [0] * (1 << n)
+        for oid, mem in enumerate(members):
+            for x in mem:
+                orbit_of[x] = oid
         self.orbit_count = len(members)
-        self._orbit_of = orbit_of
         self.members = members
         self.level = [m[0].bit_count() for m in members]
         self.size = [len(m) for m in members]
         self.min_mask = [m[0] for m in members]
         self.containing_x1 = [sum(1 for x in m if x & 1) for m in members]
-        self.ids_at_level = by_level
-        self.index_in_level = [0] * self.orbit_count
-        for lvl_ids in by_level:
-            for j, oid in enumerate(lvl_ids):
-                self.index_in_level[oid] = j
+        self.ids_at_level: list[list[int]] = [[] for _ in range(n + 1)]
+        self.index_in_level: list[int] = []
+        for oid, lvl in enumerate(self.level):
+            self.index_in_level.append(len(self.ids_at_level[lvl]))
+            self.ids_at_level[lvl].append(oid)
 
     def orbit_of(self, mask: int) -> int:
         return self._orbit_of[mask]
@@ -155,19 +157,10 @@ class OrbitPoset:
 
     def __init__(self, table: OrbitTable):
         self.table = table
-        direct_below: dict[int, set[int]] = {
-            o: set() for o in range(1, table.orbit_count)}
-        for o, seen in direct_below.items():
-            if table.level[o] < 2:
-                continue
-            # lowest-bit loop kept inline: iter_bits doubles this loop's time
-            for m in table.members[o]:
-                rem = m
-                while rem:
-                    b = rem & -rem
-                    rem ^= b
-                    seen.add(table.orbit_of(m ^ b))
-        self._close(direct_below)
+        # g carries the facets of m onto those of gm, so one member per
+        # orbit gives the orbits directly below it
+        self._close({o: {table.orbit_of(m ^ 1 << i) for i in iter_bits(m)}
+                     for o, m in enumerate(table.min_mask) if o})
 
     @classmethod
     def generated_by(cls, table: OrbitTable,
@@ -183,16 +176,23 @@ class OrbitPoset:
     def _close(self, covers: dict[int, set[int]]) -> None:
         """Lower and upper closures of the order with direct-below sets
         ``covers``.  Covers have smaller ids than the orbits above them (ids
-        run up the levels), so ascending ids close covers first."""
+        run up the levels), so ascending ids close covers first, and
+        descending ids close the orbits directly above first."""
         self.lower = lower = [0] * self.table.orbit_count
         self.upper = upper = [0] * self.table.orbit_count
+        above: dict[int, list[int]] = {o: [] for o in covers}
         for o in sorted(covers):
             acc = 1 << o
             for p in covers[o]:
                 acc |= lower[p]
+                if p in above:
+                    above[p].append(o)
             lower[o] = acc
-            for p in iter_bits(acc):
-                upper[p] |= 1 << o
+        for o in sorted(covers, reverse=True):
+            acc = 1 << o
+            for q in above[o]:
+                acc |= upper[q]
+            upper[o] = acc
 
     def lower_ids(self, o: int) -> list[int]:
         return list(iter_bits(self.lower[o]))

@@ -1,10 +1,11 @@
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from elusive14.bundle import build_campaign
 from elusive14.oracle import BooleanFunction
-from elusive14.perm import generate, parse_cycles
+from elusive14.perm import Permutation, generate, parse_cycles
 
 
 @pytest.fixture(scope="session")
@@ -30,6 +31,28 @@ def groups(campaign):
 @pytest.fixture(scope="session")
 def c6():
     return generate([parse_cycles("(1,2,3,4,5,6)", 6)])
+
+
+@st.composite
+def generated_groups(draw):
+    """Degree 1..6 and one to three random generators (image tuples)."""
+    n = draw(st.integers(1, 6))
+    perms = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+    return n, [tuple(p) for p in perms]
+
+
+def act(sigma: Permutation, mask: int) -> int:
+    """Reference image of a subset mask under a permutation, one bit at a
+    time: bit sigma(i) of the output is set iff bit i of the input is set."""
+    out = 0
+    i = 0
+    images = sigma.images
+    while mask:
+        if mask & 1:
+            out |= 1 << images[i]
+        mask >>= 1
+        i += 1
+    return out
 
 
 def random_monotone_bits(table, poset, rng: random.Random,

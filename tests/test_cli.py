@@ -84,29 +84,32 @@ def _case_study_without_anchor_points():
     return raw
 
 
-def _groups_with_g2_witness(change):
+def _groups_with_witness(name, change):
     def body():
         raw = load_json("groups.json")
-        g2 = next(g for g in raw["groups"] if g["name"] == "G2")
-        g2["witness"] = change(g2["witness"])
+        group = next(g for g in raw["groups"] if g["name"] == name)
+        group["witness"] = change(group["witness"])
         return raw
     return body
 
 
-@pytest.mark.parametrize("change", [
-    lambda w: {k: v for k, v in w.items() if k != "p_generators"},
-    lambda w: "psi_p",
-    lambda w: {**w, "p_generators": 5},
-    lambda w: {**w, "h_generators": w["p_generators"]},
-    lambda w: {**w, "p": "7"},
+@pytest.mark.parametrize("name, change", [
+    ("G2", lambda w: {k: v for k, v in w.items() if k != "p_generators"}),
+    ("G2", lambda w: "psi_p"),
+    ("G2", lambda w: {**w, "p_generators": 5}),
+    ("G2", lambda w: {**w, "h_generators": w["p_generators"]}),
+    ("G2", lambda w: {**w, "p": "7"}),
+    ("G4", lambda w: {**w, "kind": "psi_p"}),
+    ("G2", lambda w: {**w, "kind": "banana"}),
 ], ids=["no p_generators", "string witness", "p_generators 5",
-        "h_generators without q", "p a string"])
-def test_malformed_witnesses_exit_two(capsys, tmp_path, change):
+        "h_generators without q", "p a string", "G4 kind psi_p",
+        "G2 kind banana"])
+def test_malformed_witnesses_exit_two(capsys, tmp_path, name, change):
     path = tmp_path / "groups.json"
-    path.write_text(json.dumps(_groups_with_g2_witness(change)()))
+    path.write_text(json.dumps(_groups_with_witness(name, change)()))
     assert main(["verify14", "--groups-file", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: G2: bad witness: "), err
+    assert err.startswith(f"error: {name}: bad witness: "), err
     assert "Traceback" not in err
 
 

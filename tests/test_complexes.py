@@ -4,9 +4,10 @@ import pytest
 
 from conftest import r_vector, random_monotone_bits
 from elusive14.complexes import (FALSE, FREE, TRUE, IndeterminateFace,
-                                 TypeAssignment, assert_monotone, euler,
-                                 explicit_euler, fixed_point_complex, link,
-                                 link_euler_fast)
+                                 TypeAssignment, assert_monotone, chi_deltas,
+                                 euler, explicit_euler, fixed_point_complex,
+                                 link, link_euler_fast, link_x1_deltas)
+from elusive14.orbits import OrbitPoset, OrbitTable
 
 
 def deletion(a, v):
@@ -60,6 +61,20 @@ def test_euler_equals_explicit_face_sum(g6_table, g6_poset):
                         random_monotone_bits(g6_table, g6_poset, rng))
         faces = a.true_masks()
         assert euler(a) == explicit_euler(faces)
+
+
+def test_chi_sums_match_the_delta_tables(g6_table, g6_poset, c6):
+    c6_table = OrbitTable(c6)
+    rng = random.Random(103)
+    for table, poset in ((g6_table, g6_poset),
+                         (c6_table, OrbitPoset(c6_table))):
+        chi_d, link_d = chi_deltas(table), link_x1_deltas(table)
+        for _ in range(40):
+            t = rng.getrandbits(table.orbit_count) & ~1
+            a = TypeAssignment(table, poset, t)
+            true = [o for o in range(table.orbit_count) if t >> o & 1]
+            assert a.chi == sum(chi_d[o] for o in true)
+            assert a.chi_link == sum(link_d[o] for o in true)
 
 
 def test_link_of_full_simplex(g6_table, g6_poset):

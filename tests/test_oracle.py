@@ -1,23 +1,24 @@
 import random
+import warnings
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import opposite
+from conftest import act, opposite
 from elusive14 import oracle
 from elusive14.complexes import TypeAssignment, euler
 from elusive14.oracle import (ArityError, BooleanFunction, ConjectureReport,
                               DepthSolver, OrbitKeys, SymmetryScan,
-                              decision_tree_depth, decision_tree_depth_plain,
+                              decision_tree_depth,
                               enumerate_monotone, euler_of_bitvector,
                               exhaustive_conjecture_check,
                               is_elusive,
                               restriction_lemma_check,
                               sample_invariant_function,
                               _relabelling_classes)
-from elusive14.orbits import OrbitPoset, OrbitTable, act
+from elusive14.orbits import OrbitPoset, OrbitTable
 from elusive14.perm import generate, parse_cycles
 
 
@@ -54,6 +55,17 @@ def test_dictator():
     table = bytes(0 if m & 1 else 1 for m in range(4))
     f = BooleanFunction(2, table, monotone=True)
     assert decision_tree_depth(f) == 1
+
+
+def decision_tree_depth_plain(f, assigned=0, values=0):
+    """Memo-free reference recursion; exponential, for cross-checks only."""
+    free = ((1 << f.n) - 1) ^ assigned
+    subcube = {f.table[values | s] for s in range(free + 1) if s & ~free == 0}
+    if len(subcube) == 1:
+        return 0
+    return 1 + min(max(decision_tree_depth_plain(f, assigned | b, values),
+                       decision_tree_depth_plain(f, assigned | b, values | b))
+                   for b in (1 << i for i in range(f.n)) if free & b)
 
 
 def test_arity_cap():
@@ -94,6 +106,10 @@ def test_trivial_keys_are_the_radix3_index():
     # built once per arity and shared by every group-less solver
     assert (DepthSolver(BooleanFunction.from_bitvector(4, 0b0111)).keys
             is DepthSolver(not_all_ones(4)).keys)
+    # the trivial group's orbit table is not transitive; that is no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        oracle._identity_keys.__wrapped__(5)
 
 
 def test_monotone_shortcut_agrees_with_subcube_scan():
@@ -503,7 +519,7 @@ def _restrictions(draw):
 @given(_restrictions())
 def test_orbit_keys_against_brute_force_orbits(case):
     group, assigned, values = case
-    keys = OrbitKeys(group)
+    keys = OrbitKeys(OrbitTable(group))
     least = min(act(g, assigned) for g in group.elements)
     assert keys.least[assigned] == least
     # the row's element carries the assigned mask itself to the least one

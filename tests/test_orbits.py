@@ -1,14 +1,17 @@
 import math
 import random
+import warnings
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elusive14.orbits import (OrbitPoset, OrbitTable, act, action_table,
+from conftest import act, generated_groups
+from elusive14.orbits import (OrbitPoset, OrbitTable, action_table,
                               block_masks, iter_bits, mask_from_points,
                               points_from_mask, subset_unions)
-from elusive14.perm import Permutation, generate, identity, parse_cycles
+from elusive14.perm import (Permutation, closure, generate, identity,
+                            parse_cycles)
 
 
 def burnside_census(group):
@@ -179,6 +182,84 @@ def test_poset_against_member_scan(g6_table, g6_poset):
                     for m1 in g6_table.members[o1])
         assert bool(g6_poset.lower[o2] >> o1 & 1) == brute
         checked += 1
+
+
+def reference_partition(group):
+    """The orbit partition found by scanning all 2^n masks sorted by (size,
+    value), one closure per mask not yet placed: orbit_of, members and
+    ids_at_level in canonical order."""
+    n = group.degree
+    maps = [action_table(g).__getitem__ for g in group.generators]
+    orbit_of = [-1] * (1 << n)
+    by_level = [[] for _ in range(n + 1)]
+    members = []
+    for m in sorted(range(1 << n), key=lambda m: (m.bit_count(), m)):
+        if orbit_of[m] < 0:
+            mem = sorted(closure((m,), maps))
+            for x in mem:
+                orbit_of[x] = len(members)
+            by_level[m.bit_count()].append(len(members))
+            members.append(mem)
+    return orbit_of, members, by_level
+
+
+def member_scan_covers(table):
+    """The orbits directly below each orbit, from the facets of every
+    member rather than of one."""
+    covers = {o: set() for o in range(1, table.orbit_count)}
+    for o, below in covers.items():
+        if table.level[o] >= 2:
+            for m in table.members[o]:
+                below.update(table.orbit_of(m ^ 1 << i) for i in iter_bits(m))
+    return covers
+
+
+def assert_matches_reference(group):
+    table = OrbitTable(group)
+    orbit_of, members, by_level = reference_partition(group)
+    assert table._orbit_of == orbit_of
+    assert table.members == members
+    assert table.ids_at_level == by_level
+    poset = OrbitPoset(table)
+    reference = OrbitPoset.generated_by(table, member_scan_covers(table))
+    assert poset.lower == reference.lower
+    assert poset.upper == reference.upper
+    return poset
+
+
+@pytest.mark.filterwarnings("ignore:group is not transitive")
+def test_bundled_tables_match_the_mask_scan(campaign):
+    groups = {**campaign.groups, **campaign.subgroups}
+    assert len(groups) == 17
+    for group in groups.values():
+        assert_matches_reference(group)
+
+
+@pytest.mark.filterwarnings("ignore:group is not transitive")
+@settings(max_examples=40, deadline=None)
+@given(generated_groups())
+def test_tables_match_the_mask_scan(case):
+    _, perms = case
+    poset = assert_matches_reference(generate([Permutation(p) for p in perms]))
+    # upper is the transpose of lower
+    upper = [0] * len(poset.lower)
+    for o, below in enumerate(poset.lower):
+        for p in iter_bits(below):
+            upper[p] |= 1 << o
+    assert poset.upper == upper
+
+
+def test_identity_table_matches_the_mask_scan():
+    for n in range(1, 8):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = OrbitTable.of_identity(n)
+        orbit_of, members, by_level = reference_partition(
+            generate([identity(n)]))
+        assert table.group.order == 1
+        assert table._orbit_of == orbit_of
+        assert table.members == members
+        assert table.ids_at_level == by_level
 
 
 def test_warns_when_not_transitive():

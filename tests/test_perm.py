@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import generated_groups
 from elusive14 import perm
 from elusive14.perm import (ClosureCapExceeded, OliverWitness, ParseError,
                             Permutation, WitnessError, _cyclic_mod, classify,
@@ -302,14 +303,6 @@ def union_find_orbits(n, perms):
     for p in range(n):
         classes.setdefault(find(p), []).append(p)
     return sorted(tuple(c) for c in classes.values())
-
-
-@st.composite
-def generated_groups(draw):
-    """Degree 1..6 and one to three random generators (image tuples)."""
-    n = draw(st.integers(1, 6))
-    perms = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
-    return n, [tuple(p) for p in perms]
 
 
 @settings(max_examples=40, deadline=None)
