@@ -67,7 +67,6 @@ class GroupSpec:
     generators: tuple[str, ...]
     printed_order: int
     printed_orbit_total: int | None = None
-    gap_transitive_index: int | None = None
     printed_generators: tuple[str, ...] | None = None
     errata: tuple[str, ...] = ()
     witness: dict | None = None
@@ -140,7 +139,6 @@ def load_group_specs(override: str | None = None) -> dict[str, GroupSpec]:
             generators=tuple(g["generators"]),
             printed_order=g["printed_order"],
             printed_orbit_total=g.get("printed_orbit_total"),
-            gap_transitive_index=g.get("gap_transitive_index"),
             printed_generators=(tuple(g["printed_generators"])
                                 if "printed_generators" in g else None),
             errata=tuple(g.get("errata", ())),
@@ -220,6 +218,31 @@ def _require_anchor(entry, where: str) -> None:
             "printed_orbit a string")
 
 
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _require_step(step, where: str) -> None:
+    """A published branch step: a subgroup name, an integer case count, T/F
+    label lists, and a selector object whose optional ``set`` lists
+    [label, "T"|"F"] pairs and whose ``default_free`` is "T" or "F"."""
+    _require_keys(step, _STEP_KEYS, where)
+    select = step["select"]
+    pairs = select.get("set", []) if isinstance(select, dict) else None
+    if not (isinstance(step["subgroup"], str)
+            and type(step["printed_cases"]) is int
+            and all(_strings(step.get(k, []))
+                    for k in ("theta_t", "theta_f", "errata"))
+            and isinstance(pairs, list)
+            and all(_strings(p) and len(p) == 2 and p[1] in ("T", "F")
+                    for p in pairs)
+            and select.get("default_free", "F") in ("T", "F")):
+        raise DataIntegrityError(
+            f"{where}: needs a subgroup name, an integer printed_cases, "
+            "string lists theta_t, theta_f and errata, and a select object "
+            'whose set lists [label, "T"|"F"] pairs')
+
+
 def load_case_study(override: str | None = None) -> dict:
     """The worked-example data, with every key replay_case_study reads."""
     raw = load_json("case_study.json", override)
@@ -228,7 +251,7 @@ def load_case_study(override: str | None = None) -> dict:
     if not isinstance(raw["steps"], list):
         raise DataIntegrityError(f"{where}: steps must be a list")
     for step in raw["steps"]:
-        _require_keys(step, _STEP_KEYS, f"{where} step")
+        _require_step(step, f"{where} step")
     _require_keys(raw["final"], _FINAL_KEYS, f"{where} final")
     _require_keys(raw["combination_table"], ("1", "2", "3"),
                   f"{where} combination_table")
@@ -265,20 +288,16 @@ class AnchorMap:
         return self.label_to_oid.get(label)
 
 
-def _anchor_entries(subgroup_specs, case_study):
-    for spec in subgroup_specs:
-        for block in spec.blocks:
-            yield block, f"{spec.name} block"
-    for entry in case_study.get("union_anchors", ()):
-        yield entry, "union anchor"
-
-
 def build_anchor_map(table: OrbitTable, subgroup_specs: list[SubgroupSpec],
                      case_study: dict) -> AnchorMap:
     label_to_oid: dict[str, int] = {}
     oid_to_label: dict[int, str] = {}
     skipped: list[str] = []
-    for entry, origin in _anchor_entries(subgroup_specs, case_study):
+    entries = [(block, f"{spec.name} block")
+               for spec in subgroup_specs for block in spec.blocks]
+    entries += [(entry, "union anchor")
+                for entry in case_study.get("union_anchors", ())]
+    for entry, origin in entries:
         label = entry["printed_orbit"]
         if "erratum" in entry:
             skipped.append(f"{origin} {entry['points']} -> {label}: {entry['erratum']}")
@@ -330,13 +349,14 @@ class Campaign:
     checks: dict[str, SubgroupCheck]
     anchors: AnchorMap
     case_study: dict
+    case_study_file: str = "case_study.json"
 
     @property
     def g6(self) -> PermGroup:
         return self.groups["G6"]
 
-    def engine(self, cap: int = 1 << 20) -> SearchEngine:
-        return SearchEngine(self.table, self.poset, self.checks, cap=cap)
+    def engine(self) -> SearchEngine:
+        return SearchEngine(self.table, self.poset, self.checks)
 
     def schedule(self, name: str = "default") -> Schedule:
         """Built-in schedules: 'default' visits subgroups with fewer
@@ -404,4 +424,5 @@ def build_campaign(groups_file: str | None = None,
     return Campaign(specs=specs, groups=groups, table=table, poset=poset,
                     subgroup_specs=sub_specs, subgroups=subgroups,
                     subgroup_classifications=classifications, checks=checks,
-                    anchors=anchors, case_study=case_study)
+                    anchors=anchors, case_study=case_study,
+                    case_study_file=case_study_file or "case_study.json")

@@ -14,7 +14,8 @@ import time
 
 from . import __version__
 from .bundle import (Campaign, DataIntegrityError, build_campaign,
-                     data_digests, load_group_file, load_group_specs)
+                     data_digests, load_group_file, load_group_specs,
+                     load_subgroup_specs)
 from .complexes import (IndeterminateFace, TypeAssignment, assert_monotone,
                         euler, fixed_point_complex, link_euler_fast)
 from .oracle import (BooleanFunction, DepthSolver, exhaustive_conjecture_check)
@@ -40,7 +41,6 @@ def _resolve_group(arg: str) -> tuple[str, PermGroup]:
     if arg in specs:
         return arg, specs[arg].build()
     if arg.startswith("G6_"):
-        from .bundle import load_subgroup_specs
         for sub in load_subgroup_specs():
             if sub.name == arg:
                 return arg, sub.build(specs["G6"].degree)
@@ -198,10 +198,11 @@ def _search_summary(report) -> dict:
     }
 
 
-def verify14(schedule: str = "default", seed_independent: bool = False,
-             cap: int = 1 << 20, campaign: Campaign | None = None) -> dict:
+def verify14(seed_independent: bool = False,
+             campaign: Campaign | None = None) -> dict:
     """Run the whole campaign: orders and transitivity for all six groups,
-    classification for G1..G5, and the orbit-type search for G6."""
+    classification for G1..G5, and the orbit-type search for G6 under the
+    default schedule (then the alternate one if ``seed_independent``)."""
     camp = campaign if campaign is not None else build_campaign()
     entries = []
     all_ok = True
@@ -225,11 +226,10 @@ def verify14(schedule: str = "default", seed_independent: bool = False,
             cls = classify(group)
             entry["classification"] = _classification_dict(cls)
             entry["method"] = "search"
-            reports = [run_search(camp.engine(cap=cap), camp.schedule(schedule))]
-            if seed_independent:
-                other = "alternate" if schedule == "default" else "default"
-                reports.append(run_search(camp.engine(cap=cap),
-                                          camp.schedule(other)))
+            schedules = (("default", "alternate") if seed_independent
+                         else ("default",))
+            reports = [run_search(camp.engine(), camp.schedule(s))
+                       for s in schedules]
             entry["search"] = [_search_summary(r) for r in reports]
             entry["verified"] = (cls.kind == "unresolved"
                                  and all(r.verified for r in reports))
@@ -284,8 +284,7 @@ def _campaign_from_args(args) -> Campaign:
 
 
 def cmd_verify14(args) -> int:
-    report = verify14(schedule=args.schedule,
-                      seed_independent=args.seed_independent, cap=args.cap,
+    report = verify14(seed_independent=args.seed_independent,
                       campaign=_campaign_from_args(args))
     if args.format == "json":
         # timings vary run to run; the canonical form drops them
@@ -295,9 +294,15 @@ def cmd_verify14(args) -> int:
     return 0 if report["all_verified"] else 1
 
 
+def _theta_dict(comp) -> dict:
+    return {"matched": comp.matched, "skipped_unanchored": len(comp.skipped),
+            "mismatched": comp.mismatched, "published_count": comp.printed_count,
+            "computed_count": comp.computed_count}
+
+
 def cmd_replay(args) -> int:
     camp = _campaign_from_args(args)
-    res = replay_case_study(camp, cap=args.cap)
+    res = replay_case_study(camp)
     report = {
         "steps": [{
             "step": s.step,
@@ -306,16 +311,8 @@ def cmd_replay(args) -> int:
             "block_local_cases": s.local_cases,
             "search_children": s.child_cases,
             "selection": s.selection,
-            "theta_t": {"matched": s.theta_t.matched,
-                        "skipped_unanchored": len(s.theta_t.skipped),
-                        "mismatched": s.theta_t.mismatched,
-                        "published_count": s.theta_t.printed_count,
-                        "computed_count": s.theta_t.computed_count},
-            "theta_f": {"matched": s.theta_f.matched,
-                        "skipped_unanchored": len(s.theta_f.skipped),
-                        "mismatched": s.theta_f.mismatched,
-                        "published_count": s.theta_f.printed_count,
-                        "computed_count": s.theta_f.computed_count},
+            "theta_t": _theta_dict(s.theta_t),
+            "theta_f": _theta_dict(s.theta_f),
             "errata": list(s.errata),
         } for s in res.steps],
         "satisfied_unvisited": res.satisfied_unvisited,
@@ -354,17 +351,6 @@ def cmd_replay(args) -> int:
 
     sys.stdout.write(emit(report, args.format, text))
     return 0 if res.ok else 1
-
-
-def _int_in(low: int, high: int | None = None):
-    """argparse type: an integer in low..high (no upper bound if None)."""
-    def integer(text: str) -> int:
-        value = int(text)
-        if value < low or (high is not None and value > high):
-            bound = f"{low}..{high}" if high is not None else f">= {low}"
-            raise argparse.ArgumentTypeError(f"{value} is not {bound}")
-        return value
-    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -409,22 +395,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dtree)
 
     p = add_parser("conjecture-check", help="exhaustive small-arity sweep")
-    p.add_argument("--n", type=_int_in(1, 5), required=True)
+    p.add_argument("--n", type=int, choices=range(1, 6), required=True)
     p.set_defaults(func=cmd_conjecture)
 
     p = add_parser("verify14", help="run the whole campaign")
-    p.add_argument("--schedule", default="default",
-                   choices=("default", "alternate"))
     p.add_argument("--seed-independent", action="store_true",
                    help="run a second, differently ordered schedule and "
                         "require identical verdicts")
-    p.add_argument("--cap", type=_int_in(1), default=1 << 20)
     _add_override_flags(p)
     p.set_defaults(func=cmd_verify14)
 
     p = add_parser("replay-appendix",
                    help="replay the bundled worked-example branch")
-    p.add_argument("--cap", type=_int_in(1), default=1 << 20)
     _add_override_flags(p)
     p.set_defaults(func=cmd_replay)
     return parser

@@ -112,10 +112,6 @@ class TypeAssignment:
         # every orbit but the empty subset's (id 0)
         return self.t_bits | self.f_bits == (1 << self.table.orbit_count) - 2
 
-    def true_masks(self) -> list[int]:
-        """Every face of the encoded complex except the empty face."""
-        return [m for o in iter_bits(self.t_bits) for m in self.table.members[o]]
-
 
 def assert_monotone(a: TypeAssignment) -> bool:
     """True iff no TRUE orbit has a FALSE orbit below it and no FALSE orbit
@@ -134,20 +130,6 @@ def euler(a: TypeAssignment) -> int:
     """Euler characteristic of the encoded complex (empty face excluded)."""
     _require_full(a)
     return a.chi
-
-
-def explicit_euler(faces) -> int:
-    """Alternating-sum chi of an explicit mask family; the empty mask is
-    skipped per the size >= 1 summation."""
-    return sum((-1) ** (m.bit_count() + 1) for m in faces if m)
-
-
-def link(a: TypeAssignment, v: int) -> set[int]:
-    """Explicit link at variable x_v (1-based): faces t - {x_v} for TRUE
-    faces t containing x_v.  May contain the empty mask."""
-    _require_full(a)
-    bit = 1 << (v - 1)
-    return {m ^ bit for m in a.true_masks() if m & bit}
 
 
 def link_euler_fast(a: TypeAssignment) -> int:

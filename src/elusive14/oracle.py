@@ -1,6 +1,5 @@
 """Independent ground truth: elusiveness decided by the adversary
-recursion, exact decision-tree depth, exhaustive small-arity sweeps, and the
-restriction lemma check.
+recursion, exact decision-tree depth and exhaustive small-arity sweeps.
 
 Both recursions walk restrictions (assigned mask, answered mask) of the
 variable set and share one memo.  There is one key scheme
@@ -111,17 +110,6 @@ class BooleanFunction:
         f = cls(table.n, tab, monotone=True, group=table.group)
         f.orbit_table = table
         return f
-
-    def restricted_true(self, v: int) -> "BooleanFunction":
-        """The function with variable x_v (1-based) answered 1, on the
-        remaining n-1 variables."""
-        bit = 1 << (v - 1)
-        low = bit - 1
-        tab = bytearray(1 << (self.n - 1))
-        for m in range(1 << (self.n - 1)):
-            expanded = (m & low) | ((m & ~low) << 1) | bit
-            tab[m] = self.table[expanded]
-        return BooleanFunction(self.n - 1, tab, monotone=self.monotone)
 
 
 def _scatter(target, positions, values) -> None:
@@ -553,45 +541,3 @@ def sample_invariant_function(table: OrbitTable, poset: OrbitPoset,
     for o in rng.sample(candidates, min(seed_orbits, len(candidates))):
         t_bits |= poset.lower[o]
     return BooleanFunction.from_orbit_types(table, t_bits)
-
-
-@dataclass
-class RestrictionReport:
-    samples: int
-    lemma_applicable: int
-    lemma_violations: list[dict] = field(default_factory=list)
-    remark_violations: list[dict] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.lemma_violations and not self.remark_violations
-
-
-def restriction_lemma_check(G: PermGroup, samples: int,
-                            seed: int = 0) -> RestrictionReport:
-    """Sample invariant functions for a transitive G of small degree and
-    check: an elusive one-variable restriction forces full depth, and one
-    elusive restriction forces all of them elusive."""
-    n = G.degree
-    if n > 8:
-        raise ArityError("restriction sampling computes exact depths on "
-                         "both sides; capped at degree 8")
-    table = OrbitTable(G)
-    poset = OrbitPoset(table)
-    rng = random.Random(seed)
-    report = RestrictionReport(samples=samples, lemma_applicable=0)
-    for _ in range(samples):
-        f = sample_invariant_function(table, poset, rng,
-                                      seed_orbits=rng.randint(1, 4))
-        link_depths = [decision_tree_depth(f.restricted_true(v))
-                       for v in range(1, n + 1)]
-        elusive_links = [d == n - 1 for d in link_depths]
-        if not any(elusive_links):
-            continue
-        report.lemma_applicable += 1
-        if not all(elusive_links):
-            report.remark_violations.append({"link_depths": link_depths})
-        if decision_tree_depth(f) != n:
-            report.lemma_violations.append(
-                {"depth": decision_tree_depth(f), "link_depths": link_depths})
-    return report

@@ -17,10 +17,10 @@ from .perm import (Permutation, PermGroup, closure, generate, identity,
 MAX_DEGREE = 20
 
 
-def mask_from_points(points, one_based: bool = True) -> int:
+def mask_from_points(points) -> int:
     m = 0
     for p in points:
-        m |= 1 << (p - 1 if one_based else p)
+        m |= 1 << (p - 1)
     return m
 
 
@@ -52,8 +52,7 @@ def action_table(sigma: Permutation) -> list[int]:
 
 def block_masks(group: PermGroup) -> tuple[int, ...]:
     """The group's point orbits as masks, ordered by smallest point."""
-    return tuple(mask_from_points(orbit, one_based=False)
-                 for orbit in group.point_orbits())
+    return tuple(sum(1 << p for p in orbit) for orbit in group.point_orbits())
 
 
 class OrbitTable:

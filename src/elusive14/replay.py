@@ -18,13 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bundle import Campaign, expand_labels
+from .bundle import Campaign, DataIntegrityError, expand_labels
 from .complexes import FALSE, FREE, TRUE, TypeAssignment
 from .orbits import OrbitPoset, iter_bits
 from .search import SearchEngine, SearchStats, SubgroupCheck, condition_met
 
 
-class MappingIncomplete(Exception):
+class MappingIncomplete(DataIntegrityError):
     """A published label needed for branch selection has no anchor."""
 
 
@@ -75,7 +75,7 @@ class ReplayResult:
 
 
 def count_local_cases(camp: Campaign, st: TypeAssignment,
-                      check: SubgroupCheck, cap: int = 1 << 20) -> int:
+                      check: SubgroupCheck) -> int:
     """Number of assignments of the check's free governed orbits that are
     consistent at block level: a block collection can be a face only when
     all its sub-collections are faces, and the Euler condition holds.  This
@@ -95,7 +95,7 @@ def count_local_cases(camp: Campaign, st: TypeAssignment,
                 covers[table.orbit_of(unions[s])].add(
                     table.orbit_of(unions[s ^ 1 << i]))
     engine = SearchEngine(table, OrbitPoset.generated_by(table, covers),
-                          camp.checks, cap=cap)
+                          camp.checks)
     gbits = sum(1 << o for o in check.governed)
     start = TypeAssignment(table, engine.poset, st.t_bits & gbits,
                            st.f_bits & gbits)
@@ -131,7 +131,7 @@ def _compare_theta(camp: Campaign, state: TypeAssignment, printed_t: list[str],
             k, j = lbl.split(".")
             by_level.setdefault(int(k), set()).add(int(j))
         for k, idxs in sorted(by_level.items()):
-            if idxs == set(range(per_level_counts[k])):
+            if idxs == set(range(per_level_counts.get(k, 0))):
                 comp.complete_levels.append(k)
                 for oid in table.ids_at_level[k]:
                     if state.state(oid) != want:
@@ -186,7 +186,7 @@ def _select_case(camp: Campaign, children: list[TypeAssignment],
     return chosen[0], echo
 
 
-def replay_case_study(camp: Campaign, cap: int = 1 << 20) -> ReplayResult:
+def replay_case_study(camp: Campaign) -> ReplayResult:
     """Replay the bundled branch and collect every comparison outcome.
 
     Published integers that the recomputation reproduces are enforced as
@@ -194,7 +194,7 @@ def replay_case_study(camp: Campaign, cap: int = 1 << 20) -> ReplayResult:
     are returned alongside the recomputed ones (the bundled data documents
     where they disagree and why the recomputation is authoritative).
     """
-    engine = camp.engine(cap=cap)
+    engine = camp.engine()
     table = camp.table
     stats = SearchStats()
     state = engine.initial_state()
@@ -204,19 +204,23 @@ def replay_case_study(camp: Campaign, cap: int = 1 << 20) -> ReplayResult:
 
     for raw in camp.case_study["steps"]:
         where = f"step {raw['step']}"
-        check = camp.checks[raw["subgroup"]]
+        source = f"{camp.case_study_file} {where}"
+        check = camp.checks.get(raw["subgroup"])
+        if check is None or check.is_identity:
+            raise DataIntegrityError(
+                f"{source}: {raw['subgroup']!r} is not a non-identity "
+                "subgroup of G6")
         visited.add(raw["subgroup"])
-        local = count_local_cases(camp, state, check, cap)
+        local = count_local_cases(camp, state, check)
         children = engine.enumerate_cases(state, check, stats)
         if local != raw["printed_cases"]:
             problems.append(f"{where}: {local} block-local cases computed, "
                             f"{raw['printed_cases']} published")
-        chosen, echo = _select_case(camp, children, state, check.governed,
-                                    raw["select"], where)
-        state = chosen
-        printed_t = expand_labels(raw["theta_t"])
-        printed_f = expand_labels(raw["theta_f"])
-        comp_t, comp_f = _compare_theta(camp, state, printed_t, printed_f,
+        state, echo = _select_case(camp, children, state, check.governed,
+                                   raw["select"], source)
+        comp_t, comp_f = _compare_theta(camp, state,
+                                        expand_labels(raw["theta_t"]),
+                                        expand_labels(raw["theta_f"]),
                                         problems, where)
         steps.append(TraceStep(
             step=raw["step"], subgroup=raw["subgroup"],
@@ -265,8 +269,8 @@ def replay_case_study(camp: Campaign, cap: int = 1 << 20) -> ReplayResult:
         for a in free for b in free
         if a != b and camp.poset.lower[b] >> a & 1]
 
-    cases: list[TypeAssignment] = []
-    survivors = engine.leaf_survivors(state, stats, collect_cases=cases)
+    cases = engine.leaf_survivors(state, stats, link_check=False)
+    survivors = [c for c in cases if c.chi_link == 1]
     leaf_cases = [{
         "true_free_orbits": [table.label(o) for o in free
                              if c.t_bits >> o & 1],

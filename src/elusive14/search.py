@@ -24,7 +24,10 @@ from .perm import PermGroup
 
 
 class CaseCapExceeded(RuntimeError):
-    """A single check tried to enumerate more cases than the configured cap."""
+    """A single check tried to enumerate more than CASE_CAP cases."""
+
+
+CASE_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -101,11 +104,10 @@ class SearchEngine:
     """Shared immutable context plus the propagation/enumeration kernels."""
 
     def __init__(self, table: OrbitTable, poset: OrbitPoset,
-                 checks: dict[str, SubgroupCheck], cap: int = 1 << 20):
+                 checks: dict[str, SubgroupCheck]):
         self.table = table
         self.poset = poset
         self.checks = checks
-        self.cap = cap
         self.chi_delta = chi_deltas(table)
         self.link_delta = link_x1_deltas(table)
         self.top_oid = table.oid(f"{table.n}.0")
@@ -150,13 +152,14 @@ class SearchEngine:
         return sum(w for o, w in check.weights if st.t_bits >> o & 1)
 
     def _complete(self, st: TypeAssignment, orbits, leaf, stats: SearchStats,
-                  cap_message: str) -> None:
+                  what: str) -> None:
         """Call ``leaf`` on every assignment of the still-free ``orbits``
         that survives propagation; orbits are branched in the given order,
-        TRUE first.  More than ``cap`` complete cases raise CaseCapExceeded."""
+        TRUE first.  More than CASE_CAP complete cases raise
+        CaseCapExceeded."""
         assigned = st.t_bits | st.f_bits
         free = [o for o in orbits if not assigned >> o & 1]
-        budget = self.cap
+        budget = CASE_CAP
 
         def rec(s: TypeAssignment, k: int) -> None:
             nonlocal budget
@@ -166,7 +169,7 @@ class SearchEngine:
             if k == len(free):
                 budget -= 1
                 if budget < 0:
-                    raise CaseCapExceeded(cap_message)
+                    raise CaseCapExceeded(f"{what}: more than {CASE_CAP} cases")
                 leaf(s)
                 return
             o = free[k]
@@ -189,14 +192,12 @@ class SearchEngine:
             else:
                 stats.prunes_by_chi += 1
 
-        self._complete(st, check.governed, leaf, stats,
-                       f"{check.name}: more than {self.cap} cases")
+        self._complete(st, check.governed, leaf, stats, check.name)
         stats.cases_enumerated += len(out)
         return out
 
     def leaf_survivors(self, st: TypeAssignment, stats: SearchStats,
-                       link_check: bool = True,
-                       collect_cases: list | None = None) -> list[TypeAssignment]:
+                       link_check: bool = True) -> list[TypeAssignment]:
         """Resolve all remaining free orbits against chi(Delta) = 1, then
         test chi(Link(Delta, x1)) = 1 on each chi-feasible assignment."""
         survivors: list[TypeAssignment] = []
@@ -207,15 +208,13 @@ class SearchEngine:
                 stats.prunes_by_chi += 1
                 return
             stats.leaf_chi1 += 1
-            if collect_cases is not None:
-                collect_cases.append(s)
             if link_check and s.chi_link != 1:
                 stats.prunes_by_link += 1
             else:
                 survivors.append(s)
 
         self._complete(st, range(1, self.table.orbit_count), leaf, stats,
-                       f"leaf: more than {self.cap} residual cases")
+                       "leaf")
         return survivors
 
     def schedule_checks(self, schedule: Schedule) -> list[SubgroupCheck]:
@@ -225,13 +224,6 @@ class SearchEngine:
         if not ordered[-1].is_identity or any(c.is_identity for c in ordered[:-1]):
             raise ValueError("the identity subgroup must close the schedule")
         return ordered
-
-
-def survivor_states(state: TypeAssignment) -> dict[str, str]:
-    """Canonical label -> T/F map for a fully assigned state."""
-    table = state.table
-    return {table.label(o): state.state(o)
-            for o in range(1, table.orbit_count)}
 
 
 def _walk(engine: SearchEngine, checks: list[SubgroupCheck], st: TypeAssignment,
@@ -258,7 +250,11 @@ def run_search(engine: SearchEngine, schedule: Schedule, link_check: bool = True
     found = _walk(engine, checks, engine.initial_state(), 0, stats,
                   link_check, audit)
     found.sort(key=lambda s: s.t_bits)
+    labels = [(o, engine.table.label(o))
+              for o in range(1, engine.table.orbit_count)]
     return SearchReport(
         schedule=schedule.name, link_check=link_check,
-        feasible_functions=[survivor_states(s) for s in found],
+        # canonical label -> T/F map of each surviving full assignment
+        feasible_functions=[{label: s.state(o) for o, label in labels}
+                            for s in found],
         stats=stats)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from elusive14.bundle import build_campaign
 from elusive14.oracle import BooleanFunction
+from elusive14.orbits import iter_bits
 from elusive14.perm import Permutation, generate, parse_cycles
 
 
@@ -67,13 +68,44 @@ def random_monotone_bits(table, poset, rng: random.Random,
     return t
 
 
+def true_masks(a) -> list[int]:
+    """Every face of an assignment's complex except the empty face."""
+    return [m for o in iter_bits(a.t_bits) for m in a.table.members[o]]
+
+
+def explicit_euler(faces) -> int:
+    """Alternating-sum chi of an explicit mask family; the empty mask is
+    skipped per the size >= 1 summation."""
+    return sum((-1) ** (m.bit_count() + 1) for m in faces if m)
+
+
+def link(a, v: int) -> set[int]:
+    """Explicit link of a full assignment at variable x_v (1-based): faces
+    t - {x_v} for TRUE faces t containing x_v.  May contain the empty
+    mask."""
+    assert a.is_fully_assigned()
+    bit = 1 << (v - 1)
+    return {m ^ bit for m in true_masks(a) if m & bit}
+
+
 def r_vector(a) -> list[int]:
     """Reference face counts of a full assignment, counted over its explicit
     faces: r[k] faces of size k, r[0] = 1 for the empty face."""
     r = [1] + [0] * a.table.n
-    for m in a.true_masks():
+    for m in true_masks(a):
         r[m.bit_count()] += 1
     return r
+
+
+def restricted_true(f: BooleanFunction, v: int) -> BooleanFunction:
+    """f with variable x_v (1-based) answered 1, on the remaining n-1
+    variables."""
+    bit = 1 << (v - 1)
+    low = bit - 1
+    tab = bytearray(1 << (f.n - 1))
+    for m in range(1 << (f.n - 1)):
+        tab[m] = f.table[(m & low) | ((m & ~low) << 1) | bit]
+    return BooleanFunction(f.n - 1, tab, monotone=f.monotone)
 
 
 def opposite(f: BooleanFunction) -> BooleanFunction:

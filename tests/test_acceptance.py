@@ -18,11 +18,11 @@ import time
 
 import pytest
 
-from conftest import opposite, r_vector, random_monotone_bits
+from conftest import (explicit_euler, link, opposite, r_vector,
+                      random_monotone_bits)
 from elusive14.bundle import expand_labels, load_group_specs
 from elusive14.complexes import (FALSE, TRUE, TypeAssignment, chi_deltas,
-                                 explicit_euler, link, link_euler_fast,
-                                 link_x1_deltas)
+                                 link_euler_fast, link_x1_deltas)
 from elusive14.oracle import (BooleanFunction, decision_tree_depth,
                               enumerate_monotone,
                               exhaustive_conjecture_check,

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from elusive14 import perm
+from elusive14 import perm, search
 from elusive14.bundle import load_json
 from elusive14.cli import main, verify14
 from elusive14.orbits import mask_from_points
@@ -113,6 +113,14 @@ def test_malformed_witnesses_exit_two(capsys, tmp_path, name, change):
     assert "Traceback" not in err
 
 
+def _case_study_with_step_1(key, value):
+    def body():
+        raw = load_json("case_study.json")
+        raw["steps"][0][key] = value
+        return raw
+    return body
+
+
 def _subgroups_with_unknown_type():
     raw = load_json("subgroups.json")
     raw["subgroups"][0]["printed_type"] = "psi_5"
@@ -128,9 +136,21 @@ def _subgroups_with_unknown_type():
     (["replay-appendix", "--case-study-file"],
      _case_study_without_anchor_points),
     (["verify14", "--subgroups-file"], _subgroups_with_unknown_type),
+    (["replay-appendix", "--case-study-file"],
+     _case_study_with_step_1("select", {"set": [["9.99", "T"]],
+                                        "default_free": "F"})),
+    (["replay-appendix", "--case-study-file"],
+     _case_study_with_step_1("subgroup", "G6_99")),
+    (["replay-appendix", "--case-study-file"],
+     _case_study_with_step_1("subgroup", "G6_1")),
+    (["replay-appendix", "--case-study-file"],
+     _case_study_with_step_1("select", 5)),
+    (["replay-appendix", "--case-study-file"],
+     _case_study_with_step_1("theta_t", 5)),
 ], ids=["groups {}", "groups []", "subgroups {}", "case study {}",
         "block without points", "union anchor without points",
-        "unknown printed type"])
+        "unknown printed type", "selector label 9.99", "subgroup G6_99",
+        "identity subgroup G6_1", "select 5", "theta_t 5"])
 def test_malformed_override_files_exit_two(capsys, tmp_path, argv, body):
     path = tmp_path / "override.json"
     path.write_text(json.dumps(body() if callable(body) else body))
@@ -305,9 +325,9 @@ def test_numeric_flags_are_range_checked(capsys):
     for argv in (["conjecture-check", "--n", "-1"],
                  ["conjecture-check", "--n", "0"],
                  ["conjecture-check", "--n", "6"],
-                 ["verify14", "--cap", "0"],
-                 ["verify14", "--cap", "-1"],
-                 ["replay-appendix", "--cap", "0"]):
+                 ["verify14", "--cap", "5"],
+                 ["verify14", "--schedule", "alternate"],
+                 ["replay-appendix", "--cap", "5"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
@@ -315,6 +335,17 @@ def test_numeric_flags_are_range_checked(capsys):
         assert "usage:" in err and "Traceback" not in err
     code, out = run_cli(capsys, "--format", "json", "conjecture-check", "--n", "1")
     assert code == 0 and json.loads(out)["monotone_functions"] == 3
+
+
+@pytest.mark.parametrize("command", ["verify14", "replay-appendix"])
+def test_case_cap_exits_two(capsys, monkeypatch, command):
+    monkeypatch.setattr(search, "CASE_CAP", 1)
+    assert main([command]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2, lines
+    assert lines[0].startswith("error: ")
+    assert lines[0].endswith(": more than 1 cases"), lines[0]
+    assert lines[1].startswith("(bundled data digests: ")
 
 
 def test_replay_cli(capsys):
@@ -372,6 +403,8 @@ def test_text_rendering(capsys):
 # SHA-256 of the canonical JSON of each command; a change to any of these
 # outputs must be deliberate
 CANONICAL_DIGESTS = {
+    ("verify14",):
+        "3930cd017fc8bd3fa218d4082bbf09366a88da6aca969688061c35c4bdfe1e75",
     ("verify14", "--seed-independent"):
         "60a2491915c130c82528f08b868c8e58f7693846f48191645f2737245de2e55d",
     ("replay-appendix",):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import act, opposite
+from conftest import act, opposite, restricted_true
 from elusive14 import oracle
 from elusive14.complexes import TypeAssignment, euler
 from elusive14.oracle import (ArityError, BooleanFunction, ConjectureReport,
@@ -15,7 +15,6 @@ from elusive14.oracle import (ArityError, BooleanFunction, ConjectureReport,
                               enumerate_monotone, euler_of_bitvector,
                               exhaustive_conjecture_check,
                               is_elusive,
-                              restriction_lemma_check,
                               sample_invariant_function,
                               _relabelling_classes)
 from elusive14.orbits import OrbitPoset, OrbitTable
@@ -156,7 +155,7 @@ def test_subtree_bound_for_invariant_functions():
         f = BooleanFunction.from_bitvector(4, bits, monotone=True)
         d = decision_tree_depth(f)
         for v in range(1, 5):
-            assert d >= 1 + decision_tree_depth(f.restricted_true(v))
+            assert d >= 1 + decision_tree_depth(restricted_true(f, v))
         checked += 1
     assert checked > 0
 
@@ -167,7 +166,7 @@ def test_restricted_true_matches_definition():
         n = rng.randint(2, 5)
         f = BooleanFunction.from_bitvector(n, rng.getrandbits(1 << n))
         v = rng.randint(1, n)
-        g = f.restricted_true(v)
+        g = restricted_true(f, v)
         bit = 1 << (v - 1)
         low = bit - 1
         for m in range(1 << (n - 1)):
@@ -391,12 +390,23 @@ def test_non_elusive_implies_chi_one_at_n4():
 
 
 def test_restriction_lemma_cyclic_six(c6):
-    rep = restriction_lemma_check(c6, 50, seed=7)
-    assert rep.samples == 50
-    assert rep.lemma_applicable > 0
-    assert rep.ok
-    with pytest.raises(ArityError):
-        restriction_lemma_check(generate([parse_cycles("(1,2,3,4,5,6,7,8,9)", 9)]), 1)
+    # for invariant functions of a transitive group: one elusive
+    # one-variable restriction forces full depth (the lemma) and makes every
+    # one-variable restriction elusive (the remark)
+    table = OrbitTable(c6)
+    poset = OrbitPoset(table)
+    rng = random.Random(7)
+    applicable = 0
+    for _ in range(50):
+        f = sample_invariant_function(table, poset, rng,
+                                      seed_orbits=rng.randint(1, 4))
+        elusive_links = [decision_tree_depth(restricted_true(f, v)) == 5
+                         for v in range(1, 7)]
+        if any(elusive_links):
+            applicable += 1
+            assert all(elusive_links)
+            assert decision_tree_depth(f) == 6
+    assert applicable > 0
 
 
 def test_euler_agrees_with_complex_module(c6):
@@ -557,7 +567,7 @@ def test_group_follows_the_function(c6):
     f = sample_invariant_function(table, OrbitPoset(table), random.Random(64))
     assert f.group is c6
     assert opposite(f).group is c6
-    assert f.restricted_true(1).group is None
+    assert restricted_true(f, 1).group is None
     assert BooleanFunction.from_bitvector(2, 0b0111).group is None
 
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from elusive14 import search
 from elusive14.complexes import (FALSE, TRUE, TypeAssignment, assert_monotone,
                                  euler, fixed_point_complex, link_euler_fast)
 from elusive14.search import (CaseCapExceeded, SearchStats, condition_met,
@@ -199,10 +200,10 @@ def test_states_reverify_with_fixed_point_complex(campaign):
     assert frontier
 
 
-def test_case_cap(campaign):
-    engine = campaign.engine(cap=1)
+def test_case_cap(campaign, monkeypatch):
+    monkeypatch.setattr(search, "CASE_CAP", 1)
     with pytest.raises(CaseCapExceeded):
-        run_search(engine, campaign.schedule("default"))
+        run_search(campaign.engine(), campaign.schedule("default"))
 
 
 def test_schedule_validation(campaign):
