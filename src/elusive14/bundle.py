@@ -6,6 +6,13 @@ branch data.  Published orbit labels carry no meaning of their own; the
 representative sets printed next to them are the anchors that tie them to
 canonical orbit ids, and every comparison against published label sets is
 restricted to anchored labels.
+
+Each JSON input, bundled or user-supplied, has one declared shape here:
+the three files above, an external group file and an assignment file.
+``_conform`` checks a file against its shape when it loads, so every key
+the program reads has the declared type.  Checks that relate one field to
+another stay in code: a witness's kind against its keys (when the witness
+is used), and the subgroups and anchors against the rebuilt groups.
 """
 
 from __future__ import annotations
@@ -27,6 +34,91 @@ class DataIntegrityError(Exception):
     """Bundled or user-supplied input data fails a consistency check."""
 
 
+def _conform(value, shape, where: str):
+    """Return the parsed JSON ``value`` if it has ``shape``, else raise
+    DataIntegrityError naming ``where``, the path inside it and the kind
+    expected there.  A shape is a type (an int is never a bool), a range
+    or set of allowed values, [shape] for a list of such values, a tuple
+    for a list of fixed length, or a dict of keys, where a key ending in
+    '?' is optional and keys it does not name are ignored."""
+    if isinstance(shape, dict):
+        ok, kind = isinstance(value, dict), "an object"
+    elif isinstance(shape, list):
+        ok, kind = isinstance(value, list), "a list"
+    elif isinstance(shape, tuple):
+        ok = isinstance(value, list) and len(value) == len(shape)
+        kind = f"a list of {len(shape)}"
+    elif isinstance(shape, type):
+        ok = type(value) is shape
+        kind = {int: "an integer", str: "a string"}[shape]
+    else:
+        ok = type(value) is type(next(iter(shape))) and value in shape
+        kind = (f"an integer in {shape.start}..{shape.stop - 1}"
+                if isinstance(shape, range)
+                else "one of " + ", ".join(sorted(map(repr, shape))))
+    if not ok:
+        raise DataIntegrityError(f"{where}: expected {kind}")
+    if isinstance(shape, dict):
+        for key, sub in shape.items():
+            name = key.rstrip("?")
+            if name in value:
+                _conform(value[name], sub, f"{where}: {name}")
+            elif name == key:
+                raise DataIntegrityError(f"{where}: lacks {name!r}")
+    elif isinstance(shape, (list, tuple)):
+        subs = shape if isinstance(shape, tuple) else shape * len(value)
+        for i, (item, sub) in enumerate(zip(value, subs)):
+            _conform(item, sub, f"{where}[{i}]")
+    return value
+
+
+def _fields(entry: dict, shape: dict) -> dict:
+    """The keys of ``entry`` that ``shape`` names."""
+    return {k: entry[k] for k in (key.rstrip("?") for key in shape)
+            if k in entry}
+
+
+# Group files are read for degree-14 work; the cap keeps a typo such as
+# degree 300000 from building degree-sized tuples for every generator, and
+# keeps a closure that reaches perm's element cap at about 70 MiB
+MAX_GROUP_DEGREE = 32
+_POINT = range(1, MAX_GROUP_DEGREE + 1)
+_STATE = {"T", "F"}
+
+_CONDITION_OF_PRINTED_TYPE = {
+    "identity": ("exact", 1), "cyclic": ("exact", 1), "psi_2": ("exact", 1),
+    "psi_3": ("exact", 1), "psi_7": ("exact", 1), "psi_2_2": ("mod", 2)}
+
+# the witness is checked when it is used, under "<group>: bad witness"
+_WITNESS = {"kind": {"psi_p", "psi_pq"}, "p": int, "q?": int,
+            "p_generators": [str], "h_generators?": [str]}
+_GROUP = {"name": str, "generators": [str], "printed_order": int,
+          "printed_orbit_total?": int, "printed_generators?": [str],
+          "errata?": [str], "expected_method?": {
+              "cyclic", "psi_p", "psi_pq", "sylow_lemma", "search"},
+          "order_note?": str, "witness_order?": int}
+_GROUPS = {"degree": _POINT, "groups": [_GROUP]}
+# a published block or union anchor: 1-based points and the printed label
+# of the orbit they represent
+_ANCHOR = {"points": [_POINT], "printed_orbit": str, "erratum?": str}
+_SUBGROUP = {"name": str, "generators": [str],
+             "printed_type": set(_CONDITION_OF_PRINTED_TYPE),
+             "blocks": [_ANCHOR], "type_erratum?": str}
+_CASE_STUDY = {
+    "steps": [{"step": int, "subgroup": str, "printed_cases": int,
+               "select": {"set?": [(str, _STATE)], "default_free?": _STATE},
+               "theta_t": [str], "theta_f": [str], "errata?": [str]}],
+    "final": {"chi": int, "chi_link": int, "computed_free_orbits": int,
+              "computed_cases_with_chi_1": int, "cases_passing_link": int,
+              "published_free_orbits": int, "published_free_labels": [str],
+              "published_cases_with_chi_1": int},
+    "union_anchors?": [_ANCHOR],
+    "combination_table": {k: [(str, int)] for k in "123"}}
+_GROUP_FILE = {"name": str, "degree": _POINT, "generators": [str]}
+# an assignment file: {"orbit": "level.index", "state": "T"|"F"} entries
+ASSIGNMENT = [{"orbit": str, "state": _STATE}]
+
+
 def _read_data(name: str, override: str | None = None) -> bytes:
     if override is not None:
         with open(override, "rb") as fh:
@@ -34,8 +126,14 @@ def _read_data(name: str, override: str | None = None) -> bytes:
     return resources.files("elusive14.data").joinpath(name).read_bytes()
 
 
-def load_json(name: str, override: str | None = None) -> dict:
-    return json.loads(_read_data(name, override).decode("utf-8"))
+def load_json(name: str, override: str | None = None, shape=None):
+    """A bundled data file (or its override), checked against ``shape``."""
+    where = override or name
+    try:
+        raw = json.loads(_read_data(name, override).decode("utf-8"))
+    except ValueError as exc:
+        raise DataIntegrityError(f"{where}: {exc}") from exc
+    return raw if shape is None else _conform(raw, shape, where)
 
 
 def data_digests() -> dict[str, str]:
@@ -64,11 +162,11 @@ def expand_labels(entries: list[str]) -> list[str]:
 class GroupSpec:
     name: str
     degree: int
-    generators: tuple[str, ...]
+    generators: list[str]
     printed_order: int
     printed_orbit_total: int | None = None
-    printed_generators: tuple[str, ...] | None = None
-    errata: tuple[str, ...] = ()
+    printed_generators: list[str] | None = None
+    errata: list[str] = field(default_factory=list)
     witness: dict | None = None
     expected_method: str | None = None
     order_note: str | None = None
@@ -83,81 +181,43 @@ class GroupSpec:
 
     def oliver_witness(self) -> OliverWitness | None:
         """The printed witness, or None; raises DataIntegrityError unless
-        it has an integer p, a generator list, and either q and
-        h_generators both (an integer and a generator list) with kind
-        psi_pq, or neither with kind psi_p."""
+        it has the witness shape and either q and h_generators both, with
+        kind psi_pq, or neither, with kind psi_p."""
         w = self.witness
         if w is None:
             return None
+        where = f"{self.name}: bad witness"
+        _conform(w, _WITNESS, where)
+        if (("q" in w) != ("h_generators" in w)
+                or w["kind"] != ("psi_pq" if "q" in w else "psi_p")):
+            raise DataIntegrityError(f"{where}: kind psi_pq goes with q and "
+                                     "h_generators, psi_p with neither")
         try:
-            if not isinstance(w, dict):
-                raise ValueError(f"{w!r} is not an object")
-            if ("q" in w) != ("h_generators" in w):
-                raise ValueError("q and h_generators must come together")
-            kind = "psi_pq" if "q" in w else "psi_p"
-            if w.get("kind") != kind:
-                raise ValueError(f"kind {w.get('kind')!r} should be {kind!r}")
-            if type(w.get("p")) is not int or type(w.get("q", 0)) is not int:
-                raise ValueError("p and q must be integers")
-            pg = self._parse_all(w.get("p_generators"))
+            pg = self._parse_all(w["p_generators"])
             hg = (self._parse_all(w["h_generators"]) if "h_generators" in w
                   else None)
         except ValueError as exc:
-            raise DataIntegrityError(f"{self.name}: bad witness: {exc}") from exc
+            raise DataIntegrityError(f"{where}: {exc}") from exc
         return OliverWitness(p=w["p"], q=w.get("q"), p_generators=pg,
                              h_generators=hg)
 
-    def _parse_all(self, generators) -> tuple[Permutation, ...]:
-        if not isinstance(generators, list):
-            raise ValueError(f"generators {generators!r} are not a list")
+    def _parse_all(self, generators: list[str]) -> tuple[Permutation, ...]:
         return tuple(parse_cycles(s, self.degree) for s in generators)
 
 
-# Group files are read for degree-14 work; the cap keeps a typo such as
-# degree 300000 from building degree-sized tuples for every generator, and
-# keeps a closure that reaches perm's element cap at about 70 MiB
-MAX_GROUP_DEGREE = 32
-
-
-def _degree(value) -> int:
-    """A group table's degree: a positive integer (JSON true is not one)
-    of at most MAX_GROUP_DEGREE."""
-    if type(value) is not int or value < 1:
-        raise ValueError(f"degree {value!r} is not a positive integer")
-    if value > MAX_GROUP_DEGREE:
-        raise ValueError(f"degree {value} exceeds the cap of "
-                         f"{MAX_GROUP_DEGREE}")
-    return value
-
-
 def load_group_specs(override: str | None = None) -> dict[str, GroupSpec]:
-    raw = load_json("groups.json", override)
-    try:
-        degree = _degree(raw["degree"])
-        return {g["name"]: GroupSpec(
-            name=g["name"], degree=degree,
-            generators=tuple(g["generators"]),
-            printed_order=g["printed_order"],
-            printed_orbit_total=g.get("printed_orbit_total"),
-            printed_generators=(tuple(g["printed_generators"])
-                                if "printed_generators" in g else None),
-            errata=tuple(g.get("errata", ())),
-            witness=g.get("witness"),
-            expected_method=g.get("expected_method"),
-            order_note=g.get("order_note"),
-            witness_order=g.get("witness_order")) for g in raw["groups"]}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataIntegrityError(
-            f"{override or 'groups.json'}: bad group table: {exc!r}") from exc
+    raw = load_json("groups.json", override, _GROUPS)
+    return {g["name"]: GroupSpec(**_fields(g, _GROUP), degree=raw["degree"],
+                                 witness=g.get("witness"))
+            for g in raw["groups"]}
 
 
 @dataclass(frozen=True)
 class SubgroupSpec:
     name: str
-    gap_subgroup_index: int
-    generators: tuple[str, ...]
+    generators: list[str]
     printed_type: str
-    blocks: tuple[dict, ...]
+    blocks: list[dict]
     type_erratum: str | None = None
 
     @property
@@ -171,110 +231,27 @@ class SubgroupSpec:
 
 
 def load_subgroup_specs(override: str | None = None) -> list[SubgroupSpec]:
-    raw = load_json("subgroups.json", override)
-    where = override or "subgroups.json"
-    try:
-        specs = [SubgroupSpec(
-            name=s["name"], gap_subgroup_index=s["gap_subgroup_index"],
-            generators=tuple(s["generators"]), printed_type=s["printed_type"],
-            blocks=tuple(s["blocks"]), type_erratum=s.get("type_erratum"))
-            for s in raw["subgroups"]]
-    except (KeyError, TypeError) as exc:
-        raise DataIntegrityError(
-            f"{where}: bad subgroup table: {exc!r}") from exc
-    for spec in specs:
-        if not (isinstance(spec.printed_type, str)
-                and spec.printed_type in _CONDITION_OF_PRINTED_TYPE):
-            raise DataIntegrityError(f"{where}: {spec.name}: unknown printed "
-                                     f"type {spec.printed_type!r}")
-        for block in spec.blocks:
-            _require_anchor(block, f"{where} {spec.name} block")
-    return specs
-
-
-_STEP_KEYS = ("step", "subgroup", "printed_cases", "select", "theta_t",
-              "theta_f")
-_FINAL_KEYS = ("chi", "chi_link", "computed_free_orbits",
-               "computed_cases_with_chi_1", "cases_passing_link",
-               "published_free_orbits", "published_free_labels",
-               "published_cases_with_chi_1")
-
-
-def _require_keys(obj, keys, where: str) -> None:
-    if not isinstance(obj, dict) or not set(keys) <= obj.keys():
-        raise DataIntegrityError(
-            f"{where} needs an object with keys {', '.join(keys)}")
-
-
-def _require_anchor(entry, where: str) -> None:
-    """A published block or union anchor: a list of 1-based points and the
-    printed orbit label they represent."""
-    _require_keys(entry, ("points", "printed_orbit"), where)
-    points = entry["points"]
-    if not (isinstance(points, list) and isinstance(entry["printed_orbit"], str)
-            and all(type(p) is int and p >= 1 for p in points)):
-        raise DataIntegrityError(
-            f"{where}: points must be a list of positive integers and "
-            "printed_orbit a string")
-
-
-def _strings(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
-def _require_step(step, where: str) -> None:
-    """A published branch step: a subgroup name, an integer case count, T/F
-    label lists, and a selector object whose optional ``set`` lists
-    [label, "T"|"F"] pairs and whose ``default_free`` is "T" or "F"."""
-    _require_keys(step, _STEP_KEYS, where)
-    select = step["select"]
-    pairs = select.get("set", []) if isinstance(select, dict) else None
-    if not (isinstance(step["subgroup"], str)
-            and type(step["printed_cases"]) is int
-            and all(_strings(step.get(k, []))
-                    for k in ("theta_t", "theta_f", "errata"))
-            and isinstance(pairs, list)
-            and all(_strings(p) and len(p) == 2 and p[1] in ("T", "F")
-                    for p in pairs)
-            and select.get("default_free", "F") in ("T", "F")):
-        raise DataIntegrityError(
-            f"{where}: needs a subgroup name, an integer printed_cases, "
-            "string lists theta_t, theta_f and errata, and a select object "
-            'whose set lists [label, "T"|"F"] pairs')
+    raw = load_json("subgroups.json", override, {"subgroups": [_SUBGROUP]})
+    return [SubgroupSpec(**_fields(s, _SUBGROUP)) for s in raw["subgroups"]]
 
 
 def load_case_study(override: str | None = None) -> dict:
     """The worked-example data, with every key replay_case_study reads."""
-    raw = load_json("case_study.json", override)
-    where = override or "case_study.json"
-    _require_keys(raw, ("steps", "final", "combination_table"), where)
-    if not isinstance(raw["steps"], list):
-        raise DataIntegrityError(f"{where}: steps must be a list")
-    for step in raw["steps"]:
-        _require_step(step, f"{where} step")
-    _require_keys(raw["final"], _FINAL_KEYS, f"{where} final")
-    _require_keys(raw["combination_table"], ("1", "2", "3"),
-                  f"{where} combination_table")
-    anchors = raw.get("union_anchors", [])
-    if not isinstance(anchors, list):
-        raise DataIntegrityError(f"{where}: union_anchors must be a list")
-    for entry in anchors:
-        _require_anchor(entry, f"{where} union anchor")
-    return raw
+    return load_json("case_study.json", override, _CASE_STUDY)
 
 
 def load_group_file(path: str) -> tuple[str, PermGroup]:
-    """Read an external group file {name, degree, generators: [...]}: a
-    positive integer degree and a nonempty list of cycle strings; the
-    closure cap is not a data error and propagates."""
+    """Read an external group file {name, degree, generators: [...]}; a
+    file whose generators do not parse or are empty is a data error, the
+    closure cap is not and propagates."""
+    where = f"bad group file {path}"
     try:
         with open(path, "rb") as fh:
-            raw = json.load(fh)
-        degree = _degree(raw["degree"])
-        return raw["name"], generate([parse_cycles(g, degree)
+            raw = _conform(json.load(fh), _GROUP_FILE, where)
+        return raw["name"], generate([parse_cycles(g, raw["degree"])
                                       for g in raw["generators"]])
-    except (OSError, KeyError, ValueError, TypeError) as exc:
-        raise DataIntegrityError(f"bad group file {path}: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        raise DataIntegrityError(f"{where}: {exc}") from exc
 
 
 @dataclass
@@ -323,16 +300,6 @@ def build_anchor_map(table: OrbitTable, subgroup_specs: list[SubgroupSpec],
         label_to_oid[label] = oid
         oid_to_label[oid] = label
     return AnchorMap(label_to_oid, skipped)
-
-
-_CONDITION_OF_PRINTED_TYPE = {
-    "identity": ("exact", 1),
-    "cyclic": ("exact", 1),
-    "psi_2": ("exact", 1),
-    "psi_3": ("exact", 1),
-    "psi_7": ("exact", 1),
-    "psi_2_2": ("mod", 2),
-}
 
 
 @dataclass
@@ -389,10 +356,12 @@ def build_campaign(groups_file: str | None = None,
     table = OrbitTable(g6)
     poset = OrbitPoset(table)
 
-    sub_specs = {s.name: s for s in load_subgroup_specs(subgroups_file)}
-    missing = {f"G6_{i}" for i in range(1, 12)} - set(sub_specs)
-    if missing:
-        raise DataIntegrityError(f"subgroup table lacks {sorted(missing)}")
+    sub_list = load_subgroup_specs(subgroups_file)
+    if (sorted(s.name for s in sub_list)
+            != sorted(f"G6_{i}" for i in range(1, 12))):
+        raise DataIntegrityError(f"{subgroups_file or 'subgroups.json'}: "
+                                 "the subgroups must be G6_1..G6_11, each once")
+    sub_specs = {s.name: s for s in sub_list}
     subgroups: dict[str, PermGroup] = {}
     classifications: dict[str, Classification] = {}
     checks: dict[str, SubgroupCheck] = {}
@@ -402,7 +371,8 @@ def build_campaign(groups_file: str | None = None,
             raise DataIntegrityError(f"{name} is not a subgroup of G6")
         printed = sorted(tuple(sorted(b["points"])) for b in spec.blocks)
         computed = sorted(tuple(p + 1 for p in orb) for orb in H.point_orbits())
-        if spec.blocks and printed != computed:
+        # only the identity's record lists no blocks
+        if (spec.blocks or H.order > 1) and printed != computed:
             raise DataIntegrityError(f"{name}: published blocks do not match "
                                      f"the recomputed variable orbits")
         cls = classify(H)

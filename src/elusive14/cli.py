@@ -13,9 +13,9 @@ import sys
 import time
 
 from . import __version__
-from .bundle import (Campaign, DataIntegrityError, build_campaign,
-                     data_digests, load_group_file, load_group_specs,
-                     load_subgroup_specs)
+from .bundle import (ASSIGNMENT, Campaign, DataIntegrityError, _conform,
+                     build_campaign, data_digests, load_group_file,
+                     load_group_specs, load_subgroup_specs)
 from .complexes import (IndeterminateFace, TypeAssignment, assert_monotone,
                         euler, fixed_point_complex, link_euler_fast)
 from .oracle import (BooleanFunction, DepthSolver, exhaustive_conjecture_check)
@@ -51,21 +51,16 @@ def _load_assignment(args) -> tuple[str, TypeAssignment]:
     """The group argument's name and the assignment file over its orbits:
     a JSON list of {"orbit": "level.index", "state": "T"|"F"} whose TRUE
     orbits lie above no FALSE orbit."""
-    name, group = _resolve_group(args.groupfile)
-    table = OrbitTable(group)
     path = args.assignment
     with open(path, "rb") as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, list):
-        raise ValueError(f"{path}: an assignment is a JSON list of "
-                         '{"orbit": ..., "state": ...} entries')
+        raw = _conform(json.load(fh), ASSIGNMENT, path)
     states = {}
     for entry in raw:
-        if not isinstance(entry, dict) or not isinstance(entry.get("orbit"), str):
-            raise ValueError(f"{path}: bad assignment entry {entry!r}")
         if entry["orbit"] in states:
             raise ValueError(f"{path}: orbit {entry['orbit']} is listed twice")
-        states[entry["orbit"]] = entry.get("state")
+        states[entry["orbit"]] = entry["state"]
+    name, group = _resolve_group(args.groupfile)
+    table = OrbitTable(group)
     assignment = TypeAssignment.from_states(table, OrbitPoset(table), states)
     if not assert_monotone(assignment):
         raise ValueError(f"{args.command} needs a downward-closed assignment: "

@@ -3,6 +3,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elusive14 import perm, search
 from elusive14.bundle import load_json
@@ -71,6 +73,42 @@ def test_closure_cap_bounds_a_large_group_file(capsys, tmp_path):
         "error: closure exceeded cap of 100000 elements")
 
 
+# any JSON value, and cycle strings over small degrees, so that a drawn
+# group file that parses has at most 7! elements
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats()
+    | st.text(max_size=6),
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.dictionaries(st.text(max_size=8), kids, max_size=4)),
+    max_leaves=6)
+_cycles = st.lists(st.lists(st.integers(0, 7), max_size=4), max_size=3).map(
+    lambda cycles: "".join(f"({','.join(map(str, c))})" for c in cycles))
+
+
+@settings(max_examples=75, deadline=None)
+@given(_json | st.fixed_dictionaries({
+    "name": st.text(max_size=4) | _json,
+    "degree": st.integers(-1, 7) | _json,
+    "generators": st.lists(_cycles | _json, max_size=3) | _json}))
+def test_random_group_files_keep_the_exit_contract(tmp_path_factory, body):
+    path = tmp_path_factory.getbasetemp() / "fuzzed_group.json"
+    path.write_text(json.dumps(body))
+    assert main(["group", "order", str(path)]) in (0, 1, 2)
+
+
+# every drawn list that has the assignment shape builds G6's orbit table
+@settings(max_examples=50, deadline=None)
+@given(_json | st.lists(st.fixed_dictionaries({
+    "orbit": st.sampled_from(["1.0", "2.1", "3.1", "14.0", "0.0", "99.0",
+                              "x"]) | _json,
+    "state": st.sampled_from(["T", "F", "X"]) | _json}), max_size=4))
+def test_random_assignment_files_keep_the_exit_contract(tmp_path_factory,
+                                                        body):
+    path = tmp_path_factory.getbasetemp() / "fuzzed_assignment.json"
+    path.write_text(json.dumps(body))
+    assert main(["euler", "G6", str(path)]) in (0, 1, 2)
+
+
 def _subgroups_without_block_points():
     raw = load_json("subgroups.json")
     first = next(s for s in raw["subgroups"] if s["blocks"])
@@ -113,17 +151,25 @@ def test_malformed_witnesses_exit_two(capsys, tmp_path, name, change):
     assert "Traceback" not in err
 
 
-def _case_study_with_step_1(key, value):
+def _changed(name, *keys, value):
+    """A copy of a bundled data file with the entry at ``keys`` replaced."""
     def body():
-        raw = load_json("case_study.json")
-        raw["steps"][0][key] = value
+        raw = load_json(name)
+        entry = raw
+        for key in keys[:-1]:
+            entry = entry[key]
+        entry[keys[-1]] = value
         return raw
     return body
 
 
-def _subgroups_with_unknown_type():
+def _case_study_with_step_1(key, value):
+    return _changed("case_study.json", "steps", 0, key, value=value)
+
+
+def _subgroups_with_extra_name():
     raw = load_json("subgroups.json")
-    raw["subgroups"][0]["printed_type"] = "psi_5"
+    raw["subgroups"].append({**raw["subgroups"][1], "name": "H2"})
     return raw
 
 
@@ -135,7 +181,9 @@ def _subgroups_with_unknown_type():
     (["verify14", "--subgroups-file"], _subgroups_without_block_points),
     (["replay-appendix", "--case-study-file"],
      _case_study_without_anchor_points),
-    (["verify14", "--subgroups-file"], _subgroups_with_unknown_type),
+    (["verify14", "--subgroups-file"],
+     _changed("subgroups.json", "subgroups", 0, "printed_type",
+              value="psi_5")),
     (["replay-appendix", "--case-study-file"],
      _case_study_with_step_1("select", {"set": [["9.99", "T"]],
                                         "default_free": "F"})),
@@ -147,17 +195,65 @@ def _subgroups_with_unknown_type():
      _case_study_with_step_1("select", 5)),
     (["replay-appendix", "--case-study-file"],
      _case_study_with_step_1("theta_t", 5)),
+    (["replay-appendix", "--case-study-file"],
+     _changed("case_study.json", "combination_table", "1", value=5)),
+    (["replay-appendix", "--case-study-file"],
+     _changed("case_study.json", "combination_table", "2", 0, value=[5, 2])),
+    (["verify14", "--subgroups-file"],
+     _changed("subgroups.json", "subgroups", 1, "name", value=["G6_2"])),
+    (["replay-appendix", "--case-study-file"],
+     _case_study_with_step_1("step", [1])),
+    (["replay-appendix", "--case-study-file"],
+     _changed("case_study.json", "final", "chi", value="1")),
+    (["replay-appendix", "--case-study-file"],
+     _changed("case_study.json", "final", "chi", value=True)),
+    (["verify14", "--groups-file"],
+     _changed("groups.json", "groups", 0, "printed_order", value="14")),
+    (["replay-appendix", "--case-study-file"], b"{not json"),
+    (["verify14", "--subgroups-file"], _subgroups_with_extra_name),
 ], ids=["groups {}", "groups []", "subgroups {}", "case study {}",
         "block without points", "union anchor without points",
         "unknown printed type", "selector label 9.99", "subgroup G6_99",
-        "identity subgroup G6_1", "select 5", "theta_t 5"])
+        "identity subgroup G6_1", "select 5", "theta_t 5",
+        "combination row 5", "combination label 5", "subgroup name a list",
+        "step [1]", "final chi '1'", "final chi true", "printed_order '14'",
+        "not JSON", "extra subgroup H2"])
 def test_malformed_override_files_exit_two(capsys, tmp_path, argv, body):
     path = tmp_path / "override.json"
-    path.write_text(json.dumps(body() if callable(body) else body))
+    if isinstance(body, bytes):
+        path.write_bytes(body)
+    else:
+        path.write_text(json.dumps(body() if callable(body) else body))
     assert main([*argv, str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}"), err
     assert "Traceback" not in err
+
+
+def test_shape_errors_name_the_path_and_the_kind(capsys, tmp_path):
+    path = tmp_path / "case_study.json"
+    path.write_text(json.dumps(_case_study_with_step_1("step", [1])()))
+    assert main(["replay-appendix", "--case-study-file", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {path}: steps[0]: step: expected an integer\n")
+    path.write_text(json.dumps(_changed(
+        "case_study.json", "steps", 0, "select", "set", 0, 1, value="X")()))
+    assert main(["replay-appendix", "--case-study-file", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {path}: steps[0]: select: set[0][1]: expected one of "
+        "'F', 'T'\n")
+
+
+@pytest.mark.parametrize("command", ["verify14", "replay-appendix"])
+def test_non_identity_subgroup_without_blocks_exits_two(capsys, tmp_path,
+                                                        command):
+    # only the identity's record may list no blocks; G6_3 has six
+    path = tmp_path / "subgroups.json"
+    path.write_text(json.dumps(
+        _changed("subgroups.json", "subgroups", 2, "blocks", value=[])()))
+    assert main([command, "--subgroups-file", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: G6_3: published blocks do not match")
 
 
 def test_orbits_compute_byte_stable(capsys):

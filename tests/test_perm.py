@@ -42,6 +42,18 @@ def test_parse_errors():
         parse_cycles("(1,x)", 14)
 
 
+@settings(max_examples=200)
+@given(st.text(alphabet="(),0123456789 -_x", max_size=24) | st.text(),
+       st.integers(1, 14))
+def test_parse_cycles_on_arbitrary_text(text, n):
+    # a permutation of 1..n or a ParseError, never another exception
+    try:
+        sigma = parse_cycles(text, n)
+    except ParseError:
+        return
+    assert sorted(sigma.images) == list(range(n))
+
+
 @given(st.permutations(list(range(10))))
 def test_cycle_string_round_trip(images):
     from elusive14.perm import Permutation
