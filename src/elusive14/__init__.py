@@ -9,3 +9,9 @@ an exact decision-tree-depth oracle.
 """
 
 __version__ = "0.1.0"
+
+
+class InputError(Exception):
+    """Input the verifier cannot use: data that fails a check, or a group
+    or case count past a cap.  The CLI reports every such error as exit 2;
+    each subclass keeps its own base too."""

@@ -17,21 +17,34 @@ is used), and the subgroups and anchors against the rebuilt groups.
 
 from __future__ import annotations
 
-import hashlib
 import json
+import re
 from dataclasses import dataclass, field
 from importlib import resources
+from typing import TYPE_CHECKING
 
+from . import InputError
 from .orbits import OrbitPoset, OrbitTable, mask_from_points
 from .perm import (Classification, OliverWitness, PermGroup, Permutation,
                    classify, generate, identity, parse_cycles)
-from .search import Schedule, SearchEngine, SubgroupCheck, build_check
+
+if TYPE_CHECKING:
+    from .search import Schedule, SearchEngine, SubgroupCheck
 
 DATA_FILES = ("groups.json", "subgroups.json", "case_study.json")
 
 
-class DataIntegrityError(Exception):
+class DataIntegrityError(InputError):
     """Bundled or user-supplied input data fails a consistency check."""
+
+
+class _Text:
+    """A shape: a string that ``pattern`` matches in full, described as
+    ``kind`` when one does not."""
+
+    def __init__(self, pattern: str, kind: str):
+        self.pattern = re.compile(pattern)
+        self.kind = kind
 
 
 def _conform(value, shape, where: str):
@@ -39,8 +52,9 @@ def _conform(value, shape, where: str):
     DataIntegrityError naming ``where``, the path inside it and the kind
     expected there.  A shape is a type (an int is never a bool), a range
     or set of allowed values, [shape] for a list of such values, a tuple
-    for a list of fixed length, or a dict of keys, where a key ending in
-    '?' is optional and keys it does not name are ignored."""
+    for a list of fixed length, a _Text for a string of a given form, or
+    a dict of keys, where a key ending in '?' is optional and keys it does
+    not name are ignored."""
     if isinstance(shape, dict):
         ok, kind = isinstance(value, dict), "an object"
     elif isinstance(shape, list):
@@ -48,6 +62,9 @@ def _conform(value, shape, where: str):
     elif isinstance(shape, tuple):
         ok = isinstance(value, list) and len(value) == len(shape)
         kind = f"a list of {len(shape)}"
+    elif isinstance(shape, _Text):
+        ok = type(value) is str and shape.pattern.fullmatch(value) is not None
+        kind = shape.kind
     elif isinstance(shape, type):
         ok = type(value) is shape
         kind = {int: "an integer", str: "a string"}[shape]
@@ -84,6 +101,14 @@ def _fields(entry: dict, shape: dict) -> dict:
 MAX_GROUP_DEGREE = 32
 _POINT = range(1, MAX_GROUP_DEGREE + 1)
 _STATE = {"T", "F"}
+# a published orbit label reads level.index; the T/F listings may also
+# give a range k.a~k.b within one level, and the combination table '?'
+# for an orbit the publication did not index
+_LABEL = _Text(r"[0-9]+\.[0-9]+", "a label level.index")
+_LABELS = _Text(r"([0-9]+)\.[0-9]+(~\1\.[0-9]+)?",
+                "a label level.index or a range k.a~k.b within one level")
+_LABEL_OR_UNKNOWN = _Text(r"\?|[0-9]+\.[0-9]+",
+                          "a label level.index or '?'")
 
 _CONDITION_OF_PRINTED_TYPE = {
     "identity": ("exact", 1), "cyclic": ("exact", 1), "psi_2": ("exact", 1),
@@ -100,20 +125,21 @@ _GROUP = {"name": str, "generators": [str], "printed_order": int,
 _GROUPS = {"degree": _POINT, "groups": [_GROUP]}
 # a published block or union anchor: 1-based points and the printed label
 # of the orbit they represent
-_ANCHOR = {"points": [_POINT], "printed_orbit": str, "erratum?": str}
+_ANCHOR = {"points": [_POINT], "printed_orbit": _LABEL, "erratum?": str}
 _SUBGROUP = {"name": str, "generators": [str],
              "printed_type": set(_CONDITION_OF_PRINTED_TYPE),
              "blocks": [_ANCHOR], "type_erratum?": str}
 _CASE_STUDY = {
     "steps": [{"step": int, "subgroup": str, "printed_cases": int,
-               "select": {"set?": [(str, _STATE)], "default_free?": _STATE},
-               "theta_t": [str], "theta_f": [str], "errata?": [str]}],
+               "select": {"set?": [(_LABEL, _STATE)], "default_free?": _STATE},
+               "theta_t": [_LABELS], "theta_f": [_LABELS],
+               "errata?": [str]}],
     "final": {"chi": int, "chi_link": int, "computed_free_orbits": int,
               "computed_cases_with_chi_1": int, "cases_passing_link": int,
-              "published_free_orbits": int, "published_free_labels": [str],
+              "published_free_orbits": int, "published_free_labels": [_LABEL],
               "published_cases_with_chi_1": int},
     "union_anchors?": [_ANCHOR],
-    "combination_table": {k: [(str, int)] for k in "123"}}
+    "combination_table": {k: [(_LABEL_OR_UNKNOWN, int)] for k in "123"}}
 _GROUP_FILE = {"name": str, "degree": _POINT, "generators": [str]}
 # an assignment file: {"orbit": "level.index", "state": "T"|"F"} entries
 ASSIGNMENT = [{"orbit": str, "state": _STATE}]
@@ -138,6 +164,7 @@ def load_json(name: str, override: str | None = None, shape=None):
 
 def data_digests() -> dict[str, str]:
     """SHA-256 of each bundled data file, for report provenance."""
+    import hashlib
     return {name: hashlib.sha256(_read_data(name)).hexdigest()
             for name in DATA_FILES}
 
@@ -171,12 +198,14 @@ class GroupSpec:
     expected_method: str | None = None
     order_note: str | None = None
     witness_order: int | None = None
+    source: str = "groups.json"
 
     def build(self) -> PermGroup:
         try:
             gens = [parse_cycles(s, self.degree) for s in self.generators]
         except ValueError as exc:
-            raise DataIntegrityError(f"{self.name}: {exc}") from exc
+            raise DataIntegrityError(
+                f"{self.source}: {self.name}: {exc}") from exc
         return generate(gens)
 
     def oliver_witness(self) -> OliverWitness | None:
@@ -208,7 +237,8 @@ class GroupSpec:
 def load_group_specs(override: str | None = None) -> dict[str, GroupSpec]:
     raw = load_json("groups.json", override, _GROUPS)
     return {g["name"]: GroupSpec(**_fields(g, _GROUP), degree=raw["degree"],
-                                 witness=g.get("witness"))
+                                 witness=g.get("witness"),
+                                 source=override or "groups.json")
             for g in raw["groups"]}
 
 
@@ -219,20 +249,26 @@ class SubgroupSpec:
     printed_type: str
     blocks: list[dict]
     type_erratum: str | None = None
+    source: str = "subgroups.json"
 
     @property
     def number(self) -> int:
         return int(self.name.split("_")[1])
 
     def build(self, degree: int) -> PermGroup:
-        if not self.generators:
-            return generate([identity(degree)])
-        return generate([parse_cycles(s, degree) for s in self.generators])
+        try:
+            gens = [parse_cycles(s, degree) for s in self.generators]
+        except ValueError as exc:
+            raise DataIntegrityError(
+                f"{self.source}: {self.name}: {exc}") from exc
+        return generate(gens or [identity(degree)])
 
 
 def load_subgroup_specs(override: str | None = None) -> list[SubgroupSpec]:
     raw = load_json("subgroups.json", override, {"subgroups": [_SUBGROUP]})
-    return [SubgroupSpec(**_fields(s, _SUBGROUP)) for s in raw["subgroups"]]
+    return [SubgroupSpec(**_fields(s, _SUBGROUP),
+                         source=override or "subgroups.json")
+            for s in raw["subgroups"]]
 
 
 def load_case_study(override: str | None = None) -> dict:
@@ -323,12 +359,14 @@ class Campaign:
         return self.groups["G6"]
 
     def engine(self) -> SearchEngine:
+        from .search import SearchEngine
         return SearchEngine(self.table, self.poset, self.checks)
 
     def schedule(self, name: str = "default") -> Schedule:
         """Built-in schedules: 'default' visits subgroups with fewer
         variable-orbits first (ties: higher subgroup number first);
         'alternate' breaks ties the other way."""
+        from .search import Schedule
         nonid = [s for s in self.subgroup_specs.values() if s.number != 1]
         blocks = {s.name: len(self.subgroups[s.name].point_orbits())
                   for s in nonid}
@@ -347,6 +385,7 @@ def build_campaign(groups_file: str | None = None,
     """Load every bundled artifact (or the given override files), rebuild
     it from generators, and verify the redundant printed facts along the
     way."""
+    from .search import build_check
     specs = load_group_specs(groups_file)
     missing = {f"G{i}" for i in range(1, 7)} - set(specs)
     if missing:

@@ -3,6 +3,11 @@
 Exit codes: 0 = verified / ok, 1 = verification failed (counterexample or
 unresolved), 2 = input or data error.  JSON output is canonical: sorted
 keys, no timestamps; timings appear only in the text rendering.
+
+Each command imports the modules it runs when it runs, so that the sweep
+and the oracle do not load the campaign data, the search or hashlib.  The
+imports name the defining module at call time, so a wrapper put in that
+module's namespace applies.
 """
 
 from __future__ import annotations
@@ -12,17 +17,17 @@ import json
 import sys
 import time
 
-from . import __version__
-from .bundle import (ASSIGNMENT, Campaign, DataIntegrityError, _conform,
-                     build_campaign, data_digests, load_group_file,
-                     load_group_specs, load_subgroup_specs)
-from .complexes import (IndeterminateFace, TypeAssignment, assert_monotone,
-                        euler, fixed_point_complex, link_euler_fast)
-from .oracle import (BooleanFunction, DepthSolver, exhaustive_conjecture_check)
+from . import InputError, __version__
+from .oracle import BooleanFunction, DepthSolver, exhaustive_conjecture_check
 from .orbits import OrbitPoset, OrbitTable
-from .perm import ClosureCapExceeded, PermGroup, classify, is_transitive
-from .replay import replay_case_study
-from .search import CaseCapExceeded, run_search
+from .perm import PermGroup, classify, is_transitive
+
+# type checkers read this name as True; importing it from typing would
+# load typing on every start
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .bundle import Campaign
+    from .complexes import TypeAssignment
 
 
 def emit(report: dict, fmt: str, text_renderer=None) -> str:
@@ -37,6 +42,7 @@ def emit(report: dict, fmt: str, text_renderer=None) -> str:
 def _resolve_group(arg: str) -> tuple[str, PermGroup]:
     """A group argument is a bundled name (G1..G6, G6_1..G6_11) or a JSON
     file path."""
+    from .bundle import load_group_file, load_group_specs, load_subgroup_specs
     specs = load_group_specs()
     if arg in specs:
         return arg, specs[arg].build()
@@ -51,6 +57,8 @@ def _load_assignment(args) -> tuple[str, TypeAssignment]:
     """The group argument's name and the assignment file over its orbits:
     a JSON list of {"orbit": "level.index", "state": "T"|"F"} whose TRUE
     orbits lie above no FALSE orbit."""
+    from .bundle import ASSIGNMENT, _conform
+    from .complexes import TypeAssignment, assert_monotone
     path = args.assignment
     with open(path, "rb") as fh:
         raw = _conform(json.load(fh), ASSIGNMENT, path)
@@ -80,6 +88,7 @@ def _classification_dict(cls) -> dict:
 
 
 def cmd_group(args) -> int:
+    from .bundle import load_group_specs
     name, group = _resolve_group(args.file)
     if args.action == "order":
         report = {"name": name, "degree": group.degree, "order": group.order,
@@ -97,6 +106,7 @@ def cmd_group(args) -> int:
 
 
 def cmd_orbits(args) -> int:
+    from .bundle import load_group_specs
     name, group = _resolve_group(args.file)
     table = OrbitTable(group)
     if args.action == "compute":
@@ -130,6 +140,7 @@ def cmd_orbits(args) -> int:
 
 
 def cmd_euler(args) -> int:
+    from .complexes import euler, link_euler_fast
     name, assignment = _load_assignment(args)
     report = {"group": name, "euler": euler(assignment),
               "link_euler_x1": link_euler_fast(assignment)}
@@ -138,6 +149,7 @@ def cmd_euler(args) -> int:
 
 
 def cmd_fixedpoint(args) -> int:
+    from .complexes import fixed_point_complex
     name, assignment = _load_assignment(args)
     sub_name, sub = _resolve_group(args.subgroupfile)
     fpc = fixed_point_complex(assignment, sub)
@@ -198,6 +210,8 @@ def verify14(seed_independent: bool = False,
     """Run the whole campaign: orders and transitivity for all six groups,
     classification for G1..G5, and the orbit-type search for G6 under the
     default schedule (then the alternate one if ``seed_independent``)."""
+    from .bundle import build_campaign, data_digests
+    from .search import run_search
     camp = campaign if campaign is not None else build_campaign()
     entries = []
     all_ok = True
@@ -273,6 +287,7 @@ def _verify_text(report: dict) -> str:
 
 
 def _campaign_from_args(args) -> Campaign:
+    from .bundle import build_campaign
     return build_campaign(groups_file=args.groups_file,
                           subgroups_file=args.subgroups_file,
                           case_study_file=args.case_study_file)
@@ -296,6 +311,7 @@ def _theta_dict(comp) -> dict:
 
 
 def cmd_replay(args) -> int:
+    from .replay import replay_case_study
     camp = _campaign_from_args(args)
     res = replay_case_study(camp)
     report = {
@@ -421,8 +437,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DataIntegrityError, IndeterminateFace, ClosureCapExceeded,
-            CaseCapExceeded, OSError, ValueError) as exc:
+    except (InputError, OSError, ValueError) as exc:
+        from .bundle import data_digests
         digests = ", ".join(f"{k}={v[:12]}" for k, v in data_digests().items())
         sys.stderr.write(f"error: {exc}\n(bundled data digests: {digests})\n")
         return 2

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import InputError
 from .orbits import (OrbitPoset, OrbitTable, block_masks, iter_bits,
                      points_from_mask, subset_unions)
 from .perm import PermGroup
@@ -24,7 +25,7 @@ TRUE = "T"
 FALSE = "F"
 
 
-class IndeterminateFace(Exception):
+class IndeterminateFace(InputError):
     """A FREE orbit governs a face whose value is needed."""
 
 

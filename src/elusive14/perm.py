@@ -12,6 +12,8 @@ import math
 import re
 from dataclasses import dataclass
 
+from . import InputError
+
 DEFAULT_CLOSURE_CAP = 100_000
 
 
@@ -19,7 +21,7 @@ class ParseError(ValueError):
     """Malformed cycle notation."""
 
 
-class ClosureCapExceeded(RuntimeError):
+class ClosureCapExceeded(InputError, RuntimeError):
     """Group closure grew past the configured element cap."""
 
 

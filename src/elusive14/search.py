@@ -18,12 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import InputError
 from .complexes import FALSE, TRUE, TypeAssignment, chi_deltas, link_x1_deltas
 from .orbits import OrbitPoset, OrbitTable, block_masks, subset_unions
 from .perm import PermGroup
 
 
-class CaseCapExceeded(RuntimeError):
+class CaseCapExceeded(InputError, RuntimeError):
     """A single check tried to enumerate more than CASE_CAP cases."""
 
 

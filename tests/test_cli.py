@@ -1,12 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elusive14 import perm, search
+from elusive14 import InputError, perm, search
 from elusive14.bundle import load_json
 from elusive14.cli import main, verify14
 from elusive14.orbits import mask_from_points
@@ -211,13 +214,29 @@ def _subgroups_with_extra_name():
      _changed("groups.json", "groups", 0, "printed_order", value="14")),
     (["replay-appendix", "--case-study-file"], b"{not json"),
     (["verify14", "--subgroups-file"], _subgroups_with_extra_name),
+    (["verify14", "--subgroups-file"],
+     _changed("subgroups.json", "subgroups", 1, "generators",
+              value=["(1,15)"])),
+    (["verify14", "--groups-file"],
+     _changed("groups.json", "groups", 0, "generators", value=["(1,15)"])),
+    (["replay-appendix", "--case-study-file"],
+     _changed("case_study.json", "steps", 0, "theta_t", 0, value="abc")),
+    (["replay-appendix", "--case-study-file"],
+     _changed("case_study.json", "steps", 0, "theta_f", 0,
+              value="8.0~9.2")),
+    (["replay-appendix", "--case-study-file"],
+     _changed("case_study.json", "union_anchors", 0, "printed_orbit",
+              value="x")),
 ], ids=["groups {}", "groups []", "subgroups {}", "case study {}",
         "block without points", "union anchor without points",
         "unknown printed type", "selector label 9.99", "subgroup G6_99",
         "identity subgroup G6_1", "select 5", "theta_t 5",
         "combination row 5", "combination label 5", "subgroup name a list",
         "step [1]", "final chi '1'", "final chi true", "printed_order '14'",
-        "not JSON", "extra subgroup H2"])
+        "not JSON", "extra subgroup H2", "subgroup generator (1,15)",
+        "group generator (1,15)",
+        "theta_t label abc", "theta_f range across levels",
+        "union anchor label x"])
 def test_malformed_override_files_exit_two(capsys, tmp_path, argv, body):
     path = tmp_path / "override.json"
     if isinstance(body, bytes):
@@ -242,6 +261,22 @@ def test_shape_errors_name_the_path_and_the_kind(capsys, tmp_path):
     assert capsys.readouterr().err.startswith(
         f"error: {path}: steps[0]: select: set[0][1]: expected one of "
         "'F', 'T'\n")
+    path.write_text(json.dumps(_changed(
+        "case_study.json", "union_anchors", 0, "printed_orbit", value="x")()))
+    assert main(["replay-appendix", "--case-study-file", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {path}: union_anchors[0]: printed_orbit: expected a label "
+        "level.index\n")
+
+
+def test_subgroup_generator_errors_name_the_file_and_the_subgroup(
+        capsys, tmp_path):
+    path = tmp_path / "subgroups.json"
+    path.write_text(json.dumps(_changed(
+        "subgroups.json", "subgroups", 1, "generators", value=["(1,15)"])()))
+    assert main(["verify14", "--subgroups-file", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {path}: G6_2: point 15 outside 1..14\n")
 
 
 @pytest.mark.parametrize("command", ["verify14", "replay-appendix"])
@@ -539,3 +574,45 @@ def test_canonical_output_digests(capsys, monkeypatch, argv):
     code, out = run_cli(capsys, "--format", "json", *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == CANONICAL_DIGESTS[argv]
+
+
+# modules a command loads only when it runs them
+_DEFERRED = ("elusive14.bundle", "elusive14.complexes", "elusive14.search",
+             "elusive14.replay", "hashlib")
+
+
+def _deferred_loaded(*argv) -> list[str]:
+    """The deferred modules a fresh interpreter loads while running the
+    CLI with ``argv`` (those loaded before the CLI import do not count)."""
+    code = ("import contextlib, io, sys\n"
+            "before = set(sys.modules)\n"
+            "from elusive14.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    if main(sys.argv[1:]) != 0:\n"
+            "        sys.exit('the command failed')\n"
+            f"print(*sorted(m for m in {_DEFERRED!r}\n"
+            "             if m in sys.modules and m not in before))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_commands_load_only_the_modules_they_run():
+    assert _deferred_loaded("conjecture-check", "--n", "3") == []
+    assert _deferred_loaded("dtree", "G6", "tests/data/g6_closure_1.json") == [
+        "elusive14.bundle", "elusive14.complexes"]
+
+
+def test_exit_two_errors_share_one_base():
+    from elusive14.bundle import DataIntegrityError
+    from elusive14.complexes import IndeterminateFace
+
+    for cls in (DataIntegrityError, IndeterminateFace,
+                perm.ClosureCapExceeded, search.CaseCapExceeded):
+        assert issubclass(cls, InputError), cls
+    # the caps keep their old base
+    assert issubclass(perm.ClosureCapExceeded, RuntimeError)
+    assert issubclass(search.CaseCapExceeded, RuntimeError)
