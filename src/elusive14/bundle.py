@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from importlib import resources
 from typing import TYPE_CHECKING
 
@@ -169,36 +169,31 @@ def data_digests() -> dict[str, str]:
             for name in DATA_FILES}
 
 
-def expand_labels(entries: list[str]) -> list[str]:
-    """Expand 'k.a~k.b' range shorthand into explicit level.index labels."""
+def expand_labels(entries: list[str], where: str = "labels") -> list[str]:
+    """Expand 'k.a~k.b' range shorthand into explicit level.index labels;
+    a range that crosses levels or runs backwards raises
+    DataIntegrityError naming ``where``."""
     out = []
     for entry in entries:
         if "~" in entry:
             lo, hi = entry.split("~")
             lvl, a = lo.split(".")
             lvl2, b = hi.split(".")
-            if lvl != lvl2:
-                raise DataIntegrityError(f"range {entry!r} crosses levels")
+            if lvl != lvl2 or int(b) < int(a):
+                raise DataIntegrityError(f"{where}: range {entry!r} crosses "
+                                         "levels or runs backwards")
             out.extend(f"{lvl}.{j}" for j in range(int(a), int(b) + 1))
         else:
             out.append(entry)
     return out
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    name: str
-    degree: int
-    generators: list[str]
-    printed_order: int
-    printed_orbit_total: int | None = None
-    printed_generators: list[str] | None = None
-    errata: list[str] = field(default_factory=list)
-    witness: dict | None = None
-    expected_method: str | None = None
-    order_note: str | None = None
-    witness_order: int | None = None
-    source: str = "groups.json"
+class GroupSpec(namedtuple(
+        "GroupSpec", "name degree generators printed_order printed_orbit_total "
+        "printed_generators errata witness expected_method order_note "
+        "witness_order source",
+        defaults=(None, None, (), None, None, None, None, "groups.json"))):
+    __slots__ = ()
 
     def build(self) -> PermGroup:
         try:
@@ -242,14 +237,10 @@ def load_group_specs(override: str | None = None) -> dict[str, GroupSpec]:
             for g in raw["groups"]}
 
 
-@dataclass(frozen=True)
-class SubgroupSpec:
-    name: str
-    generators: list[str]
-    printed_type: str
-    blocks: list[dict]
-    type_erratum: str | None = None
-    source: str = "subgroups.json"
+class SubgroupSpec(namedtuple(
+        "SubgroupSpec", "name generators printed_type blocks type_erratum "
+        "source", defaults=(None, "subgroups.json"))):
+    __slots__ = ()
 
     @property
     def number(self) -> int:
@@ -272,8 +263,14 @@ def load_subgroup_specs(override: str | None = None) -> list[SubgroupSpec]:
 
 
 def load_case_study(override: str | None = None) -> dict:
-    """The worked-example data, with every key replay_case_study reads."""
-    return load_json("case_study.json", override, _CASE_STUDY)
+    """The worked-example data, with every key replay_case_study reads and
+    every label range of its T/F listings within one level and forwards."""
+    raw = load_json("case_study.json", override, _CASE_STUDY)
+    for i, step in enumerate(raw["steps"]):
+        for key in ("theta_t", "theta_f"):
+            expand_labels(step[key], f"{override or 'case_study.json'}: "
+                                     f"steps[{i}]: {key}")
+    return raw
 
 
 def load_group_file(path: str) -> tuple[str, PermGroup]:
@@ -290,12 +287,10 @@ def load_group_file(path: str) -> tuple[str, PermGroup]:
         raise DataIntegrityError(f"{where}: {exc}") from exc
 
 
-@dataclass
-class AnchorMap:
+class AnchorMap(namedtuple("AnchorMap", "label_to_oid skipped")):
     """Partial bijection published label <-> canonical orbit id."""
 
-    label_to_oid: dict[str, int]
-    skipped: list[str] = field(default_factory=list)
+    __slots__ = ()
 
     def oid(self, label: str) -> int | None:
         return self.label_to_oid.get(label)
@@ -338,21 +333,13 @@ def build_anchor_map(table: OrbitTable, subgroup_specs: list[SubgroupSpec],
     return AnchorMap(label_to_oid, skipped)
 
 
-@dataclass
-class Campaign:
+class Campaign(namedtuple(
+        "Campaign", "specs groups table poset subgroup_specs subgroups "
+        "subgroup_classifications checks anchors case_study case_study_file",
+        defaults=("case_study.json",))):
     """Everything the verification needs, built once from bundled data."""
 
-    specs: dict[str, GroupSpec]
-    groups: dict[str, PermGroup]
-    table: OrbitTable
-    poset: OrbitPoset
-    subgroup_specs: dict[str, SubgroupSpec]
-    subgroups: dict[str, PermGroup]
-    subgroup_classifications: dict[str, Classification]
-    checks: dict[str, SubgroupCheck]
-    anchors: AnchorMap
-    case_study: dict
-    case_study_file: str = "case_study.json"
+    __slots__ = ()
 
     @property
     def g6(self) -> PermGroup:

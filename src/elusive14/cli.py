@@ -77,32 +77,25 @@ def _load_assignment(args) -> tuple[str, TypeAssignment]:
 
 
 def _classification_dict(cls) -> dict:
-    out = {"kind": cls.kind}
-    if cls.p is not None:
-        out["p"] = cls.p
-    if cls.q is not None:
-        out["q"] = cls.q
-    if cls.note:
-        out["note"] = cls.note
-    return out
+    """The classification's fields that are set, the witness left out."""
+    return {k: v for k, v in cls._asdict().items()
+            if k != "witness" and v not in (None, "")}
 
 
 def cmd_group(args) -> int:
     from .bundle import load_group_specs
     name, group = _resolve_group(args.file)
-    if args.action == "order":
-        report = {"name": name, "degree": group.degree, "order": group.order,
-                  "transitive": is_transitive(group)}
-        sys.stdout.write(emit(report, args.format))
-        return 0
-    specs = load_group_specs()
-    witness = specs[name].oliver_witness() if name in specs else None
-    cls = classify(group, witness)
     report = {"name": name, "degree": group.degree, "order": group.order,
-              "transitive": is_transitive(group),
-              "classification": _classification_dict(cls)}
+              "transitive": is_transitive(group)}
+    code = 0
+    if args.action == "classify":
+        specs = load_group_specs()
+        witness = specs[name].oliver_witness() if name in specs else None
+        cls = classify(group, witness)
+        report["classification"] = _classification_dict(cls)
+        code = 0 if cls.kind != "unresolved" else 1
     sys.stdout.write(emit(report, args.format))
-    return 0 if cls.kind != "unresolved" else 1
+    return code
 
 
 def cmd_orbits(args) -> int:
@@ -178,17 +171,7 @@ def cmd_dtree(args) -> int:
 
 def cmd_conjecture(args) -> int:
     rep = exhaustive_conjecture_check(args.n)
-    report = {
-        "n": rep.n,
-        "monotone_functions": rep.monotone_functions,
-        "weakly_symmetric_nontrivial": rep.weakly_symmetric_nontrivial,
-        "elusive_verified": rep.elusive_verified,
-        "non_elusive": rep.non_elusive,
-        "elusive_failures": rep.elusive_failures,
-        "chi_one_failures": rep.chi_one_failures,
-        "ok": rep.ok,
-    }
-    sys.stdout.write(emit(report, args.format))
+    sys.stdout.write(emit({**rep._asdict(), "ok": rep.ok}, args.format))
     return 0 if rep.ok else 1
 
 

@@ -13,7 +13,7 @@ which euler() and link_euler_fast() read instead of summing again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import InputError
 from .orbits import (OrbitPoset, OrbitTable, block_masks, iter_bits,
@@ -140,14 +140,12 @@ def link_euler_fast(a: TypeAssignment) -> int:
     return a.chi_link
 
 
-@dataclass(frozen=True)
-class FixedPointComplex:
-    """The complex over a subgroup's variable-orbit blocks whose faces are
-    the block collections with TRUE union."""
+class FixedPointComplex(namedtuple("FixedPointComplex", "blocks faces euler")):
+    """The complex over a subgroup's variable-orbit blocks (masks, ordered
+    by smallest point) whose faces, as block-index tuples, are the block
+    collections with TRUE union."""
 
-    blocks: tuple[int, ...]            # block masks, ordered by smallest point
-    faces: tuple[tuple[int, ...], ...]  # nonempty faces as block-index tuples
-    euler: int
+    __slots__ = ()
 
     @property
     def block_points(self) -> list[list[int]]:

@@ -38,8 +38,7 @@ from __future__ import annotations
 import random
 import weakref
 from array import array
-from collections import Counter, deque
-from dataclasses import dataclass, field
+from collections import Counter, deque, namedtuple
 from functools import cache
 from itertools import permutations
 from operator import itemgetter, or_
@@ -472,15 +471,12 @@ class SymmetryScan:
         return False
 
 
-@dataclass
-class ConjectureReport:
-    n: int
-    monotone_functions: int = 0
-    weakly_symmetric_nontrivial: int = 0
-    elusive_verified: int = 0
-    elusive_failures: list[int] = field(default_factory=list)
-    non_elusive: int = 0
-    chi_one_failures: list[int] = field(default_factory=list)
+class ConjectureReport(namedtuple(
+        "ConjectureReport", "n monotone_functions weakly_symmetric_nontrivial "
+        "elusive_verified elusive_failures non_elusive chi_one_failures")):
+    """The sweep's counts and failures; its fields are canonical keys."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -499,35 +495,35 @@ def exhaustive_conjecture_check(n: int) -> ConjectureReport:
     if n > 5:
         raise ArityError("the sweep scans n! permutations; capped at n = 5")
     symmetric = SymmetryScan(n)
-    report = ConjectureReport(n=n)
     full_input = 1 << ((1 << n) - 1)
     functions = enumerate_monotone(n)
     rep_of = _relabelling_classes(n, functions)
+    symmetric_count = verified = non_elusive = 0
     elusive_failing: set[int] = set()
     chi_failing: set[int] = set()
     # depth, nontriviality, weak symmetry and the Euler characteristic are
     # unchanged by relabelling, so the first member decides for its class
     for fbits, size in Counter(rep_of.values()).items():
-        report.monotone_functions += size
         elusive = is_elusive(
             BooleanFunction.from_bitvector(n, fbits, monotone=True))
         if not elusive:
-            report.non_elusive += size
+            non_elusive += size
             if fbits != 0 and euler_of_bitvector(n, fbits) != 1:
                 chi_failing.add(fbits)
         # nontrivial: true on the empty input, false on the full one
         if fbits & 1 and not fbits & full_input and symmetric(fbits):
-            report.weakly_symmetric_nontrivial += size
+            symmetric_count += size
             if elusive:
-                report.elusive_verified += size
+                verified += size
             else:
                 elusive_failing.add(fbits)
     # a failing class lists every member, in enumeration order
-    report.elusive_failures = [f for f in functions
-                               if rep_of[f] in elusive_failing]
-    report.chi_one_failures = [f for f in functions
-                               if rep_of[f] in chi_failing]
-    return report
+    return ConjectureReport(
+        n=n, monotone_functions=len(functions),
+        weakly_symmetric_nontrivial=symmetric_count, elusive_verified=verified,
+        elusive_failures=[f for f in functions if rep_of[f] in elusive_failing],
+        non_elusive=non_elusive,
+        chi_one_failures=[f for f in functions if rep_of[f] in chi_failing])
 
 
 def sample_invariant_function(table: OrbitTable, poset: OrbitPoset,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import InputError
 
@@ -29,11 +29,22 @@ class WitnessError(ValueError):
     """A classification witness refers to elements outside the group."""
 
 
-@dataclass(frozen=True)
 class Permutation:
     """A bijection on {0..n-1}; ``images[i]`` is the image of point i."""
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
+
+    def __init__(self, images: tuple[int, ...]):
+        self.images = images
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Permutation) and self.images == other.images
+
+    def __hash__(self) -> int:
+        return hash(self.images)
+
+    def __repr__(self) -> str:
+        return f"Permutation(images={self.images!r})"
 
     @property
     def degree(self) -> int:
@@ -276,14 +287,9 @@ def _prime_power(n: int) -> int | None:
     return p if n == 1 else None
 
 
-@dataclass(frozen=True)
-class OliverWitness:
-    """Witness for membership in psi_p (q is None) or psi_p^q."""
-
-    p: int
-    p_generators: tuple[Permutation, ...]
-    q: int | None = None
-    h_generators: tuple[Permutation, ...] | None = None
+# witness for membership in psi_p (q and h_generators None) or psi_p^q
+OliverWitness = namedtuple("OliverWitness", "p p_generators q h_generators",
+                           defaults=(None, None))
 
 
 def _oliver_chain(G: PermGroup, P: PermGroup, H: PermGroup) -> int | None:
@@ -331,16 +337,12 @@ def verify_sylow_lemma(G: PermGroup) -> Permutation | None:
     return None
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(namedtuple("Classification", "kind p q witness note",
+                                defaults=(None, None, None, ""))):
     """Outcome of classify(); kind is one of cyclic / psi_p / psi_pq /
     sylow_lemma / unresolved."""
 
-    kind: str
-    p: int | None = None
-    q: int | None = None
-    witness: OliverWitness | None = None
-    note: str = ""
+    __slots__ = ()
 
     @property
     def chi_condition(self) -> tuple[str, int] | None:

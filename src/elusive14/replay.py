@@ -16,7 +16,7 @@ that also survive full orbit closure; both numbers are reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .bundle import Campaign, DataIntegrityError, expand_labels
 from .complexes import FALSE, FREE, TRUE, TypeAssignment
@@ -28,46 +28,22 @@ class MappingIncomplete(DataIntegrityError):
     """A published label needed for branch selection has no anchor."""
 
 
-@dataclass
-class ThetaComparison:
-    side: str
-    printed_count: int
-    computed_count: int
-    matched: list[str] = field(default_factory=list)
-    skipped: list[str] = field(default_factory=list)
-    mismatched: list[str] = field(default_factory=list)
-    complete_levels: list[int] = field(default_factory=list)
+# one side (T or F) of a step's published orbit set against the computed
+# state, and the levels the publication lists in full
+ThetaComparison = namedtuple(
+    "ThetaComparison", "side printed_count computed_count matched skipped "
+    "mismatched complete_levels")
+TraceStep = namedtuple(
+    "TraceStep", "step subgroup printed_cases local_cases child_cases "
+    "selection theta_t theta_f errata")
 
 
-@dataclass
-class TraceStep:
-    step: int
-    subgroup: str
-    printed_cases: int
-    local_cases: int
-    child_cases: int
-    selection: dict[str, str]
-    theta_t: ThetaComparison
-    theta_f: ThetaComparison
-    errata: tuple[str, ...]
-
-
-@dataclass
-class ReplayResult:
-    steps: list[TraceStep]
-    satisfied_unvisited: list[str]
-    pending_unvisited: list[str]
-    chi: int
-    chi_link: int
-    free_orbits: list[dict]
-    free_relations: list[tuple[str, str]]
-    leaf_cases: list[dict]
-    cases_with_chi_1: int
-    cases_passing_link: int
-    published_final: dict
-    combination_check: dict
-    problems: list[str]
-    mapping_incomplete: list[str]
+class ReplayResult(namedtuple(
+        "ReplayResult", "steps satisfied_unvisited pending_unvisited chi "
+        "chi_link free_orbits free_relations leaf_cases cases_with_chi_1 "
+        "cases_passing_link published_final combination_check problems "
+        "mapping_incomplete")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -114,7 +90,8 @@ def _compare_theta(camp: Campaign, state: TypeAssignment, printed_t: list[str],
         comp = ThetaComparison(
             side=side, printed_count=len(labels),
             computed_count=sum(1 for o in range(1, table.orbit_count)
-                               if state.state(o) == want))
+                               if state.state(o) == want),
+            matched=[], skipped=[], mismatched=[], complete_levels=[])
         for lbl in labels:
             oid = anchors.oid(lbl)
             if oid is None:

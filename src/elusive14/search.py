@@ -16,7 +16,7 @@ case to a leaf test of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import InputError
 from .complexes import FALSE, TRUE, TypeAssignment, chi_deltas, link_x1_deltas
@@ -31,17 +31,13 @@ class CaseCapExceeded(InputError, RuntimeError):
 CASE_CAP = 1 << 20
 
 
-@dataclass(frozen=True)
-class SubgroupCheck:
-    """A subgroup's Euler condition and the precomputed mapping from its
-    block unions to governed orbits."""
-
-    name: str
-    condition: tuple[str, int]          # ("exact", 1) or ("mod", q)
-    governed: tuple[int, ...]           # orbit ids of all block unions
-    weights: tuple[tuple[int, int], ...]  # (orbit id, alternating-sum weight)
-    unions: tuple[int, ...]             # entry s: union of the blocks in s
-    is_identity: bool = False
+# A subgroup's Euler condition and the precomputed mapping from its block
+# unions to governed orbits: condition is ("exact", 1) or ("mod", q),
+# governed the orbit ids of all block unions, weights the (orbit id,
+# alternating-sum weight) pairs, and unions[s] the union of the blocks in s.
+SubgroupCheck = namedtuple(
+    "SubgroupCheck", "name condition governed weights unions is_identity",
+    defaults=(False,))
 
 
 def condition_met(condition: tuple[str, int], chi: int) -> bool:
@@ -70,31 +66,28 @@ def build_check(table: OrbitTable, sub: PermGroup, name: str,
         unions=unions, is_identity=identity)
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """Ordered subgroup checks; the identity entry must close the list."""
-
-    name: str
-    order: tuple[str, ...]
+# ordered subgroup checks by name; the identity entry must close the list
+Schedule = namedtuple("Schedule", "name order")
 
 
-@dataclass
 class SearchStats:
-    nodes_explored: int = 0
-    cases_enumerated: int = 0
-    prunes_by_conflict: int = 0
-    prunes_by_chi: int = 0
-    prunes_by_link: int = 0
-    leaf_assignments: int = 0
-    leaf_chi1: int = 0
+    __slots__ = ("nodes_explored", "cases_enumerated", "prunes_by_conflict",
+                 "prunes_by_chi", "prunes_by_link", "leaf_assignments",
+                 "leaf_chi1")
+
+    def __init__(self):
+        for name in self.__slots__:
+            setattr(self, name, 0)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SearchStats) and all(
+            getattr(self, name) == getattr(other, name)
+            for name in self.__slots__)
 
 
-@dataclass
-class SearchReport:
-    schedule: str
-    link_check: bool
-    feasible_functions: list[dict[str, str]]
-    stats: SearchStats
+class SearchReport(namedtuple("SearchReport",
+                              "schedule link_check feasible_functions stats")):
+    __slots__ = ()
 
     @property
     def verified(self) -> bool:

@@ -1,0 +1,105 @@
+"""The packaging smoke cases as one table, and a runner for it.
+
+Each case runs the CLI from an empty directory outside the checkout, so
+an installed package must ship its data files.  A case is the argument
+list, the expected exit code, what stderr may hold and, for a case that
+reads a broken input, the file to write first: its name, the bundled data
+file it copies (None for a file written whole), the key path of the entry
+it changes and the value put there.
+
+Run it with the command that starts the CLI, for example
+
+    python tests/smoke.py "$VENV/bin/elusive14"
+    PYTHONPATH=$PWD/src python tests/smoke.py python3 -m elusive14.cli
+
+It prints one line per case and exits 1 if any case fails.  The runner
+uses only the standard library and does not import the package;
+tests/test_cli.py parses every case with the CLI's own parser.
+"""
+
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+EMPTY = "empty"
+NO_TRACEBACK = "no Traceback"
+ASSIGNMENT = str(ROOT / "tests" / "data" / "g6_closure_1.json")
+
+CASES = [
+    (["orbits", "compute", "G6", "--format", "json"], 0, NO_TRACEBACK, None),
+    (["conjecture-check", "--n", "4"], 0, NO_TRACEBACK, None),
+    # checks G4's bundled psi_p^q witness
+    (["group", "classify", "G4", "--format", "json"], 0, NO_TRACEBACK, None),
+    # the heuristic witness search finds no witness for G6
+    (["group", "classify", "G6"], 1, NO_TRACEBACK, None),
+    # no warning from the orbit tables of the trivial group, which
+    # group-less functions key by
+    (["conjecture-check", "--n", "5", "--format", "json"], 0, EMPTY, None),
+    # verify14 and replay-appendix read all three bundled data files
+    (["verify14", "--format", "json"], 0, NO_TRACEBACK, None),
+    # the benchmark's verdict command
+    (["verify14", "--seed-independent", "--format", "json"], 0,
+     NO_TRACEBACK, None),
+    # the removed --cap flag is a usage error
+    (["verify14", "--cap", "5"], 2, NO_TRACEBACK, None),
+    (["replay-appendix", "--format", "json"], 0, NO_TRACEBACK, None),
+    (["replay-appendix", "--case-study-file", "bad_case_study.json"], 2,
+     NO_TRACEBACK, ("bad_case_study.json", "case_study.json",
+                    ["combination_table", "1"], 5)),
+    # the next two raise their errors in modules the CLI imports only
+    # when a command needs them
+    (["dtree", "bad_group.json", ASSIGNMENT], 2, NO_TRACEBACK,
+     ("bad_group.json", None, [],
+      {"name": "bad", "degree": 14, "generators": ["(1,2"]})),
+    (["verify14", "--subgroups-file", "bad_subgroups.json"], 2,
+     NO_TRACEBACK, ("bad_subgroups.json", "subgroups.json",
+                    ["subgroups", 1, "generators"], ["(1,15)"])),
+    # the 14-variable oracle on a checked-in G6 assignment
+    (["dtree", "G6", ASSIGNMENT, "--format", "json"], 0, EMPTY, None),
+    (["fixedpoint", "G6", "G6_3", ASSIGNMENT, "--format", "json"], 0,
+     NO_TRACEBACK, None),
+    (["euler", "G6", ASSIGNMENT, "--format", "json"], 0, NO_TRACEBACK, None),
+]
+
+
+def write_input(directory: Path, name: str, source: str | None,
+                path: list, value) -> None:
+    """Write ``name`` into ``directory``: ``value`` itself, or a copy of
+    the bundled ``source`` with the entry at ``path`` set to ``value``."""
+    doc = value
+    if source is not None:
+        doc = json.loads((ROOT / "src" / "elusive14" / "data" / source)
+                         .read_text())
+        entry = doc
+        for key in path[:-1]:
+            entry = entry[key]
+        entry[path[-1]] = value
+    (directory / name).write_text(json.dumps(doc))
+
+
+def run(command: list[str]) -> int:
+    failures = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv, code, rule, broken in CASES:
+            if broken is not None:
+                write_input(Path(tmp), *broken)
+            proc = subprocess.run([*command, *argv], cwd=tmp, text=True,
+                                  capture_output=True, timeout=600)
+            ok = proc.returncode == code and (
+                not proc.stderr if rule == EMPTY
+                else "Traceback" not in proc.stderr)
+            print(f"{'ok  ' if ok else 'FAIL'} exit {proc.returncode} "
+                  f"(expected {code}, stderr {rule}): {' '.join(argv)}")
+            if not ok:
+                failures += 1
+                sys.stdout.write(proc.stderr)
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) < 2:
+        sys.exit("usage: python tests/smoke.py PROGRAM [ARGUMENT...]")
+    sys.exit(run(sys.argv[1:]))

@@ -37,8 +37,9 @@ def test_group_specs_carry_the_published_record():
 
 def test_expand_labels():
     assert expand_labels(["8.0~8.2", "1.0"]) == ["8.0", "8.1", "8.2", "1.0"]
-    with pytest.raises(DataIntegrityError):
-        expand_labels(["8.0~9.2"])
+    for entries in (["8.0~9.2"], ["8.5~8.2", "1.0"]):
+        with pytest.raises(DataIntegrityError):
+            expand_labels(entries)
 
 
 def test_campaign_builds_clean(campaign):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from elusive14 import InputError, perm, search
 from elusive14.bundle import load_json
-from elusive14.cli import main, verify14
+from elusive14.cli import build_parser, main, verify14
 from elusive14.orbits import mask_from_points
 
 
@@ -227,6 +227,8 @@ def _subgroups_with_extra_name():
     (["replay-appendix", "--case-study-file"],
      _changed("case_study.json", "union_anchors", 0, "printed_orbit",
               value="x")),
+    (["replay-appendix", "--case-study-file"],
+     _changed("case_study.json", "steps", 0, "theta_t", 0, value="8.5~8.2")),
 ], ids=["groups {}", "groups []", "subgroups {}", "case study {}",
         "block without points", "union anchor without points",
         "unknown printed type", "selector label 9.99", "subgroup G6_99",
@@ -236,7 +238,7 @@ def _subgroups_with_extra_name():
         "not JSON", "extra subgroup H2", "subgroup generator (1,15)",
         "group generator (1,15)",
         "theta_t label abc", "theta_f range across levels",
-        "union anchor label x"])
+        "union anchor label x", "theta_t range backwards"])
 def test_malformed_override_files_exit_two(capsys, tmp_path, argv, body):
     path = tmp_path / "override.json"
     if isinstance(body, bytes):
@@ -578,7 +580,7 @@ def test_canonical_output_digests(capsys, monkeypatch, argv):
 
 # modules a command loads only when it runs them
 _DEFERRED = ("elusive14.bundle", "elusive14.complexes", "elusive14.search",
-             "elusive14.replay", "hashlib")
+             "elusive14.replay", "hashlib", "dataclasses", "inspect")
 
 
 def _deferred_loaded(*argv) -> list[str]:
@@ -604,6 +606,10 @@ def test_commands_load_only_the_modules_they_run():
     assert _deferred_loaded("conjecture-check", "--n", "3") == []
     assert _deferred_loaded("dtree", "G6", "tests/data/g6_closure_1.json") == [
         "elusive14.bundle", "elusive14.complexes"]
+    # no command pays for the dataclasses import, or for inspect under it
+    for argv in (["verify14"], ["replay-appendix"]):
+        loaded = _deferred_loaded(*argv)
+        assert "dataclasses" not in loaded and "inspect" not in loaded, argv
 
 
 def test_exit_two_errors_share_one_base():
@@ -616,3 +622,16 @@ def test_exit_two_errors_share_one_base():
     # the caps keep their old base
     assert issubclass(perm.ClosureCapExceeded, RuntimeError)
     assert issubclass(search.CaseCapExceeded, RuntimeError)
+
+
+def test_smoke_cases_parse():
+    # the packaging smoke table (tests/smoke.py) runs outside tier-1; here
+    # each case must be a command line the parser accepts, or a usage
+    # error that the case expects to exit 2
+    from smoke import CASES
+    parser = build_parser()
+    for argv, code, _rule, _broken in CASES:
+        try:
+            parser.parse_args(argv)
+        except SystemExit as exc:
+            assert exc.code == code == 2, argv

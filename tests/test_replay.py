@@ -1,5 +1,4 @@
 import copy
-from dataclasses import replace
 
 import pytest
 
@@ -145,7 +144,7 @@ def test_unanchored_labels_are_skipped_not_guessed(result):
 
 
 def test_selector_with_unanchored_label_raises(campaign):
-    broken = replace(campaign, case_study=copy.deepcopy(campaign.case_study))
+    broken = campaign._replace(case_study=copy.deepcopy(campaign.case_study))
     broken.case_study["steps"][0]["select"]["set"] = [["9.9", "T"]]
     with pytest.raises(MappingIncomplete):
         replay_case_study(broken)

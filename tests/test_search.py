@@ -5,8 +5,10 @@ import pytest
 from elusive14 import search
 from elusive14.complexes import (FALSE, TRUE, TypeAssignment, assert_monotone,
                                  euler, fixed_point_complex, link_euler_fast)
-from elusive14.search import (CaseCapExceeded, SearchStats, condition_met,
-                              run_search)
+from elusive14.orbits import OrbitPoset, OrbitTable
+from elusive14.perm import Permutation, classify, generate
+from elusive14.search import (CaseCapExceeded, SearchEngine, SearchStats,
+                              build_check, condition_met, run_search)
 
 
 def test_initial_state_pins_only_the_top_orbit(campaign):
@@ -112,6 +114,37 @@ def test_search_node_counts_deterministic(campaign):
     b = run_search(engine, campaign.schedule("default"))
     assert a.stats == b.stats
     assert a.stats.nodes_explored == 521
+
+
+def test_relabelling_the_points_keeps_the_search_counters(campaign):
+    # conjugating G6 and its subgroups by one sigma in S14 renumbers the
+    # points and moves the orbit ids, but the search may depend only on the
+    # groups: same conditions, same counters, no survivor with the link test
+    # and 4224 chi = 1 leaves without it
+    images = list(range(campaign.table.n))
+    random.Random(1).shuffle(images)
+    sigma = Permutation(tuple(images))
+    sigma_inv = sigma.inverse()
+
+    def conjugate(G):
+        return generate([sigma * g * sigma_inv for g in G.generators])
+
+    table = OrbitTable(conjugate(campaign.g6))
+    checks = {}
+    for name, H in campaign.subgroups.items():
+        H = conjugate(H)
+        condition = campaign.checks[name].condition
+        assert classify(H).chi_condition == condition, name
+        checks[name] = build_check(table, H, name, condition)
+    engine = SearchEngine(table, OrbitPoset(table), checks)
+    for schedule, nodes, cases in (("default", 521, 520),
+                                   ("alternate", 517, 516)):
+        for link_check in (True, False):
+            rep = run_search(engine, campaign.schedule(schedule), link_check)
+            s = rep.stats
+            assert (s.nodes_explored, s.cases_enumerated, s.leaf_assignments,
+                    s.leaf_chi1) == (nodes, cases, 25444, 4224)
+            assert len(rep.feasible_functions) == (0 if link_check else 4224)
 
 
 def test_link_condition_is_load_bearing(campaign):
