@@ -25,8 +25,8 @@ from typing import TYPE_CHECKING
 
 from . import InputError
 from .orbits import OrbitPoset, OrbitTable, mask_from_points
-from .perm import (Classification, OliverWitness, PermGroup, Permutation,
-                   classify, generate, identity, parse_cycles)
+from .perm import (OliverWitness, PermGroup, Permutation, classify, generate,
+                   identity, parse_cycles)
 
 if TYPE_CHECKING:
     from .search import Schedule, SearchEngine, SubgroupCheck
@@ -162,11 +162,14 @@ def load_json(name: str, override: str | None = None, shape=None):
     return raw if shape is None else _conform(raw, shape, where)
 
 
-def data_digests() -> dict[str, str]:
-    """SHA-256 of each bundled data file, for report provenance."""
+def data_digests(overrides: dict[str, str | None] | None = None
+                 ) -> dict[str, str]:
+    """SHA-256 of each data file, bundled or the override that
+    ``overrides`` names for it, for report provenance."""
     import hashlib
-    return {name: hashlib.sha256(_read_data(name)).hexdigest()
-            for name in DATA_FILES}
+    overrides = overrides or {}
+    return {name: hashlib.sha256(_read_data(name, overrides.get(name)))
+            .hexdigest() for name in DATA_FILES}
 
 
 def expand_labels(entries: list[str], where: str = "labels") -> list[str]:
@@ -197,11 +200,11 @@ class GroupSpec(namedtuple(
 
     def build(self) -> PermGroup:
         try:
-            gens = [parse_cycles(s, self.degree) for s in self.generators]
+            return generate([parse_cycles(s, self.degree)
+                             for s in self.generators])
         except ValueError as exc:
             raise DataIntegrityError(
                 f"{self.source}: {self.name}: {exc}") from exc
-        return generate(gens)
 
     def oliver_witness(self) -> OliverWitness | None:
         """The printed witness, or None; raises DataIntegrityError unless
@@ -210,7 +213,7 @@ class GroupSpec(namedtuple(
         w = self.witness
         if w is None:
             return None
-        where = f"{self.name}: bad witness"
+        where = f"{self.source}: {self.name}: bad witness"
         _conform(w, _WITNESS, where)
         if (("q" in w) != ("h_generators" in w)
                 or w["kind"] != ("psi_pq" if "q" in w else "psi_p")):
@@ -264,12 +267,13 @@ def load_subgroup_specs(override: str | None = None) -> list[SubgroupSpec]:
 
 def load_case_study(override: str | None = None) -> dict:
     """The worked-example data, with every key replay_case_study reads and
-    every label range of its T/F listings within one level and forwards."""
+    the label ranges of its T/F listings expanded (each must lie within one
+    level and run forwards)."""
     raw = load_json("case_study.json", override, _CASE_STUDY)
     for i, step in enumerate(raw["steps"]):
         for key in ("theta_t", "theta_f"):
-            expand_labels(step[key], f"{override or 'case_study.json'}: "
-                                     f"steps[{i}]: {key}")
+            step[key] = expand_labels(
+                step[key], f"{override or 'case_study.json'}: steps[{i}]: {key}")
     return raw
 
 
@@ -287,28 +291,20 @@ def load_group_file(path: str) -> tuple[str, PermGroup]:
         raise DataIntegrityError(f"{where}: {exc}") from exc
 
 
-class AnchorMap(namedtuple("AnchorMap", "label_to_oid skipped")):
-    """Partial bijection published label <-> canonical orbit id."""
-
-    __slots__ = ()
-
-    def oid(self, label: str) -> int | None:
-        return self.label_to_oid.get(label)
-
-
 def build_anchor_map(table: OrbitTable, subgroup_specs: list[SubgroupSpec],
-                     case_study: dict) -> AnchorMap:
+                     case_study: dict,
+                     case_study_file: str = "case_study.json") -> dict[str, int]:
+    """The partial bijection published label -> canonical orbit id that the
+    block and union anchors give; an anchor with an erratum is left out."""
     label_to_oid: dict[str, int] = {}
     oid_to_label: dict[int, str] = {}
-    skipped: list[str] = []
-    entries = [(block, f"{spec.name} block")
+    entries = [(block, f"{spec.source}: {spec.name} block")
                for spec in subgroup_specs for block in spec.blocks]
-    entries += [(entry, "union anchor")
+    entries += [(entry, f"{case_study_file}: union anchor")
                 for entry in case_study.get("union_anchors", ())]
     for entry, origin in entries:
         label = entry["printed_orbit"]
         if "erratum" in entry:
-            skipped.append(f"{origin} {entry['points']} -> {label}: {entry['erratum']}")
             continue
         mask = mask_from_points(entry["points"])
         if mask >> table.n:
@@ -323,27 +319,24 @@ def build_anchor_map(table: OrbitTable, subgroup_specs: list[SubgroupSpec],
         oid = table.orbit_of(mask)
         if label in label_to_oid and label_to_oid[label] != oid:
             raise DataIntegrityError(
-                f"label {label} anchored to two distinct orbits")
+                f"{origin}: label {label} anchored to two distinct orbits")
         if oid in oid_to_label and oid_to_label[oid] != label:
             raise DataIntegrityError(
-                f"orbit {table.label(oid)} anchored to labels "
+                f"{origin}: orbit {table.label(oid)} anchored to labels "
                 f"{oid_to_label[oid]} and {label}")
         label_to_oid[label] = oid
         oid_to_label[oid] = label
-    return AnchorMap(label_to_oid, skipped)
+    return label_to_oid
 
 
 class Campaign(namedtuple(
-        "Campaign", "specs groups table poset subgroup_specs subgroups "
-        "subgroup_classifications checks anchors case_study case_study_file",
-        defaults=("case_study.json",))):
-    """Everything the verification needs, built once from bundled data."""
+        "Campaign", "specs groups table poset subgroup_specs subgroups checks "
+        "anchors case_study overrides")):
+    """Everything the verification needs, built once from bundled data;
+    ``overrides`` maps each data file's name to the file read in its
+    place, or None."""
 
     __slots__ = ()
-
-    @property
-    def g6(self) -> PermGroup:
-        return self.groups["G6"]
 
     def engine(self) -> SearchEngine:
         from .search import SearchEngine
@@ -354,16 +347,16 @@ class Campaign(namedtuple(
         variable-orbits first (ties: higher subgroup number first);
         'alternate' breaks ties the other way."""
         from .search import Schedule
-        nonid = [s for s in self.subgroup_specs.values() if s.number != 1]
+        checked = [self.subgroup_specs[name] for name in self.checks]
         blocks = {s.name: len(self.subgroups[s.name].point_orbits())
-                  for s in nonid}
+                  for s in checked}
         if name == "default":
-            ordered = sorted(nonid, key=lambda s: (blocks[s.name], -s.number))
+            ordered = sorted(checked, key=lambda s: (blocks[s.name], -s.number))
         elif name == "alternate":
-            ordered = sorted(nonid, key=lambda s: (blocks[s.name], s.number))
+            ordered = sorted(checked, key=lambda s: (blocks[s.name], s.number))
         else:
             raise ValueError(f"unknown schedule {name!r}")
-        return Schedule(name, tuple([s.name for s in ordered] + ["G6_1"]))
+        return Schedule(name, tuple(s.name for s in ordered))
 
 
 def build_campaign(groups_file: str | None = None,
@@ -376,49 +369,60 @@ def build_campaign(groups_file: str | None = None,
     specs = load_group_specs(groups_file)
     missing = {f"G{i}" for i in range(1, 7)} - set(specs)
     if missing:
-        raise DataIntegrityError(f"group table lacks {sorted(missing)}")
+        raise DataIntegrityError(f"{groups_file or 'groups.json'}: group "
+                                 f"table lacks {sorted(missing)}")
     groups = {name: spec.build() for name, spec in specs.items()}
     g6 = groups["G6"]
     table = OrbitTable(g6)
     poset = OrbitPoset(table)
 
+    source = subgroups_file or "subgroups.json"
     sub_list = load_subgroup_specs(subgroups_file)
     if (sorted(s.name for s in sub_list)
             != sorted(f"G6_{i}" for i in range(1, 12))):
-        raise DataIntegrityError(f"{subgroups_file or 'subgroups.json'}: "
-                                 "the subgroups must be G6_1..G6_11, each once")
+        raise DataIntegrityError(f"{source}: the subgroups must be "
+                                 "G6_1..G6_11, each once")
     sub_specs = {s.name: s for s in sub_list}
     subgroups: dict[str, PermGroup] = {}
-    classifications: dict[str, Classification] = {}
     checks: dict[str, SubgroupCheck] = {}
     for name, spec in sub_specs.items():
+        where = f"{source}: {name}"
         H = spec.build(g6.degree)
         if not H.element_set <= g6.element_set:
-            raise DataIntegrityError(f"{name} is not a subgroup of G6")
+            raise DataIntegrityError(f"{where} is not a subgroup of G6")
+        # G6_1, and only G6_1, is the identity: its condition is
+        # chi(Delta) = 1, which the search tests at its leaf, so it gets
+        # no check of its own
+        trivial = H.order == 1
+        if ((name == "G6_1") != trivial
+                or (spec.printed_type == "identity") != trivial):
+            raise DataIntegrityError(
+                f"{where}: order {H.order}, printed type {spec.printed_type}; "
+                "G6_1 and no other subgroup must be the identity, so printed")
         printed = sorted(tuple(sorted(b["points"])) for b in spec.blocks)
         computed = sorted(tuple(p + 1 for p in orb) for orb in H.point_orbits())
         # only the identity's record lists no blocks
-        if (spec.blocks or H.order > 1) and printed != computed:
-            raise DataIntegrityError(f"{name}: published blocks do not match "
-                                     f"the recomputed variable orbits")
-        cls = classify(H)
-        condition = cls.chi_condition
+        if (spec.blocks or not trivial) and printed != computed:
+            raise DataIntegrityError(f"{where}: published blocks do not "
+                                     "match the recomputed variable orbits")
+        condition = classify(H).chi_condition
         if condition is None:
-            raise DataIntegrityError(f"{name}: classification failed, no "
+            raise DataIntegrityError(f"{where}: classification failed, no "
                                      f"Euler condition available")
-        expected = _CONDITION_OF_PRINTED_TYPE[spec.printed_type]
-        if condition != expected:
+        if condition != _CONDITION_OF_PRINTED_TYPE[spec.printed_type]:
             raise DataIntegrityError(
-                f"{name}: computed condition {condition} does not match the "
+                f"{where}: computed condition {condition} does not match the "
                 f"published type {spec.printed_type}")
         subgroups[name] = H
-        classifications[name] = cls
-        checks[name] = build_check(table, H, name, condition)
+        if not trivial:
+            checks[name] = build_check(table, H, name, condition)
 
     case_study = load_case_study(case_study_file)
-    anchors = build_anchor_map(table, list(sub_specs.values()), case_study)
+    anchors = build_anchor_map(table, list(sub_specs.values()), case_study,
+                               case_study_file or "case_study.json")
     return Campaign(specs=specs, groups=groups, table=table, poset=poset,
                     subgroup_specs=sub_specs, subgroups=subgroups,
-                    subgroup_classifications=classifications, checks=checks,
-                    anchors=anchors, case_study=case_study,
-                    case_study_file=case_study_file or "case_study.json")
+                    checks=checks, anchors=anchors, case_study=case_study,
+                    overrides={"groups.json": groups_file,
+                               "subgroups.json": subgroups_file,
+                               "case_study.json": case_study_file})

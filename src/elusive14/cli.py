@@ -26,7 +26,7 @@ from .perm import PermGroup, classify, is_transitive
 # load typing on every start
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from .bundle import Campaign
+    from .bundle import Campaign, GroupSpec
     from .complexes import TypeAssignment
 
 
@@ -39,18 +39,19 @@ def emit(report: dict, fmt: str, text_renderer=None) -> str:
     return "".join(f"{k}: {report[k]}\n" for k in sorted(report))
 
 
-def _resolve_group(arg: str) -> tuple[str, PermGroup]:
+def _resolve_group(arg: str) -> tuple[str, PermGroup, GroupSpec | None]:
     """A group argument is a bundled name (G1..G6, G6_1..G6_11) or a JSON
-    file path."""
+    file path.  The bundled record comes back for G1..G6 only: a file's
+    own name selects no bundled data."""
     from .bundle import load_group_file, load_group_specs, load_subgroup_specs
     specs = load_group_specs()
     if arg in specs:
-        return arg, specs[arg].build()
+        return arg, specs[arg].build(), specs[arg]
     if arg.startswith("G6_"):
         for sub in load_subgroup_specs():
             if sub.name == arg:
-                return arg, sub.build(specs["G6"].degree)
-    return load_group_file(arg)
+                return arg, sub.build(specs["G6"].degree), None
+    return (*load_group_file(arg), None)
 
 
 def _load_assignment(args) -> tuple[str, TypeAssignment]:
@@ -67,7 +68,7 @@ def _load_assignment(args) -> tuple[str, TypeAssignment]:
         if entry["orbit"] in states:
             raise ValueError(f"{path}: orbit {entry['orbit']} is listed twice")
         states[entry["orbit"]] = entry["state"]
-    name, group = _resolve_group(args.groupfile)
+    name, group, _ = _resolve_group(args.groupfile)
     table = OrbitTable(group)
     assignment = TypeAssignment.from_states(table, OrbitPoset(table), states)
     if not assert_monotone(assignment):
@@ -83,15 +84,12 @@ def _classification_dict(cls) -> dict:
 
 
 def cmd_group(args) -> int:
-    from .bundle import load_group_specs
-    name, group = _resolve_group(args.file)
+    name, group, spec = _resolve_group(args.file)
     report = {"name": name, "degree": group.degree, "order": group.order,
               "transitive": is_transitive(group)}
     code = 0
     if args.action == "classify":
-        specs = load_group_specs()
-        witness = specs[name].oliver_witness() if name in specs else None
-        cls = classify(group, witness)
+        cls = classify(group, spec.oliver_witness() if spec else None)
         report["classification"] = _classification_dict(cls)
         code = 0 if cls.kind != "unresolved" else 1
     sys.stdout.write(emit(report, args.format))
@@ -99,8 +97,7 @@ def cmd_group(args) -> int:
 
 
 def cmd_orbits(args) -> int:
-    from .bundle import load_group_specs
-    name, group = _resolve_group(args.file)
+    name, group, spec = _resolve_group(args.file)
     table = OrbitTable(group)
     if args.action == "compute":
         levels = {str(k): len(table.ids_at_level[k]) for k in range(table.n + 1)}
@@ -112,9 +109,7 @@ def cmd_orbits(args) -> int:
             "levels": levels,
             "census": table.census(),
         }
-        specs = load_group_specs()
-        published = (specs[name].printed_orbit_total
-                     if name in specs else None)
+        published = spec.printed_orbit_total if spec else None
         if published is not None:
             report["published_total"] = published
             report["matches_published"] = (
@@ -144,7 +139,7 @@ def cmd_euler(args) -> int:
 def cmd_fixedpoint(args) -> int:
     from .complexes import fixed_point_complex
     name, assignment = _load_assignment(args)
-    sub_name, sub = _resolve_group(args.subgroupfile)
+    sub_name, sub, _ = _resolve_group(args.subgroupfile)
     fpc = fixed_point_complex(assignment, sub)
     report = {"group": name, "subgroup": sub_name,
               "blocks": fpc.block_points,
@@ -243,7 +238,7 @@ def verify14(seed_independent: bool = False,
     return {
         "tool": "elusive14",
         "version": __version__,
-        "data_digests": data_digests(),
+        "data_digests": data_digests(camp.overrides),
         "groups": entries,
         "all_verified": all_ok,
     }

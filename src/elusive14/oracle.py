@@ -83,9 +83,6 @@ class BooleanFunction:
         self.group = group
         self.orbit_table: OrbitTable | None = None
 
-    def __call__(self, mask: int) -> int:
-        return self.table[mask]
-
     @classmethod
     def from_bitvector(cls, n: int, bits: int, monotone: bool = False) -> "BooleanFunction":
         return cls(n, bytes((bits >> m) & 1 for m in range(1 << n)), monotone)
@@ -233,16 +230,11 @@ class DepthSolver:
         self.rows, self.low, self.half = keys.rows, keys.low, keys.half
 
     def _constant(self, assigned: int, values: int) -> bool:
+        """Whether the restriction is constant, by a scan of its subcube."""
         table = self.table
-        if self.monotone:
-            return table[values] == table[values | (self.full ^ assigned)]
-        # a plain loop: a generator here would turn table and values into
-        # closure cells and slow the monotone branch on every call
         first = table[values]
-        for s in _submasks(self.full ^ assigned):
-            if table[values | s] != first:
-                return False
-        return True
+        return all(table[values | s] == first
+                   for s in _submasks(self.full ^ assigned))
 
     def _evasive(self, assigned: int, values: int, key: int,
                  free: int) -> bool:
@@ -252,8 +244,7 @@ class DepthSolver:
             return r == free
         table = self.table
         rem = self.full ^ assigned
-        # the monotone test of _constant, inline: this is the oracle's hot
-        # path
+        # the monotone constancy test, inline: this is the oracle's hot path
         if (table[values] == table[values | rem] if self.monotone
                 else self._constant(assigned, values)):
             memo[key] = 0
@@ -333,8 +324,10 @@ class DepthSolver:
             return self._evasive_path()
         path: list[tuple[int, int]] = []
         assigned = values = 0
-        while not self._constant(assigned, values):
-            target = self.depth(assigned, values)
+        # a restriction of depth 0 is constant, and the deeper child of the
+        # chosen query has depth target - 1
+        target = self.depth()
+        while target:
             for i in iter_bits(self.full ^ assigned):
                 b = 1 << i
                 d0 = self.depth(assigned | b, values)
@@ -345,6 +338,7 @@ class DepthSolver:
             path.append((i + 1, answer))
             assigned |= b
             values |= b * answer
+            target -= 1
         return path
 
     def _evasive_path(self) -> list[tuple[int, int]]:

@@ -55,9 +55,6 @@ class Permutation:
         simg = self.images
         return Permutation(tuple(simg[j] for j in other.images))
 
-    def __call__(self, point: int) -> int:
-        return self.images[point]
-
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
         for i, j in enumerate(self.images):
@@ -87,9 +84,6 @@ class Permutation:
 
     def fixed_points(self) -> tuple[int, ...]:
         return tuple(i for i, j in enumerate(self.images) if i == j)
-
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
 
     def cycle_string(self) -> str:
         """Canonical 1-based cycle notation; identity prints as '()'."""
@@ -400,7 +394,7 @@ def _heuristic_oliver_search(G: PermGroup) -> Classification | None:
         for P in candidates:
             seen: set[frozenset[Permutation]] = set()
             for e in reps:
-                if e.is_identity():
+                if e == identity(e.degree):
                     continue
                 H = subgroup(G, list(P.generators) + [e])
                 if H.element_set not in seen and H.order != G.order:

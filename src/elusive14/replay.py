@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .bundle import Campaign, DataIntegrityError, expand_labels
+from .bundle import Campaign, DataIntegrityError
 from .complexes import FALSE, FREE, TRUE, TypeAssignment
 from .orbits import OrbitPoset, iter_bits
 from .search import SearchEngine, SearchStats, SubgroupCheck, condition_met
@@ -31,7 +31,7 @@ class MappingIncomplete(DataIntegrityError):
 # one side (T or F) of a step's published orbit set against the computed
 # state, and the levels the publication lists in full
 ThetaComparison = namedtuple(
-    "ThetaComparison", "side printed_count computed_count matched skipped "
+    "ThetaComparison", "printed_count computed_count matched skipped "
     "mismatched complete_levels")
 TraceStep = namedtuple(
     "TraceStep", "step subgroup printed_cases local_cases child_cases "
@@ -41,8 +41,7 @@ TraceStep = namedtuple(
 class ReplayResult(namedtuple(
         "ReplayResult", "steps satisfied_unvisited pending_unvisited chi "
         "chi_link free_orbits free_relations leaf_cases cases_with_chi_1 "
-        "cases_passing_link published_final combination_check problems "
-        "mapping_incomplete")):
+        "cases_passing_link published_final combination_check problems")):
     __slots__ = ()
 
     @property
@@ -86,14 +85,14 @@ def _compare_theta(camp: Campaign, state: TypeAssignment, printed_t: list[str],
     per_level_counts = {k: len(table.ids_at_level[k]) for k in range(table.n + 1)}
 
     comparisons = []
-    for side, labels, want in ((TRUE, printed_t, TRUE), (FALSE, printed_f, FALSE)):
+    for labels, want in ((printed_t, TRUE), (printed_f, FALSE)):
         comp = ThetaComparison(
-            side=side, printed_count=len(labels),
+            printed_count=len(labels),
             computed_count=sum(1 for o in range(1, table.orbit_count)
                                if state.state(o) == want),
             matched=[], skipped=[], mismatched=[], complete_levels=[])
         for lbl in labels:
-            oid = anchors.oid(lbl)
+            oid = anchors.get(lbl)
             if oid is None:
                 comp.skipped.append(lbl)
             elif state.state(oid) == want:
@@ -119,7 +118,7 @@ def _compare_theta(camp: Campaign, state: TypeAssignment, printed_t: list[str],
         comparisons.append(comp)
 
     # reverse direction: every anchored label must sit where the state says
-    for lbl, oid in anchors.label_to_oid.items():
+    for lbl, oid in anchors.items():
         st = state.state(oid)
         if st == TRUE and lbl not in t_set:
             problems.append(f"{where}: anchored {lbl} computed T but absent "
@@ -140,7 +139,7 @@ def _select_case(camp: Campaign, children: list[TypeAssignment],
     named: dict[int, str] = {}
     echo: dict[str, str] = {}
     for lbl, want in select.get("set", ()):
-        oid = anchors.oid(lbl)
+        oid = anchors.get(lbl)
         if oid is None:
             raise MappingIncomplete(f"{where}: selector label {lbl} has no anchor")
         named[oid] = want
@@ -178,12 +177,13 @@ def replay_case_study(camp: Campaign) -> ReplayResult:
     problems: list[str] = []
     steps: list[TraceStep] = []
     visited: set[str] = set()
+    data_file = camp.overrides["case_study.json"] or "case_study.json"
 
     for raw in camp.case_study["steps"]:
         where = f"step {raw['step']}"
-        source = f"{camp.case_study_file} {where}"
+        source = f"{data_file} {where}"
         check = camp.checks.get(raw["subgroup"])
-        if check is None or check.is_identity:
+        if check is None:
             raise DataIntegrityError(
                 f"{source}: {raw['subgroup']!r} is not a non-identity "
                 "subgroup of G6")
@@ -195,10 +195,8 @@ def replay_case_study(camp: Campaign) -> ReplayResult:
                             f"{raw['printed_cases']} published")
         state, echo = _select_case(camp, children, state, check.governed,
                                    raw["select"], source)
-        comp_t, comp_f = _compare_theta(camp, state,
-                                        expand_labels(raw["theta_t"]),
-                                        expand_labels(raw["theta_f"]),
-                                        problems, where)
+        comp_t, comp_f = _compare_theta(camp, state, raw["theta_t"],
+                                        raw["theta_f"], problems, where)
         steps.append(TraceStep(
             step=raw["step"], subgroup=raw["subgroup"],
             printed_cases=raw["printed_cases"], local_cases=local,
@@ -213,7 +211,7 @@ def replay_case_study(camp: Campaign) -> ReplayResult:
     pending: list[str] = []
     assigned = state.t_bits | state.f_bits
     for name, check in camp.checks.items():
-        if name in visited or check.is_identity:
+        if name in visited:
             continue
         if any(not assigned >> o & 1 for o in check.governed):
             pending.append(name)
@@ -262,8 +260,6 @@ def replay_case_study(camp: Campaign) -> ReplayResult:
                         f"condition, published {final['cases_passing_link']}")
 
     combo = _check_combination_table(camp, problems)
-    mapping_incomplete = sorted(
-        {lbl for s in steps for lbl in s.theta_t.skipped + s.theta_f.skipped})
     return ReplayResult(
         steps=steps, satisfied_unvisited=sorted(satisfied),
         pending_unvisited=sorted(pending), chi=state.chi,
@@ -275,8 +271,7 @@ def replay_case_study(camp: Campaign) -> ReplayResult:
             "free_labels": final["published_free_labels"],
             "cases_with_chi_1": final["published_cases_with_chi_1"],
         },
-        combination_check=combo, problems=problems,
-        mapping_incomplete=mapping_incomplete)
+        combination_check=combo, problems=problems)
 
 
 def _check_combination_table(camp: Campaign, problems: list[str]) -> dict:
@@ -323,7 +318,7 @@ def _check_combination_table(camp: Campaign, problems: list[str]) -> dict:
                             f"pattern differs from the published survey")
         anchored_checked = []
         for lbl, mult in printed:
-            oid = camp.anchors.oid(lbl)
+            oid = camp.anchors.get(lbl)
             if oid is None:
                 continue
             if counts.get(oid, 0) != mult:

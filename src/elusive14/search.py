@@ -3,11 +3,11 @@
 Every node of the search is a monotone-consistent partial TypeAssignment:
 two int bitsets over orbit ids plus the Euler characteristics of the
 encoded complex and of its link at x1, which propagation updates as orbits
-turn TRUE.  Each schedule entry is a subgroup whose fixed-point complex
-must satisfy an Euler condition; the identity subgroup closes the schedule
-and is handled as the leaf: the remaining free orbits are enumerated
-against chi(Delta) = 1 and the survivors are tested against
-chi(Link(Delta, x1)) = 1.
+turn TRUE.  Each schedule entry is one of the ten non-identity subgroups
+of G6, whose fixed-point complex must satisfy an Euler condition.  The
+identity's condition is chi(Delta) = 1 itself, so it gets no entry: the
+leaf after the last entry enumerates the remaining free orbits against
+chi(Delta) = 1 and tests the survivors against chi(Link(Delta, x1)) = 1.
 
 A subgroup check and the leaf run one completion recursion, which assigns
 the free orbits in id order with propagation and hands every complete
@@ -36,8 +36,7 @@ CASE_CAP = 1 << 20
 # governed the orbit ids of all block unions, weights the (orbit id,
 # alternating-sum weight) pairs, and unions[s] the union of the blocks in s.
 SubgroupCheck = namedtuple(
-    "SubgroupCheck", "name condition governed weights unions is_identity",
-    defaults=(False,))
+    "SubgroupCheck", "name condition governed weights unions")
 
 
 def condition_met(condition: tuple[str, int], chi: int) -> bool:
@@ -52,10 +51,7 @@ def condition_met(condition: tuple[str, int], chi: int) -> bool:
 def build_check(table: OrbitTable, sub: PermGroup, name: str,
                 condition: tuple[str, int]) -> SubgroupCheck:
     """Precompute governed orbits and chi weights for one subgroup."""
-    blocks = block_masks(sub)
-    identity = len(blocks) == table.n
-    # the identity check is the leaf, which needs no union table
-    unions = () if identity else tuple(subset_unions(blocks))
+    unions = tuple(subset_unions(block_masks(sub)))
     weights: dict[int, int] = {}
     for s in range(1, len(unions)):
         o = table.orbit_of(unions[s])
@@ -63,10 +59,10 @@ def build_check(table: OrbitTable, sub: PermGroup, name: str,
     return SubgroupCheck(
         name=name, condition=condition,
         governed=tuple(sorted(weights)), weights=tuple(sorted(weights.items())),
-        unions=unions, is_identity=identity)
+        unions=unions)
 
 
-# ordered subgroup checks by name; the identity entry must close the list
+# ordered subgroup checks by name
 Schedule = namedtuple("Schedule", "name order")
 
 
@@ -116,8 +112,6 @@ class SearchEngine:
         """Assign one orbit and close monotonically; None signals a pruned
         branch (some orbit would need both values)."""
         if value == TRUE:
-            if st.t_bits >> oid & 1:
-                return st
             add = self.poset.lower[oid] & ~st.t_bits
             if add & st.f_bits:
                 stats.prunes_by_conflict += 1
@@ -133,8 +127,6 @@ class SearchEngine:
                 link += self.link_delta[i]
             return TypeAssignment(self.table, self.poset, st.t_bits | add,
                                   st.f_bits, chi, link)
-        if st.f_bits >> oid & 1:
-            return st
         add = self.poset.upper[oid] & ~st.f_bits
         if add & st.t_bits:
             stats.prunes_by_conflict += 1
@@ -213,11 +205,8 @@ class SearchEngine:
 
     def schedule_checks(self, schedule: Schedule) -> list[SubgroupCheck]:
         if sorted(schedule.order) != sorted(self.checks):
-            raise ValueError("schedule must list every bundled subgroup exactly once")
-        ordered = [self.checks[name] for name in schedule.order]
-        if not ordered[-1].is_identity or any(c.is_identity for c in ordered[:-1]):
-            raise ValueError("the identity subgroup must close the schedule")
-        return ordered
+            raise ValueError("schedule must list every subgroup check exactly once")
+        return [self.checks[name] for name in schedule.order]
 
 
 def _walk(engine: SearchEngine, checks: list[SubgroupCheck], st: TypeAssignment,
@@ -226,7 +215,7 @@ def _walk(engine: SearchEngine, checks: list[SubgroupCheck], st: TypeAssignment,
     stats.nodes_explored += 1
     if audit is not None:
         audit(st)
-    if checks[depth].is_identity:
+    if depth == len(checks):
         return engine.leaf_survivors(st, stats, link_check=link_check)
     found: list[TypeAssignment] = []
     for child in engine.enumerate_cases(st, checks[depth], stats):

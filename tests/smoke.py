@@ -35,6 +35,13 @@ CASES = [
     (["group", "classify", "G4", "--format", "json"], 0, NO_TRACEBACK, None),
     # the heuristic witness search finds no witness for G6
     (["group", "classify", "G6"], 1, NO_TRACEBACK, None),
+    # nor for G6's generators in a file named G4: a file's own name
+    # selects no bundled witness
+    (["group", "classify", "g6_named_g4.json"], 1, NO_TRACEBACK,
+     ("g6_named_g4.json", None, [],
+      {"name": "G4", "degree": 14,
+       "generators": ["(1,5,11,10)(2,9)(3,8,12,4)(6,14,13,7)",
+                      "(1,9,5,14)(2,12,7,8)(3,4,10,11)(6,13)"]})),
     # no warning from the orbit tables of the trivial group, which
     # group-less functions key by
     (["conjecture-check", "--n", "5", "--format", "json"], 0, EMPTY, None),
@@ -57,6 +64,8 @@ CASES = [
     (["verify14", "--subgroups-file", "bad_subgroups.json"], 2,
      NO_TRACEBACK, ("bad_subgroups.json", "subgroups.json",
                     ["subgroups", 1, "generators"], ["(1,15)"])),
+    (["verify14", "--groups-file", "no_generators.json"], 2, NO_TRACEBACK,
+     ("no_generators.json", "groups.json", ["groups", 0, "generators"], [])),
     # the 14-variable oracle on a checked-in G6 assignment
     (["dtree", "G6", ASSIGNMENT, "--format", "json"], 0, EMPTY, None),
     (["fixedpoint", "G6", "G6_3", ASSIGNMENT, "--format", "json"], 0,

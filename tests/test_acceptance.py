@@ -87,7 +87,7 @@ def test_criterion_3_orbit_census(campaign):
     import math
     t0 = time.perf_counter()
     from elusive14.orbits import OrbitTable
-    table = OrbitTable(campaign.g6)
+    table = OrbitTable(campaign.groups["G6"])
     elapsed = time.perf_counter() - t0
     assert [table.size[o] for o in table.ids_at_level[1]] == [14]
     assert sorted(table.size[o] for o in table.ids_at_level[2]) == [7, 84]
@@ -250,7 +250,7 @@ def test_criterion_6_oracle_cross_check(campaign):
     times = []
     for k in range(5):
         f = sample_invariant_function(campaign.table, campaign.poset, rng)
-        assert f(0) == 1 and f((1 << 14) - 1) == 0   # nontrivial
+        assert f.table[0] == 1 and f.table[(1 << 14) - 1] == 0   # nontrivial
         t0 = time.perf_counter()
         depth = decision_tree_depth(f)
         dt = time.perf_counter() - t0

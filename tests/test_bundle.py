@@ -7,6 +7,7 @@ from elusive14.bundle import (DataIntegrityError, build_anchor_map,
                               load_case_study, load_group_file,
                               load_group_specs, load_subgroup_specs)
 from elusive14.orbits import mask_from_points
+from elusive14.perm import classify
 
 PINNED_DIGESTS = {
     "groups.json":
@@ -49,7 +50,7 @@ def test_campaign_builds_clean(campaign):
                       "G6_6": 4, "G6_7": 6, "G6_8": 8, "G6_9": 12,
                       "G6_10": 21, "G6_11": 24}
     for name, H in campaign.subgroups.items():
-        assert H.element_set <= campaign.g6.element_set
+        assert H.element_set <= campaign.groups["G6"].element_set
 
 
 def test_published_blocks_match_recomputed_orbits(campaign):
@@ -63,10 +64,15 @@ def test_published_blocks_match_recomputed_orbits(campaign):
 
 def test_anchor_map(campaign):
     anchors = campaign.anchors
-    assert len(anchors.label_to_oid) == 19
-    assert len(anchors.skipped) == 2   # the 4.0 and 8.14 misprints
+    assert len(anchors) == 19
+    # the 4.0 and 8.14 misprints carry an erratum and anchor nothing
+    entries = [b for s in campaign.subgroup_specs.values() for b in s.blocks]
+    entries += campaign.case_study["union_anchors"]
+    assert sorted(e["printed_orbit"] for e in entries
+                  if "erratum" in e) == ["4.0", "8.14"]
+    assert not {"4.0", "8.14"} & set(anchors)
     # every anchored label has the level its name claims
-    for label, oid in anchors.label_to_oid.items():
+    for label, oid in anchors.items():
         assert campaign.table.level[oid] == int(label.split(".")[0])
 
 
@@ -81,17 +87,17 @@ def test_dropped_anchor_labels_really_collide(campaign):
     table = campaign.table
     # the published 4.0 representative lies in the 4.10 orbit
     assert (table.orbit_of(mask_from_points([5, 11, 9, 6]))
-            == campaign.anchors.oid("4.10"))
+            == campaign.anchors.get("4.10"))
     # the published 8.14 union lies in the 8.24 orbit
     assert (table.orbit_of(mask_from_points([2, 5, 4, 6, 9, 12, 11, 13]))
-            == campaign.anchors.oid("8.24"))
+            == campaign.anchors.get("8.24"))
 
 
 def test_type_erratum_recorded(campaign):
     spec = campaign.subgroup_specs["G6_7"]
     assert spec.printed_type == "psi_2"
     assert spec.type_erratum
-    cls = campaign.subgroup_classifications["G6_7"]
+    cls = classify(campaign.subgroups["G6_7"])
     assert (cls.kind, cls.p) == ("psi_p", 3)
     assert cls.chi_condition == ("exact", 1)
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elusive14 import InputError, perm, search
-from elusive14.bundle import load_json
+from elusive14.bundle import data_digests, load_group_specs, load_json
 from elusive14.cli import build_parser, main, verify14
 from elusive14.orbits import mask_from_points
 
@@ -40,6 +40,32 @@ def test_group_classify_bundled(capsys):
     code, out = run_cli(capsys, "--format", "json", "group", "classify", "G6")
     assert code == 1
     assert json.loads(out)["classification"]["kind"] == "unresolved"
+
+
+def _group_file(tmp_path, name, bundled):
+    """A group file with ``name`` that holds bundled ``bundled``'s
+    generators."""
+    spec = load_group_specs()[bundled]
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"name": name, "degree": spec.degree,
+                                "generators": spec.generators}))
+    return str(path)
+
+
+def test_a_group_file_name_selects_no_bundled_data(capsys, tmp_path):
+    # G6's generators under the name G4 get no G4 witness: unresolved
+    code, out = run_cli(capsys, "--format", "json", "group", "classify",
+                        _group_file(tmp_path, "G4", "G6"))
+    assert code == 1
+    assert json.loads(out)["classification"]["kind"] == "unresolved"
+    # G1's generators under the name G6 get no published G6 orbit total
+    code, out = run_cli(capsys, "--format", "json", "orbits", "compute",
+                        _group_file(tmp_path, "G6", "G1"))
+    assert code == 0
+    report = json.loads(out)
+    assert report["group"] == "G6"
+    assert "published_total" not in report
+    assert "matches_published" not in report
 
 
 def test_bad_input_exits_two(capsys):
@@ -150,7 +176,7 @@ def test_malformed_witnesses_exit_two(capsys, tmp_path, name, change):
     path.write_text(json.dumps(_groups_with_witness(name, change)()))
     assert main(["verify14", "--groups-file", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {name}: bad witness: "), err
+    assert err.startswith(f"error: {path}: {name}: bad witness: "), err
     assert "Traceback" not in err
 
 
@@ -229,6 +255,35 @@ def _subgroups_with_extra_name():
               value="x")),
     (["replay-appendix", "--case-study-file"],
      _changed("case_study.json", "steps", 0, "theta_t", 0, value="8.5~8.2")),
+    (["verify14", "--groups-file"],
+     _changed("groups.json", "groups", 0, "generators", value=[])),
+    (["verify14", "--subgroups-file"],
+     _changed("subgroups.json", "subgroups", 1, "generators",
+              value=["(1,2)"])),
+    (["verify14", "--subgroups-file"],
+     _changed("subgroups.json", "subgroups", 1, "printed_type",
+              value="psi_2_2")),
+    (["verify14", "--subgroups-file"],
+     _changed("subgroups.json", "subgroups", 1, "blocks", 0, "printed_orbit",
+              value="2.0")),
+    (["replay-appendix", "--case-study-file"],
+     _changed("case_study.json", "union_anchors", 0, "printed_orbit",
+              value="9.6")),
+    (["verify14", "--subgroups-file"],
+     _changed("subgroups.json", "subgroups", 1, "blocks", 2, "printed_orbit",
+              value="2.0")),
+    (["verify14", "--subgroups-file"],
+     _changed("subgroups.json", "subgroups", 1, "blocks", 3, "printed_orbit",
+              value="2.2")),
+    (["verify14", "--subgroups-file"],
+     _changed("subgroups.json", "subgroups", 0, "generators",
+              value=["(1,2)"])),
+    (["verify14", "--subgroups-file"],
+     _changed("subgroups.json", "subgroups", 0, "printed_type",
+              value="cyclic")),
+    (["verify14", "--subgroups-file"],
+     _changed("subgroups.json", "subgroups", 1, "printed_type",
+              value="identity")),
 ], ids=["groups {}", "groups []", "subgroups {}", "case study {}",
         "block without points", "union anchor without points",
         "unknown printed type", "selector label 9.99", "subgroup G6_99",
@@ -238,7 +293,12 @@ def _subgroups_with_extra_name():
         "not JSON", "extra subgroup H2", "subgroup generator (1,15)",
         "group generator (1,15)",
         "theta_t label abc", "theta_f range across levels",
-        "union anchor label x", "theta_t range backwards"])
+        "union anchor label x", "theta_t range backwards",
+        "group without generators", "G6_2 generator (1,2)",
+        "G6_2 printed psi_2_2", "block label of another level",
+        "union anchor label of another level", "label on two orbits",
+        "orbit with two labels", "G6_1 generator (1,2)",
+        "G6_1 printed cyclic", "G6_2 printed identity"])
 def test_malformed_override_files_exit_two(capsys, tmp_path, argv, body):
     path = tmp_path / "override.json"
     if isinstance(body, bytes):
@@ -290,7 +350,7 @@ def test_non_identity_subgroup_without_blocks_exits_two(capsys, tmp_path,
         _changed("subgroups.json", "subgroups", 2, "blocks", value=[])()))
     assert main([command, "--subgroups-file", str(path)]) == 2
     assert capsys.readouterr().err.startswith(
-        "error: G6_3: published blocks do not match")
+        f"error: {path}: G6_3: published blocks do not match")
 
 
 def test_orbits_compute_byte_stable(capsys):
@@ -487,6 +547,69 @@ def test_replay_cli(capsys):
     report = json.loads(out)
     assert report["ok"]
     assert report["chi"] == 1 and report["chi_link_x1"] == 7
+
+
+def _bump(*keys, by=1):
+    """Add ``by`` to the case-study integer at ``keys``."""
+    def change(raw):
+        entry = raw
+        for key in keys[:-1]:
+            entry = entry[key]
+        entry[keys[-1]] += by
+    return change
+
+
+def _copy_theta_f_into_theta_t(raw):
+    step = raw["steps"][0]
+    step["theta_t"].append(step["theta_f"][0])
+
+
+@pytest.mark.parametrize("change, problem", [
+    (_bump("steps", 0, "printed_cases"),
+     "step 1: 2 block-local cases computed, 3 published"),
+    (_bump("final", "chi"), "final: chi 1 != published 2"),
+    (_bump("final", "chi_link"), "final: link chi 7 != published 8"),
+    (_bump("final", "computed_free_orbits", by=-5),
+     "final: 12 free orbits, bundled regression value 7"),
+    (_bump("final", "computed_cases_with_chi_1", by=-13),
+     "final: 16 chi=1 cases, bundled regression value 3"),
+    (_bump("final", "cases_passing_link"),
+     "final: 0 cases pass the link condition, published 1"),
+    (_bump("combination_table", "1", 0, 1),
+     "combination table k=1: label 1.0 published with multiplicity 3, "
+     "computed 2"),
+    (_copy_theta_f_into_theta_t,
+     "step 1: published 8.24 should be T but computed F"),
+], ids=["printed cases", "final chi", "final link chi", "free orbits",
+        "chi=1 cases", "cases passing link", "combination multiplicity",
+        "theta_t holds an F orbit"])
+def test_replay_reports_each_wrong_published_value(capsys, tmp_path, change,
+                                                   problem):
+    raw = load_json("case_study.json")
+    change(raw)
+    path = tmp_path / "case_study.json"
+    path.write_text(json.dumps(raw))
+    code, out = run_cli(capsys, "--format", "json", "replay-appendix",
+                        "--case-study-file", str(path))
+    assert code == 1
+    report = json.loads(out)
+    assert report["ok"] is False
+    assert problem in report["problems"]
+
+
+def test_verify14_digests_the_files_it_read(capsys, tmp_path):
+    bundled = data_digests()
+    # the same groups, written with other whitespace
+    path = tmp_path / "groups.json"
+    path.write_text(json.dumps(load_json("groups.json"), indent=1))
+    code, out = run_cli(capsys, "--format", "json", "verify14",
+                        "--groups-file", str(path))
+    assert code == 0
+    digests = json.loads(out)["data_digests"]
+    assert digests == {
+        **bundled,
+        "groups.json": hashlib.sha256(path.read_bytes()).hexdigest()}
+    assert digests["groups.json"] != bundled["groups.json"]
 
 
 def test_verify14_report(campaign):

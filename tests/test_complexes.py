@@ -168,7 +168,7 @@ def test_fixed_point_full_simplex(campaign, g6_table, g6_poset):
 
 def test_fixed_point_step_one_case(campaign, g6_table, g6_poset):
     # the branch case: the 6-point block is a face, the 8-point one is not
-    o_six = campaign.anchors.oid("6.24")
+    o_six = campaign.anchors.get("6.24")
     t = g6_poset.lower[o_six]
     f = 0
     for o in range(1, g6_table.orbit_count):

@@ -86,7 +86,7 @@ def test_block_masks_are_point_orbits():
 
 
 def test_census_matches_burnside(campaign, g6_table):
-    expected = burnside_census(campaign.g6)
+    expected = burnside_census(campaign.groups["G6"])
     computed = [len(g6_table.ids_at_level[k]) for k in range(15)]
     assert computed == expected
     assert computed == [1, 1, 2, 5, 12, 17, 25, 30, 25, 17, 12, 5, 2, 1, 1]
@@ -108,7 +108,7 @@ def test_partition_per_level(g6_table):
 
 
 def test_orbit_sizes_divide_group_order(campaign, g6_table):
-    order = campaign.g6.order
+    order = campaign.groups["G6"].order
     assert all(order % g6_table.size[o] == 0 for o in range(g6_table.orbit_count))
 
 
@@ -118,7 +118,7 @@ def test_containing_count_identity(g6_table):
 
 
 def test_canonical_stability(campaign, g6_table):
-    g1, g2 = campaign.g6.generators
+    g1, g2 = campaign.groups["G6"].generators
     shuffled = generate([g2, g1, g1 * g2])
     other = OrbitTable(shuffled)
     assert other._orbit_of == g6_table._orbit_of

@@ -14,13 +14,13 @@ from elusive14.perm import (ClosureCapExceeded, OliverWitness, ParseError,
 
 def test_parse_identity_forms():
     for text in ("", "   ", "()", "id"):
-        assert parse_cycles(text, 14).is_identity()
+        assert parse_cycles(text, 14) == identity(14)
 
 
 def test_parse_full_cycle_order():
     sigma = parse_cycles("(1,2,3,4,5,6,7,8,9,10,11,12,13,14)", 14)
     assert sigma.order() == 14
-    assert sigma(0) == 1 and sigma(13) == 0
+    assert sigma.images[0] == 1 and sigma.images[13] == 0
 
 
 def test_parse_involution():
@@ -66,7 +66,7 @@ def test_compose_inverse(a_img, b_img):
     from elusive14.perm import Permutation
     a, b = Permutation(tuple(a_img)), Permutation(tuple(b_img))
     assert (a * b).images == tuple(a.images[b.images[i]] for i in range(8))
-    assert (a * a.inverse()).is_identity()
+    assert a * a.inverse() == identity(8)
     assert ((a * b) * b.inverse()) == a
 
 
@@ -243,8 +243,9 @@ def test_heuristic_witnesses_verify(campaign, groups):
 
 
 def test_subgroup_classifications(campaign):
-    kinds = {name: campaign.subgroup_classifications[name].kind
-             for name in campaign.subgroup_classifications}
+    classifications = {name: classify(H)
+                       for name, H in campaign.subgroups.items()}
+    kinds = {name: cls.kind for name, cls in classifications.items()}
     assert kinds["G6_1"] == "cyclic"
     assert kinds["G6_2"] == "cyclic"
     assert kinds["G6_3"] == "cyclic"
@@ -255,11 +256,11 @@ def test_subgroup_classifications(campaign):
     assert kinds["G6_9"] == "psi_p"
     assert kinds["G6_10"] == "psi_p"
     assert kinds["G6_7"] == "psi_p"   # order-6 dihedral: psi_3, see data note
-    assert campaign.subgroup_classifications["G6_7"].p == 3
-    c11 = campaign.subgroup_classifications["G6_11"]
+    assert classifications["G6_7"].p == 3
+    c11 = classifications["G6_11"]
     assert (c11.kind, c11.p, c11.q) == ("psi_pq", 2, 2)
     conditions = {name: cls.chi_condition
-                  for name, cls in campaign.subgroup_classifications.items()}
+                  for name, cls in classifications.items()}
     assert conditions["G6_11"] == ("mod", 2)
     assert all(cond == ("exact", 1) for name, cond in conditions.items()
                if name != "G6_11")
