@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 
@@ -41,13 +42,15 @@ def emit(report: dict, fmt: str, text_renderer=None) -> str:
 
 def _resolve_group(arg: str) -> tuple[str, PermGroup, GroupSpec | None]:
     """A group argument is a bundled name (G1..G6, G6_1..G6_11) or a JSON
-    file path.  The bundled record comes back for G1..G6 only: a file's
-    own name selects no bundled data."""
+    file path.  Only an argument of a bundled name's form, G<k> or G6_<k>,
+    reads the bundled tables, and a bundled name wins over a file of that
+    name.  The bundled record comes back for G1..G6 only: a file's own name
+    selects no bundled data."""
     from .bundle import load_group_file, load_group_specs, load_subgroup_specs
-    specs = load_group_specs()
-    if arg in specs:
-        return arg, specs[arg].build(), specs[arg]
-    if arg.startswith("G6_"):
+    if re.fullmatch(r"G\d+|G6_\d+", arg):
+        specs = load_group_specs()
+        if arg in specs:
+            return arg, specs[arg].build(), specs[arg]
         for sub in load_subgroup_specs():
             if sub.name == arg:
                 return arg, sub.build(specs["G6"].degree), None

@@ -8,10 +8,7 @@ the subset, so x_1 is the least significant bit.  Everything for n = 14
 
 from __future__ import annotations
 
-import warnings
-
-from .perm import (Permutation, PermGroup, closure, generate, identity,
-                   is_transitive)
+from .perm import Permutation, PermGroup, closure, generate, identity
 
 # OrbitTable keeps several 2^n-entry lists: about 200 MiB at degree 20
 MAX_DEGREE = 20
@@ -68,8 +65,6 @@ class OrbitTable:
         if n > MAX_DEGREE:
             raise ValueError(f"degree {n} is too large for the orbit tables "
                              f"(2^n entries each; at most {MAX_DEGREE})")
-        if not is_transitive(group):
-            warnings.warn("group is not transitive; orbit census still computed")
         maps = [action_table(g).__getitem__ for g in group.generators]
         seen = bytearray(1 << n)
         members: list[list[int]] = []
@@ -86,7 +81,7 @@ class OrbitTable:
     @classmethod
     def of_identity(cls, n: int) -> "OrbitTable":
         """The trivial group's table, whose orbits are the single masks:
-        no scan, and no warning that the group is not transitive."""
+        no scan."""
         table = cls.__new__(cls)
         table._index(generate([identity(n)]), [[m] for m in range(1 << n)])
         return table

@@ -30,6 +30,8 @@ ASSIGNMENT = str(ROOT / "tests" / "data" / "g6_closure_1.json")
 
 CASES = [
     (["orbits", "compute", "G6", "--format", "json"], 0, NO_TRACEBACK, None),
+    # an intransitive group's census comes with nothing on stderr
+    (["orbits", "compute", "G6_3", "--format", "json"], 0, EMPTY, None),
     (["conjecture-check", "--n", "4"], 0, NO_TRACEBACK, None),
     # checks G4's bundled psi_p^q witness
     (["group", "classify", "G4", "--format", "json"], 0, NO_TRACEBACK, None),
@@ -42,8 +44,7 @@ CASES = [
       {"name": "G4", "degree": 14,
        "generators": ["(1,5,11,10)(2,9)(3,8,12,4)(6,14,13,7)",
                       "(1,9,5,14)(2,12,7,8)(3,4,10,11)(6,13)"]})),
-    # no warning from the orbit tables of the trivial group, which
-    # group-less functions key by
+    # the exhaustive sweep writes its report and nothing else
     (["conjecture-check", "--n", "5", "--format", "json"], 0, EMPTY, None),
     # verify14 and replay-appendix read all three bundled data files
     (["verify14", "--format", "json"], 0, NO_TRACEBACK, None),

@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elusive14 import InputError, perm, search
+from elusive14 import InputError, bundle, perm, search
 from elusive14.bundle import data_digests, load_group_specs, load_json
 from elusive14.cli import build_parser, main, verify14
 from elusive14.orbits import mask_from_points
@@ -66,6 +67,27 @@ def test_a_group_file_name_selects_no_bundled_data(capsys, tmp_path):
     assert report["group"] == "G6"
     assert "published_total" not in report
     assert "matches_published" not in report
+
+
+def test_a_group_file_reads_no_bundled_table(capsys, tmp_path, monkeypatch):
+    path = _group_file(tmp_path, "mine", "G1")
+
+    def unread(override=None):
+        raise AssertionError("groups.json read for a group file")
+
+    monkeypatch.setattr(bundle, "load_group_specs", unread)
+    code, out = run_cli(capsys, "--format", "json", "group", "order", path)
+    assert code == 0
+    assert json.loads(out)["name"] == "mine"
+
+
+def test_intransitive_group_orbits_warn_nothing(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(capsys, "--format", "json", "orbits", "compute",
+                            "G6_3")
+    assert code == 0
+    assert json.loads(out)["group"] == "G6_3"
 
 
 def test_bad_input_exits_two(capsys):

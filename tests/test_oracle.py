@@ -1,6 +1,7 @@
 import random
-import warnings
+from collections import Counter
 from itertools import permutations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -10,15 +11,15 @@ from conftest import act, opposite, restricted_true
 from elusive14 import oracle
 from elusive14.complexes import TypeAssignment, euler
 from elusive14.oracle import (ArityError, BooleanFunction, ConjectureReport,
-                              DepthSolver, OrbitKeys, SymmetryScan,
+                              DepthSolver, OrbitKeys,
                               decision_tree_depth,
                               enumerate_monotone, euler_of_bitvector,
                               exhaustive_conjecture_check,
                               is_elusive,
                               sample_invariant_function,
-                              _relabelling_classes)
+                              _relabellers, _relabelling_classes)
 from elusive14.orbits import OrbitPoset, OrbitTable
-from elusive14.perm import generate, parse_cycles
+from elusive14.perm import closure, generate, parse_cycles
 
 
 def is_monotone_nonincreasing(f):
@@ -105,10 +106,6 @@ def test_trivial_keys_are_the_radix3_index():
     # built once per arity and shared by every group-less solver
     assert (DepthSolver(BooleanFunction.from_bitvector(4, 0b0111)).keys
             is DepthSolver(not_all_ones(4)).keys)
-    # the trivial group's orbit table is not transitive; that is no warning
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        oracle._identity_keys.__wrapped__(5)
 
 
 def test_monotone_shortcut_agrees_with_subcube_scan():
@@ -228,10 +225,17 @@ def _reference_weakly_symmetric(n, fbits):
     return len(reached) == n
 
 
-def _reference_screen(n, fbits):
-    counts = {sum(fbits >> m & 1 for m in range(1 << n) if m >> i & 1)
-              for i in range(n)}
-    return len(counts) == 1
+def _weakly_symmetric(n, fbits, size=None):
+    """The sweep's orbit-stabilizer test on any truth table: n divides
+    |Aut(f)| = n! / |class|, and the relabellings that fix x1 reach the
+    whole class, of ``size`` members if given."""
+    size = size or len(closure((fbits,), _relabellers(n)))
+    return (factorial(n - 1) % size == 0
+            and len(closure((fbits,), _relabellers(n, first=1))) == size)
+
+
+def _nontrivial(n, fbits):
+    return fbits & 1 and not fbits >> ((1 << n) - 1) & 1
 
 
 def _reference_report(n, elusive_of=None):
@@ -247,8 +251,7 @@ def _reference_report(n, elusive_of=None):
             counts["non_elusive"] += 1
             if fbits != 0 and euler_of_bitvector(n, fbits) != 1:
                 chi_one_failures.append(fbits)
-        nontrivial = fbits & 1 and not fbits >> ((1 << n) - 1) & 1
-        if nontrivial and _reference_weakly_symmetric(n, fbits):
+        if _nontrivial(n, fbits) and _reference_weakly_symmetric(n, fbits):
             counts["weakly_symmetric_nontrivial"] += 1
             if elusive:
                 counts["elusive_verified"] += 1
@@ -260,11 +263,11 @@ def _reference_report(n, elusive_of=None):
 
 def test_sweep_matches_full_scan_and_exact_depth():
     for n in (1, 2, 3, 4):
-        scan = SymmetryScan(n)
         for fbits in enumerate_monotone(n):
             f = BooleanFunction.from_bitvector(n, fbits, monotone=True)
             assert is_elusive(f) == (decision_tree_depth(f) == n)
-            assert scan(fbits) == _reference_weakly_symmetric(n, fbits)
+            assert (_weakly_symmetric(n, fbits)
+                    == _reference_weakly_symmetric(n, fbits))
         assert exhaustive_conjecture_check(n) == _reference_report(n)
 
 
@@ -322,14 +325,14 @@ def test_relabelling_classes():
 
 def test_every_function_agrees_with_its_class_representative():
     n = 5
-    scan = SymmetryScan(n)
     functions = enumerate_monotone(n)
     rep_of = _relabelling_classes(n, functions)
+    sizes = Counter(rep_of.values())
 
     def facts(fbits):
         f = BooleanFunction.from_bitvector(n, fbits, monotone=True)
-        nontrivial = fbits & 1 and not fbits >> ((1 << n) - 1) & 1
-        return (is_elusive(f), bool(nontrivial), scan(fbits),
+        symmetric = _weakly_symmetric(n, fbits, sizes[rep_of[fbits]])
+        return (is_elusive(f), bool(_nontrivial(n, fbits)), symmetric,
                 euler_of_bitvector(n, fbits))
 
     decided = {rep: facts(rep) for rep in set(rep_of.values())}
@@ -355,28 +358,60 @@ def test_failing_classes_list_every_member(monkeypatch):
         assert failures == sorted(failures, key=order.index)
 
 
-def test_symmetry_scan_on_arbitrary_tables():
-    # non-monotone tables can pass the screen without being weakly
-    # symmetric (true on {x1} and {x2, x3}: each variable in one true
-    # input), so here the scan, not the screen, decides
+def test_sweep_weak_symmetry_at_five_matches_the_reference(monkeypatch):
+    # with every function non-elusive, the sweep's elusive failures are
+    # the members of the classes it finds nontrivial and weakly symmetric
+    n = 5
+    monkeypatch.setattr(oracle, "is_elusive", lambda f: False)
+    failures = exhaustive_conjecture_check(n).elusive_failures
+    functions = enumerate_monotone(n)
+    rep_of = _relabelling_classes(n, functions)
+    reps = set(rep_of.values())
+    assert len(reps) == 210
+    symmetric = {rep for rep in reps if _nontrivial(n, rep)
+                 and _reference_weakly_symmetric(n, rep)}
+    assert failures == [f for f in functions if rep_of[f] in symmetric]
+    assert len(failures) == 29
+
+
+def test_the_closure_not_the_divisibility_decides(monkeypatch):
+    # the down-set generated by {x1, x2, x3} and {x1, x2, x4}: Aut(f) is
+    # <(12), (34)>, so its class of 6 divides 3!, yet x1 reaches only x2
+    # and the relabellings that fix x1 reach 3 of the 6
+    n = 4
+    fbits = sum(1 << m for m in range(1 << n)
+                if m | 0b0111 == 0b0111 or m | 0b1011 == 0b1011)
+    members = closure((fbits,), _relabellers(n))
+    assert len(members) == 6 and factorial(n - 1) % 6 == 0
+    assert len(closure((fbits,), _relabellers(n, first=1))) == 3
+    assert _nontrivial(n, fbits)
+    assert not _reference_weakly_symmetric(n, fbits)
+    assert not _weakly_symmetric(n, fbits)
+    # a weakly symmetric class that is not elusive would be listed
+    tables = {BooleanFunction.from_bitvector(n, f).table for f in members}
+    monkeypatch.setattr(oracle, "is_elusive", lambda f: f.table not in tables)
+    assert exhaustive_conjecture_check(n).elusive_failures == []
+
+
+def test_orbit_stabilizer_on_arbitrary_tables():
+    # non-monotone tables too: the orbit-stabilizer test holds for any
+    # truth table, and a class size that divides (n-1)! does not decide
     rng = random.Random(66)
     cases = [(3, bits) for bits in range(1 << 8)]
     cases += [(4, rng.getrandbits(16)) for _ in range(400)]
     monotone4 = enumerate_monotone(4)
     cases += [(4, rng.choice(monotone4) ^ (1 << rng.randrange(16)))
               for _ in range(200)]
-    scans = {n: SymmetryScan(n) for n in (3, 4)}
-    screened_out_by_scan = 0
+    divisible_not_symmetric = 0
     for n, fbits in cases:
-        scan = scans[n]
-        assert scan.screen(fbits) == _reference_screen(n, fbits)
-        symmetric = scan(fbits)
+        size = len(closure((fbits,), _relabellers(n)))
+        symmetric = _weakly_symmetric(n, fbits, size)
         assert symmetric == _reference_weakly_symmetric(n, fbits)
-        if scan.screen(fbits) and not symmetric:
-            screened_out_by_scan += 1
+        if factorial(n - 1) % size == 0 and not symmetric:
+            divisible_not_symmetric += 1
     x1_or_x2x3 = 1 << 0b001 | 1 << 0b110
-    assert scans[3].screen(x1_or_x2x3) and not scans[3](x1_or_x2x3)
-    assert screened_out_by_scan > 10
+    assert not _weakly_symmetric(3, x1_or_x2x3)
+    assert divisible_not_symmetric > 10
 
 
 def test_sweep_report_at_five():
