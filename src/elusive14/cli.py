@@ -143,6 +143,8 @@ def cmd_fixedpoint(args) -> int:
     from .complexes import fixed_point_complex
     name, assignment = _load_assignment(args)
     sub_name, sub, _ = _resolve_group(args.subgroupfile)
+    if not all(g in assignment.table.group for g in sub.generators):
+        raise ValueError(f"{sub_name} is not a subgroup of {name}")
     fpc = fixed_point_complex(assignment, sub)
     report = {"group": name, "subgroup": sub_name,
               "blocks": fpc.block_points,

@@ -8,10 +8,10 @@ variable (free / answered 0 / answered 1), of its image under an element of
 the function's invariance group G that carries its assigned mask to the
 least mask of that mask's orbit.  Restrictions with equal keys are G-images
 of each other and have the same depth, so isomorphic subproblems share one
-memo entry and every free variable can be queried.  A function without a
-group gets the keys of the trivial group of its arity, which are the plain
-radix-3 indices.  The same tables check a given group: the truth table is
-G-invariant iff it is constant on every mask orbit.
+memo entry and every free variable can be queried.  A function given
+without an orbit table gets the trivial group's table of its arity, whose
+keys are the plain radix-3 indices.  The same keys check the group: the
+truth table is G-invariant iff it is constant on every mask orbit.
 
 The decision pass comes first.  A restriction is evasive (its depth equals
 its number of free variables) iff it has no free variable, or it is
@@ -25,8 +25,9 @@ The oracle deliberately leaves out the Rivest-Vuillemin parity shortcut
 At the x1 = 1 child that shortcut is the link lemma the search relies on,
 and the oracle's worth is that it reaches its verdict without it.
 
-For monotone functions, constancy on a subcube reduces to comparing the
-all-zeros and all-ones completions, which is what makes arity 14 tractable.
+Every function is monotone in one direction, as its constructor checks,
+so a restriction is constant iff its all-zeros and all-ones completions
+agree: this is what makes arity 14 tractable.
 
 The small-arity sweep decides one function per class under relabelling
 the variables.  Weak symmetry follows from the class by orbit-stabilizer:
@@ -47,7 +48,7 @@ from operator import itemgetter, or_
 
 from .orbits import (OrbitPoset, OrbitTable, action_table, iter_bits,
                      subset_unions)
-from .perm import Permutation, PermGroup, closure
+from .perm import Permutation, closure
 
 
 class ArityError(ValueError):
@@ -61,33 +62,60 @@ NOT_EVASIVE = 0xFE
 UNFILLED = 0xFF
 
 
-class BooleanFunction:
-    """A boolean function given by its full truth table over subset masks.
+# the trivial group's table per arity, for functions given without one
+_trivial_table = cache(OrbitTable.of_identity)
 
-    ``monotone`` asserts the function is monotone (in either direction),
-    which licenses the two-completion constancy shortcut.  ``group``, when
-    set, is a permutation group of the variables that the function is
-    invariant under; the depth solver checks it and keys its memo by
-    G-orbits of restrictions.  ``orbit_table``, set by ``from_orbit_types``,
-    is the group's ``OrbitTable``, from which the solver builds its keys
-    rather than from a table of its own.
+
+@cache
+def _without_bit(n: int) -> list[int]:
+    """Per variable i, the big int with byte m set to 1 for each mask m of
+    arity n without bit i."""
+    return [int.from_bytes((b"\1" * (1 << i) + bytes(1 << i))
+                           * (1 << (n - 1 - i)), "little") for i in range(n)]
+
+
+def _is_monotone(n: int, table: bytes) -> bool:
+    """Whether the 0/1 table is non-increasing or non-decreasing: per
+    variable i, one shift sets byte m + 2^i against byte m for every m
+    without bit i.  A change above byte m is a fall iff byte m is 1."""
+    t = int.from_bytes(table, "little")
+    changes = 0
+    for i, low in enumerate(_without_bit(n)):
+        changes |= (t ^ t >> (8 << i)) & low
+    return (changes & t) in (0, changes)
+
+
+class BooleanFunction:
+    """A monotone function, non-increasing or non-decreasing, by its 0/1
+    truth table over subset masks, which the constructor checks
+    (``ValueError``), and the ``OrbitTable`` of a group G of its variables,
+    by default the trivial group's.  The depth solver checks that the table
+    is G-invariant and keys its memo by G-orbits of restrictions.
     """
 
-    __slots__ = ("n", "table", "monotone", "group", "orbit_table")
+    __slots__ = ("n", "table", "orbits")
 
-    def __init__(self, n: int, table: bytes | bytearray, monotone: bool = False,
-                 group: PermGroup | None = None):
+    def __init__(self, n: int, table: bytes | bytearray,
+                 orbits: OrbitTable | None = None):
         if len(table) != 1 << n:
             raise ValueError("truth table length must be 2^n")
+        table = bytes(table)
+        if table.translate(None, b"\0\1"):
+            raise ValueError("truth table values must be 0 or 1")
+        if not _is_monotone(n, table):
+            raise ValueError("truth table is not monotone in either direction")
+        if orbits is None:
+            orbits = _trivial_table(n)
+        elif orbits.n != n:
+            raise ValueError(f"orbit table degree {orbits.n} does not match "
+                             f"arity {n}")
         self.n = n
-        self.table = bytes(table)
-        self.monotone = monotone
-        self.group = group
-        self.orbit_table: OrbitTable | None = None
+        self.table = table
+        self.orbits = orbits
 
     @classmethod
-    def from_bitvector(cls, n: int, bits: int, monotone: bool = False) -> "BooleanFunction":
-        return cls(n, bytes((bits >> m) & 1 for m in range(1 << n)), monotone)
+    def from_bitvector(cls, n: int, bits: int) -> "BooleanFunction":
+        return cls(n, bytes((bits >> m) & 1 for m in range(1 << n)))
 
     @classmethod
     def from_orbit_types(cls, table: OrbitTable, t_bits: int) -> "BooleanFunction":
@@ -105,9 +133,7 @@ class BooleanFunction:
                                      "FALSE one")
                 for m in table.members[o]:
                     tab[m] = 1
-        f = cls(table.n, tab, monotone=True, group=table.group)
-        f.orbit_table = table
-        return f
+        return cls(table.n, tab, table)
 
 
 def _scatter(target, positions, values) -> None:
@@ -176,23 +202,17 @@ class OrbitKeys:
         return base + lo[values & self.low] + hi[values >> self.half]
 
 
-# one OrbitKeys per group, shared by the solvers of its functions and
-# dropped with the group; built from the group's OrbitTable, a new one if
-# the function carries none
-_keys_of_group: "weakref.WeakKeyDictionary[PermGroup, OrbitKeys]" = (
+# one OrbitKeys per orbit table, shared by the solvers of its functions and
+# dropped with the table
+_keys_of_table: "weakref.WeakKeyDictionary[OrbitTable, OrbitKeys]" = (
     weakref.WeakKeyDictionary())
 
 
-def _orbit_keys(group: PermGroup, table: OrbitTable | None) -> OrbitKeys:
-    if group not in _keys_of_group:
-        _keys_of_group[group] = OrbitKeys(table or OrbitTable(group))
-    return _keys_of_group[group]
-
-
-@cache
-def _identity_keys(n: int) -> OrbitKeys:
-    """The keys of group-less functions of arity n: the trivial group's."""
-    return OrbitKeys(OrbitTable.of_identity(n))
+def _orbit_keys(table: OrbitTable) -> OrbitKeys:
+    keys = _keys_of_table.get(table)
+    if keys is None:
+        keys = _keys_of_table[table] = OrbitKeys(table)
+    return keys
 
 
 class DepthSolver:
@@ -202,11 +222,10 @@ class DepthSolver:
     ``memo[key]`` holds a restriction's exact depth (an evasive one's is
     its free count), ``NOT_EVASIVE`` once the decision pass has shown its
     depth is below its free count, or ``UNFILLED``.  The key is the
-    ``OrbitKeys`` key of the function's group, shared by restrictions that
-    G carries onto each other; a function without a group gets the trivial
-    group's keys, which are the plain radix-3 indices.  A function's group
-    is checked against its table through the same keys: the table must be
-    constant on every mask orbit.
+    ``OrbitKeys`` key of the function's orbit table, shared by restrictions
+    that its group G carries onto each other; under the trivial group it is
+    the plain radix-3 index.  The function's invariance is checked through
+    the same keys: the table must be constant on every mask orbit.
     """
 
     def __init__(self, f: BooleanFunction):
@@ -215,28 +234,13 @@ class DepthSolver:
         self.n = f.n
         self.full = (1 << f.n) - 1
         self.memo = bytearray([UNFILLED]) * (3 ** f.n)
-        group = f.group
-        if group is None:
-            keys = _identity_keys(f.n)
-        elif group.degree != f.n:
-            raise ValueError(f"group degree {group.degree} does not match "
-                             f"arity {f.n}")
-        else:
-            keys = _orbit_keys(group, f.orbit_table)
-            if bytes(map(f.table.__getitem__, keys.least)) != f.table:
-                raise ValueError(f"truth table is not invariant under "
-                                 f"{group!r}")
-        self.keys = keys
+        self.keys = keys = _orbit_keys(f.orbits)
+        if bytes(map(f.table.__getitem__, keys.least)) != f.table:
+            raise ValueError(f"truth table is not invariant under "
+                             f"{f.orbits.group!r}")
         # the decision pass reads these from the solver, one attribute each
-        self.table, self.monotone = f.table, f.monotone
+        self.table = f.table
         self.rows, self.low, self.half = keys.rows, keys.low, keys.half
-
-    def _constant(self, assigned: int, values: int) -> bool:
-        """Whether the restriction is constant, by a scan of its subcube."""
-        table = self.table
-        first = table[values]
-        return all(table[values | s] == first
-                   for s in _submasks(self.full ^ assigned))
 
     def _evasive(self, assigned: int, values: int, key: int,
                  free: int) -> bool:
@@ -246,9 +250,9 @@ class DepthSolver:
             return r == free
         table = self.table
         rem = self.full ^ assigned
-        # the monotone constancy test, inline: this is the oracle's hot path
-        if (table[values] == table[values | rem] if self.monotone
-                else self._constant(assigned, values)):
+        # the two-completion constancy test, inline: this is the oracle's
+        # hot path
+        if table[values] == table[values | rem]:
             memo[key] = 0
             return free == 0
         rows, low, half = self.rows, self.low, self.half
@@ -362,15 +366,6 @@ def decision_tree_depth(f: BooleanFunction) -> int:
     return DepthSolver(f).depth()
 
 
-def _submasks(mask: int):
-    s = mask
-    while True:
-        yield s
-        if s == 0:
-            return
-        s = (s - 1) & mask
-
-
 def is_elusive(f: BooleanFunction) -> bool:
     return DepthSolver(f).evasive()
 
@@ -478,8 +473,7 @@ def exhaustive_conjecture_check(n: int) -> ConjectureReport:
     # Aut(f), of order n!/size, is transitive iff n divides its order and
     # the relabellings that fix x1 reach the whole class
     for fbits, size in Counter(rep_of.values()).items():
-        elusive = is_elusive(
-            BooleanFunction.from_bitvector(n, fbits, monotone=True))
+        elusive = is_elusive(BooleanFunction.from_bitvector(n, fbits))
         if not elusive:
             non_elusive += size
             if fbits != 0 and euler_of_bitvector(n, fbits) != 1:

@@ -105,10 +105,9 @@ def restricted_true(f: BooleanFunction, v: int) -> BooleanFunction:
     tab = bytearray(1 << (f.n - 1))
     for m in range(1 << (f.n - 1)):
         tab[m] = f.table[(m & low) | ((m & ~low) << 1) | bit]
-    return BooleanFunction(f.n - 1, tab, monotone=f.monotone)
+    return BooleanFunction(f.n - 1, tab)
 
 
 def opposite(f: BooleanFunction) -> BooleanFunction:
-    """f with every truth value flipped; monotone and the group carry over."""
-    return BooleanFunction(f.n, bytes(1 - v for v in f.table),
-                           monotone=f.monotone, group=f.group)
+    """f with every truth value flipped, on f's orbit table."""
+    return BooleanFunction(f.n, bytes(1 - v for v in f.table), f.orbits)

@@ -71,6 +71,12 @@ CASES = [
     (["dtree", "G6", ASSIGNMENT, "--format", "json"], 0, EMPTY, None),
     (["fixedpoint", "G6", "G6_3", ASSIGNMENT, "--format", "json"], 0,
      NO_TRACEBACK, None),
+    # G1 is not a subgroup of G6, so it has no fixed-point complex there
+    (["fixedpoint", "G6", "G1", ASSIGNMENT], 2, NO_TRACEBACK, None),
+    # a TRUE orbit above a FALSE one is no monotone function
+    (["dtree", "G6", "upward.json"], 2, NO_TRACEBACK,
+     ("upward.json", None, [], [{"orbit": "1.0", "state": "F"},
+                                {"orbit": "3.1", "state": "T"}])),
     (["euler", "G6", ASSIGNMENT, "--format", "json"], 0, NO_TRACEBACK, None),
 ]
 

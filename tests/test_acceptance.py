@@ -336,7 +336,7 @@ def test_criterion_8_property_suites(campaign):
     checked = 0
     for n in (3, 4):
         for bits in enumerate_monotone(n):
-            f = BooleanFunction.from_bitvector(n, bits, monotone=True)
+            f = BooleanFunction.from_bitvector(n, bits)
             assert decision_tree_depth(f) == decision_tree_depth(opposite(f))
             checked += 1
     assert checked >= 100

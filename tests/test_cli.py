@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -10,10 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import act
 from elusive14 import InputError, bundle, perm, search
 from elusive14.bundle import data_digests, load_group_specs, load_json
 from elusive14.cli import build_parser, main, verify14
-from elusive14.orbits import mask_from_points
+from elusive14.orbits import OrbitTable, mask_from_points
+from elusive14.perm import Permutation, generate
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -475,6 +478,44 @@ def test_fixedpoint_accepts_partial_assignment_with_determined_blocks(
     code, out = run_cli(capsys, "--format", "json", "fixedpoint", "G6",
                         "G6_10", str(partial))
     assert code == 0 and out == expected
+
+
+def test_fixedpoint_needs_a_subgroup_of_the_assignment_group(capsys):
+    # none of G1..G5 is a subgroup of G6; G1 used to print euler 0, exit 0
+    assignment = str(ROOT / "tests" / "data" / "g6_closure_1.json")
+    for sub in ("G1", "G2", "G3", "G4", "G5"):
+        assert main(["fixedpoint", "G6", sub, assignment]) == 2
+    assert capsys.readouterr().err.count("is not a subgroup of G6") == 5
+    assert main(["fixedpoint", "G6", "G6", assignment]) == 0
+
+
+@pytest.mark.parametrize("name", ["g6_closure_1.json", "g6_survivor_2.json"])
+def test_dtree_does_not_depend_on_the_numbering_of_the_points(
+        capsys, tmp_path, campaign, name):
+    # sigma G6 sigma^-1 as a group file, and the assignment carried through
+    # sigma: each orbit's least mask goes to the label of its image's orbit
+    images = list(range(14))
+    random.Random(1).shuffle(images)
+    sigma = Permutation(tuple(images))
+    gens = [sigma * g * sigma.inverse()
+            for g in campaign.groups["G6"].generators]
+    group_file = tmp_path / "g6_relabelled.json"
+    group_file.write_text(json.dumps({
+        "name": "G6 relabelled", "degree": 14,
+        "generators": [g.cycle_string() for g in gens]}))
+    table, moved = campaign.table, OrbitTable(generate(gens))
+    original = ROOT / "tests" / "data" / name
+    relabelled = tmp_path / name
+    relabelled.write_text(json.dumps([
+        {"orbit": moved.label(moved.orbit_of(
+            act(sigma, table.min_mask[table.oid(e["orbit"])]))),
+         "state": e["state"]} for e in json.loads(original.read_text())]))
+    reports = []
+    for argv in (["G6", str(original)], [str(group_file), str(relabelled)]):
+        code, out = run_cli(capsys, "--format", "json", "dtree", *argv)
+        report = json.loads(out)
+        reports.append((code, report["depth"], report["elusive"]))
+    assert reports[0] == reports[1]
 
 
 def test_dtree_cli(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from functools import cache
 from itertools import permutations
 from math import factorial
 
@@ -22,16 +23,15 @@ from elusive14.orbits import OrbitPoset, OrbitTable
 from elusive14.perm import closure, generate, parse_cycles
 
 
-def is_monotone_nonincreasing(f):
+def is_monotone_nonincreasing(n, tab):
     """Reference: no false input has a true superset."""
-    tab = f.table
     return all(tab[m] or not tab[m | 1 << i]
-               for m in range(1 << f.n) for i in range(f.n))
+               for m in range(1 << n) for i in range(n))
 
 
 def not_all_ones(n):
     table = bytes(1 if m != (1 << n) - 1 else 0 for m in range(1 << n))
-    return BooleanFunction(n, table, monotone=True)
+    return BooleanFunction(n, table)
 
 
 def test_not_all_ones_is_elusive():
@@ -43,8 +43,8 @@ def test_not_all_ones_is_elusive():
 
 def test_constant_functions():
     for n in (1, 3, 5):
-        zero = BooleanFunction(n, bytes(1 << n), monotone=True)
-        one = BooleanFunction(n, bytes([1] * (1 << n)), monotone=True)
+        zero = BooleanFunction(n, bytes(1 << n))
+        one = BooleanFunction(n, bytes([1] * (1 << n)))
         assert decision_tree_depth(zero) == 0
         assert decision_tree_depth(one) == 0
         assert not is_elusive(zero)
@@ -53,19 +53,24 @@ def test_constant_functions():
 def test_dictator():
     # f(x) = 1 iff x1 not in x, two variables
     table = bytes(0 if m & 1 else 1 for m in range(4))
-    f = BooleanFunction(2, table, monotone=True)
+    f = BooleanFunction(2, table)
     assert decision_tree_depth(f) == 1
 
 
 def decision_tree_depth_plain(f, assigned=0, values=0):
-    """Memo-free reference recursion; exponential, for cross-checks only."""
-    free = ((1 << f.n) - 1) ^ assigned
-    subcube = {f.table[values | s] for s in range(free + 1) if s & ~free == 0}
-    if len(subcube) == 1:
-        return 0
-    return 1 + min(max(decision_tree_depth_plain(f, assigned | b, values),
-                       decision_tree_depth_plain(f, assigned | b, values | b))
-                   for b in (1 << i for i in range(f.n)) if free & b)
+    """Reference recursion: the minimax definition, constancy by a scan of
+    the subcube, memoized on the (assigned, values) pair itself."""
+    @cache
+    def depth(assigned, values):
+        free = ((1 << f.n) - 1) ^ assigned
+        if len({f.table[values | s] for s in range(free + 1)
+                if s & ~free == 0}) == 1:
+            return 0
+        return 1 + min(max(depth(assigned | b, values),
+                           depth(assigned | b, values | b))
+                       for b in (1 << i for i in range(f.n)) if free & b)
+
+    return depth(assigned, values)
 
 
 def test_arity_cap():
@@ -73,13 +78,22 @@ def test_arity_cap():
         DepthSolver(BooleanFunction(15, bytes(1 << 15)))
 
 
+_monotone = cache(enumerate_monotone)
+
+
+def _random_monotone(rng, n):
+    """A random monotone function of arity n: a down-set, or with even odds
+    its opposite, an up-set."""
+    f = BooleanFunction.from_bitvector(n, rng.choice(_monotone(n)))
+    return opposite(f) if rng.getrandbits(1) else f
+
+
 def test_memoized_vs_plain_on_random_functions():
     rng = random.Random(55)
     checked = 0
     while checked < 100:
         n = rng.randint(1, 4)
-        bits = rng.getrandbits(1 << n)
-        f = BooleanFunction.from_bitvector(n, bits)
+        f = _random_monotone(rng, n)
         assigned = rng.getrandbits(n)
         values = rng.getrandbits(n) & assigned
         assert DepthSolver(f).depth(assigned, values) == \
@@ -112,28 +126,52 @@ def test_monotone_shortcut_agrees_with_subcube_scan():
     rng = random.Random(56)
     monotone4 = enumerate_monotone(4)
     for _ in range(1000):
-        bits = rng.choice(monotone4)
-        fm = BooleanFunction.from_bitvector(4, bits, monotone=True)
-        fs = BooleanFunction.from_bitvector(4, bits, monotone=False)
+        f = BooleanFunction.from_bitvector(4, rng.choice(monotone4))
         assigned = rng.getrandbits(4)
         values = rng.getrandbits(4) & assigned
-        # the monotone solver tests constancy by two completions, the
-        # other by the subcube scan, at every restriction it visits
-        assert (DepthSolver(fm).depth(assigned, values)
-                == DepthSolver(fs).depth(assigned, values))
+        # the solver tests constancy by two completions, the reference by
+        # the subcube scan, at every restriction it visits
+        assert (DepthSolver(f).depth(assigned, values)
+                == decision_tree_depth_plain(f, assigned, values))
 
 
 def test_monotone_flag_spot_check(campaign):
+    # a sampled G6 function is a down-set on G6's own table
     rng = random.Random(57)
     f = sample_invariant_function(campaign.table, campaign.poset, rng)
-    assert f.monotone
-    assert is_monotone_nonincreasing(f)
+    assert f.orbits is campaign.table
+    assert is_monotone_nonincreasing(f.n, f.table)
+
+
+def test_the_constructor_accepts_exactly_the_monotone_tables():
+    # random tables, and monotone ones with one value flipped, are mostly
+    # rejected; the monotone ones and their opposites are accepted
+    rng = random.Random(67)
+    accepted = rejected = 0
+    for _ in range(600):
+        n = rng.randint(0, 5)
+        flip = 1 << rng.randrange(1 << n)
+        bits = rng.choice([rng.getrandbits(1 << n), rng.choice(_monotone(n)),
+                           rng.choice(_monotone(n)) ^ flip])
+        tab = bytes(bits >> m & 1 for m in range(1 << n))
+        for t in (tab, bytes(1 - v for v in tab)):
+            if (is_monotone_nonincreasing(n, t)
+                    or is_monotone_nonincreasing(n, bytes(1 - v for v in t))):
+                assert BooleanFunction(n, t).table == t
+                accepted += 1
+            else:
+                with pytest.raises(ValueError, match="not monotone"):
+                    BooleanFunction(n, t)
+                rejected += 1
+    assert accepted > 600 and rejected > 300
+    with pytest.raises(ValueError, match="0 or 1"):
+        BooleanFunction(1, bytes([2, 0]))
 
 
 def test_depth_of_opposite_function():
     for n in (2, 3, 4):
         for bits in enumerate_monotone(n):
-            f = BooleanFunction.from_bitvector(n, bits, monotone=True)
+            f = BooleanFunction.from_bitvector(n, bits)
             assert decision_tree_depth(f) == decision_tree_depth(opposite(f))
 
 
@@ -151,7 +189,7 @@ def test_subtree_bound_for_invariant_functions():
             continue
         if not all(bits >> act[m] & 1 == bits >> m & 1 for m in range(16)):
             continue
-        f = BooleanFunction.from_bitvector(4, bits, monotone=True)
+        f = BooleanFunction.from_bitvector(4, bits)
         d = decision_tree_depth(f)
         for v in range(1, 5):
             assert d >= 1 + decision_tree_depth(restricted_true(f, v))
@@ -163,7 +201,7 @@ def test_restricted_true_matches_definition():
     rng = random.Random(58)
     for _ in range(50):
         n = rng.randint(2, 5)
-        f = BooleanFunction.from_bitvector(n, rng.getrandbits(1 << n))
+        f = _random_monotone(rng, n)
         v = rng.randint(1, n)
         g = restricted_true(f, v)
         bit = 1 << (v - 1)
@@ -186,7 +224,7 @@ def test_cyclic_invariant_five_variables_all_elusive():
         if not (bits & 1) or bits >> 31 & 1:
             continue
         if all(bits >> act[m] & 1 == bits >> m & 1 for m in range(32)):
-            f = BooleanFunction.from_bitvector(5, bits, monotone=True)
+            f = BooleanFunction.from_bitvector(5, bits)
             assert decision_tree_depth(f) == 5
             found += 1
     assert found > 0
@@ -195,7 +233,7 @@ def test_cyclic_invariant_five_variables_all_elusive():
 def test_adversary_path_is_a_depth_witness():
     rng = random.Random(59)
     for bits in rng.sample(enumerate_monotone(4), 30):
-        f = BooleanFunction.from_bitvector(4, bits, monotone=True)
+        f = BooleanFunction.from_bitvector(4, bits)
         solver = DepthSolver(f)
         d = solver.depth()
         path = solver.adversary_path()
@@ -244,7 +282,7 @@ def _reference_report(n, elusive_of=None):
     elusive_failures, chi_one_failures = [], []
     for fbits in enumerate_monotone(n):
         counts["monotone_functions"] += 1
-        f = BooleanFunction.from_bitvector(n, fbits, monotone=True)
+        f = BooleanFunction.from_bitvector(n, fbits)
         elusive = (decision_tree_depth(f) == n if elusive_of is None
                    else elusive_of(f))
         if not elusive:
@@ -264,7 +302,7 @@ def _reference_report(n, elusive_of=None):
 def test_sweep_matches_full_scan_and_exact_depth():
     for n in (1, 2, 3, 4):
         for fbits in enumerate_monotone(n):
-            f = BooleanFunction.from_bitvector(n, fbits, monotone=True)
+            f = BooleanFunction.from_bitvector(n, fbits)
             assert is_elusive(f) == (decision_tree_depth(f) == n)
             assert (_weakly_symmetric(n, fbits)
                     == _reference_weakly_symmetric(n, fbits))
@@ -330,7 +368,7 @@ def test_every_function_agrees_with_its_class_representative():
     sizes = Counter(rep_of.values())
 
     def facts(fbits):
-        f = BooleanFunction.from_bitvector(n, fbits, monotone=True)
+        f = BooleanFunction.from_bitvector(n, fbits)
         symmetric = _weakly_symmetric(n, fbits, sizes[rep_of[fbits]])
         return (is_elusive(f), bool(_nontrivial(n, fbits)), symmetric,
                 euler_of_bitvector(n, fbits))
@@ -424,7 +462,7 @@ def test_sweep_report_at_five():
 
 def test_non_elusive_implies_chi_one_at_n4():
     for bits in enumerate_monotone(4):
-        f = BooleanFunction.from_bitvector(4, bits, monotone=True)
+        f = BooleanFunction.from_bitvector(4, bits)
         if bits != 0 and decision_tree_depth(f) < 4:
             assert euler_of_bitvector(4, bits) == 1
 
@@ -485,20 +523,19 @@ def _c6_invariant_functions(c6):
                                     seed_orbits=rng.randint(1, 4))
           for _ in range(8)]
     fs += [opposite(f) for f in fs]
-    fs += [BooleanFunction(6, bytes([v]) * 64, monotone=True, group=c6)
-           for v in (0, 1)]
+    fs += [BooleanFunction(6, bytes([v]) * 64, table) for v in (0, 1)]
     return fs
 
 
 def _without_group(f):
     # the same table on the trivial group's keys: a run on it differs from
     # one on f only in the memo key
-    return BooleanFunction(f.n, f.table, monotone=f.monotone)
+    return BooleanFunction(f.n, f.table)
 
 
 def test_group_aware_depth_matches_plain(c6):
     for f in _c6_invariant_functions(c6):
-        assert f.group is c6
+        assert f.orbits.group is c6
         d = decision_tree_depth_plain(f)
         assert DepthSolver(f).depth() == d
         # the decision pass alone, with no minimax to fall back on
@@ -524,34 +561,56 @@ D6 = generate([parse_cycles("(1,2,3,4,5,6)", 6),
 C6 = generate([parse_cycles("(1,2,3,4,5,6)", 6)])
 
 
+def _down_sets(table):
+    """The T-bitsets of every downward-closed set of the table's orbits."""
+    poset = OrbitPoset(table)
+    sets = [0]
+    for o in range(1, table.orbit_count):
+        below = poset.lower[o] ^ 1 << o
+        sets += [t | 1 << o for t in sets if not below & ~t]
+    return sets
+
+
+def _agrees_with_trivial_keys(f):
+    """The solver's depth, after checking it and the adversary path
+    against a solver on the same table with the trivial group's keys."""
+    solver, reference = DepthSolver(f), DepthSolver(_without_group(f))
+    d = solver.depth()
+    assert d == reference.depth()
+    assert solver.adversary_path() == reference.adversary_path()
+    return d
+
+
 def test_symmetry_reduction_on_every_dihedral_function():
-    # every union of dihedral orbits on 6 points, monotone or not: two of
-    # these functions are neither constant nor evasive, so the exact
-    # fallback runs on orbit keys
+    # every monotone union of dihedral orbits on 6 points: the down-sets
+    # and their opposites, each constant or evasive
     table = OrbitTable(D6)
-    non_evasive = 0
-    for bits in range(1 << table.orbit_count):
-        tab = bytearray(64)
-        for o in range(table.orbit_count):
-            if bits >> o & 1:
-                for m in table.members[o]:
-                    tab[m] = 1
-        f = BooleanFunction(6, tab, group=D6)
-        solver = DepthSolver(f)
-        reference = DepthSolver(_without_group(f))
-        d = solver.depth()
-        assert d == reference.depth()
-        assert solver.adversary_path() == reference.adversary_path()
-        if 0 < d < 6:
-            assert d == decision_tree_depth_plain(f)
-            non_evasive += 1
-    assert non_evasive == 2
-    keys = solver.keys
+    fs = [BooleanFunction.from_orbit_types(table, t_bits)
+          for t_bits in _down_sets(table)]
+    fs += [opposite(f) for f in fs]
+    assert len({f.table for f in fs}) == 70
+    assert {_agrees_with_trivial_keys(f) for f in fs} == {0, 6}
+    keys = DepthSolver(fs[0]).keys
     # transitive: the six one-variable restrictions share a key per answer
     for answer in (0, 1):
         assert len({keys.key(1 << i, answer << i) for i in range(6)}) == 1
     restrictions = [(a, v) for a in range(64) for v in range(64) if v & ~a == 0]
     assert len({keys.key(a, v) for a, v in restrictions}) < len(restrictions)
+
+
+def test_exact_fallback_on_the_orbit_keys_of_an_intransitive_group():
+    # no nonconstant monotone D6 function is non-evasive, but 72 of the
+    # down-sets of <(1,2,3)(4,5,6)> are, so the exact minimax runs on
+    # orbit keys
+    table = OrbitTable(generate([parse_cycles("(1,2,3)(4,5,6)", 6)]))
+    non_evasive = 0
+    for t_bits in _down_sets(table):
+        f = BooleanFunction.from_orbit_types(table, t_bits)
+        d = _agrees_with_trivial_keys(f)
+        if 0 < d < 6:
+            assert d == decision_tree_depth_plain(f)
+            non_evasive += 1
+    assert non_evasive == 72
 
 
 def _brute_orbit(group, assigned, values):
@@ -584,12 +643,13 @@ def test_orbit_keys_against_brute_force_orbits(case):
 
 
 def test_group_must_leave_the_table_invariant(c6):
+    table = OrbitTable(c6)
     tab = bytearray(64)
-    tab[0b1] = 1          # true on {x1} but not on {x2}
-    with pytest.raises(ValueError):
-        DepthSolver(BooleanFunction(6, tab, group=c6))
-    with pytest.raises(ValueError):
-        DepthSolver(BooleanFunction(5, bytes(32), group=c6))
+    tab[0] = tab[0b1] = 1  # the down-set {{}, {x1}}: {x2} is false
+    with pytest.raises(ValueError, match="not invariant"):
+        DepthSolver(BooleanFunction(6, tab, table))
+    with pytest.raises(ValueError, match="does not match arity"):
+        BooleanFunction(5, bytes(32), table)
 
 
 def test_from_orbit_types_requires_a_downward_closed_set(campaign):
@@ -598,17 +658,20 @@ def test_from_orbit_types_requires_a_downward_closed_set(campaign):
     with pytest.raises(ValueError, match="3.1"):
         BooleanFunction.from_orbit_types(table, t31)
     f = BooleanFunction.from_orbit_types(table, poset.lower[table.oid("3.1")])
-    assert f.monotone and is_monotone_nonincreasing(f)
+    assert f.orbits is table and is_monotone_nonincreasing(f.n, f.table)
     assert BooleanFunction.from_orbit_types(table, 0).table[:2] == bytes([1, 0])
 
 
 def test_group_follows_the_function(c6):
     table = OrbitTable(c6)
     f = sample_invariant_function(table, OrbitPoset(table), random.Random(64))
-    assert f.group is c6
-    assert opposite(f).group is c6
-    assert restricted_true(f, 1).group is None
-    assert BooleanFunction.from_bitvector(2, 0b0111).group is None
+    assert f.orbits is table
+    assert opposite(f).orbits is table
+    # a function given without a table gets its arity's trivial one, shared
+    trivial = restricted_true(f, 1).orbits
+    assert trivial.group.order == 1 and trivial.orbit_count == 32
+    assert BooleanFunction.from_bitvector(5, 1).orbits is trivial
+    assert BooleanFunction.from_bitvector(2, 0b0111).orbits.n == 2
 
 
 def test_g6_orbit_keys_map_to_least_masks(campaign):
