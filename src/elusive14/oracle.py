@@ -86,17 +86,20 @@ def _is_monotone(n: int, table: bytes) -> bool:
 
 
 class BooleanFunction:
-    """A monotone function, non-increasing or non-decreasing, by its 0/1
-    truth table over subset masks, which the constructor checks
-    (``ValueError``), and the ``OrbitTable`` of a group G of its variables,
-    by default the trivial group's.  The depth solver checks that the table
-    is G-invariant and keys its memo by G-orbits of restrictions.
+    """A monotone function, non-increasing or non-decreasing, of at most
+    MAX_ARITY variables (``ArityError``), by its 0/1 truth table over subset
+    masks, which the constructor checks (``ValueError``), and the
+    ``OrbitTable`` of a group G of its variables, by default the trivial
+    group's.  The depth solver checks that the table is G-invariant and
+    keys its memo by G-orbits of restrictions.
     """
 
     __slots__ = ("n", "table", "orbits")
 
     def __init__(self, n: int, table: bytes | bytearray,
                  orbits: OrbitTable | None = None):
+        if n > MAX_ARITY:
+            raise ArityError(f"arity {n} exceeds the {MAX_ARITY} limit")
         if len(table) != 1 << n:
             raise ValueError("truth table length must be 2^n")
         table = bytes(table)
@@ -229,8 +232,6 @@ class DepthSolver:
     """
 
     def __init__(self, f: BooleanFunction):
-        if f.n > MAX_ARITY:
-            raise ArityError(f"arity {f.n} exceeds the {MAX_ARITY} limit")
         self.n = f.n
         self.full = (1 << f.n) - 1
         self.memo = bytearray([UNFILLED]) * (3 ** f.n)

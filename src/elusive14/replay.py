@@ -216,7 +216,7 @@ def replay_case_study(camp: Campaign) -> ReplayResult:
         if any(not assigned >> o & 1 for o in check.governed):
             pending.append(name)
             continue
-        chi = engine.subgroup_chi(state, check)
+        chi = engine.subgroup_chi(state.t_bits, check)
         if not condition_met(check.condition, chi):
             problems.append(f"{name}: unvisited by the published branch but "
                             f"its condition fails (chi={chi})")

@@ -2,16 +2,17 @@
 
 Every node of the search is a monotone-consistent partial TypeAssignment:
 two int bitsets over orbit ids plus the Euler characteristics of the
-encoded complex and of its link at x1, which propagation updates as orbits
-turn TRUE.  Each schedule entry is one of the ten non-identity subgroups
-of G6, whose fixed-point complex must satisfy an Euler condition.  The
-identity's condition is chi(Delta) = 1 itself, so it gets no entry: the
-leaf after the last entry enumerates the remaining free orbits against
-chi(Delta) = 1 and tests the survivors against chi(Link(Delta, x1)) = 1.
+encoded complex and of its link at x1.  Each schedule entry is one of the
+ten non-identity subgroups of G6, whose fixed-point complex must satisfy
+an Euler condition.  The identity's condition is chi(Delta) = 1 itself, so
+it gets no entry: the leaf after the last entry enumerates the remaining
+free orbits against chi(Delta) = 1 and tests the survivors against
+chi(Link(Delta, x1)) = 1.
 
-A subgroup check and the leaf run one completion recursion, which assigns
-the free orbits in id order with propagation and hands every complete
-case to a leaf test of its own.
+A subgroup check and the leaf run one completion kernel on plain ints: it
+assigns the free orbits in the given order, TRUE first, with monotone
+closure and incremental chi, and hands every complete case to a leaf test
+of its own; only the cases a test keeps become TypeAssignments.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import InputError
-from .complexes import FALSE, TRUE, TypeAssignment, chi_deltas, link_x1_deltas
+from .complexes import TypeAssignment, chi_deltas, link_x1_deltas
 from .orbits import OrbitPoset, OrbitTable, block_masks, subset_unions
 from .perm import PermGroup
 
@@ -33,8 +34,9 @@ CASE_CAP = 1 << 20
 
 # A subgroup's Euler condition and the precomputed mapping from its block
 # unions to governed orbits: condition is ("exact", 1) or ("mod", q),
-# governed the orbit ids of all block unions, weights the (orbit id,
-# alternating-sum weight) pairs, and unions[s] the union of the blocks in s.
+# governed the orbit ids of all block unions, weights the (alternating-sum
+# weight, bitset of the governed orbits with that weight) pairs, and
+# unions[s] the union of the blocks in s.
 SubgroupCheck = namedtuple(
     "SubgroupCheck", "name condition governed weights unions")
 
@@ -56,10 +58,13 @@ def build_check(table: OrbitTable, sub: PermGroup, name: str,
     for s in range(1, len(unions)):
         o = table.orbit_of(unions[s])
         weights[o] = weights.get(o, 0) + (-1) ** (s.bit_count() + 1)
+    # a few distinct weights, so chi is a few popcounts
+    with_weight: dict[int, int] = {}
+    for o, w in weights.items():
+        with_weight[w] = with_weight.get(w, 0) | 1 << o
     return SubgroupCheck(
-        name=name, condition=condition,
-        governed=tuple(sorted(weights)), weights=tuple(sorted(weights.items())),
-        unions=unions)
+        name=name, condition=condition, governed=tuple(sorted(weights)),
+        weights=tuple(sorted(with_weight.items())), unions=unions)
 
 
 # ordered subgroup checks by name
@@ -91,7 +96,7 @@ class SearchReport(namedtuple("SearchReport",
 
 
 class SearchEngine:
-    """Shared immutable context plus the propagation/enumeration kernels."""
+    """Shared immutable context, the completion kernel and its two users."""
 
     def __init__(self, table: OrbitTable, poset: OrbitPoset,
                  checks: dict[str, SubgroupCheck]):
@@ -107,74 +112,74 @@ class SearchEngine:
         full set would make the function constant); no orbit lies above it."""
         return TypeAssignment(self.table, self.poset, 0, 1 << self.top_oid, 0, 0)
 
-    def propagate(self, st: TypeAssignment, oid: int, value: str,
-                  stats: SearchStats) -> TypeAssignment | None:
-        """Assign one orbit and close monotonically; None signals a pruned
-        branch (some orbit would need both values)."""
-        if value == TRUE:
-            add = self.poset.lower[oid] & ~st.t_bits
-            if add & st.f_bits:
-                stats.prunes_by_conflict += 1
-                return None
-            chi, link = st.chi, st.chi_link
-            # lowest-bit loop kept inline: this is the search's hot path
-            rem = add
-            while rem:
-                b = rem & -rem
-                rem ^= b
-                i = b.bit_length() - 1
-                chi += self.chi_delta[i]
-                link += self.link_delta[i]
-            return TypeAssignment(self.table, self.poset, st.t_bits | add,
-                                  st.f_bits, chi, link)
-        add = self.poset.upper[oid] & ~st.f_bits
-        if add & st.t_bits:
-            stats.prunes_by_conflict += 1
-            return None
-        return TypeAssignment(self.table, self.poset, st.t_bits,
-                              st.f_bits | add, st.chi, st.chi_link)
-
-    def subgroup_chi(self, st: TypeAssignment, check: SubgroupCheck) -> int:
-        return sum(w for o, w in check.weights if st.t_bits >> o & 1)
+    def subgroup_chi(self, t_bits: int, check: SubgroupCheck) -> int:
+        """chi of the check's fixed-point complex on the TRUE orbits
+        ``t_bits``, which must decide every governed orbit."""
+        return sum(w * (t_bits & m).bit_count() for w, m in check.weights)
 
     def _complete(self, st: TypeAssignment, orbits, leaf, stats: SearchStats,
                   what: str) -> None:
-        """Call ``leaf`` on every assignment of the still-free ``orbits``
-        that survives propagation; orbits are branched in the given order,
-        TRUE first.  More than CASE_CAP complete cases raise
-        CaseCapExceeded."""
+        """Call ``leaf(t_bits, f_bits, chi, chi_link)`` on every assignment
+        of the still-free ``orbits`` that survives monotone closure,
+        branching in the given order, TRUE first; a branch that needs some
+        orbit both TRUE and FALSE is pruned by conflict.  More than CASE_CAP
+        complete cases raise CaseCapExceeded.  This is the search's hot
+        path, so the closure step is inline and on plain ints."""
         assigned = st.t_bits | st.f_bits
         free = [o for o in orbits if not assigned >> o & 1]
+        end = len(free)
+        lower, upper = self.poset.lower, self.poset.upper
+        chi_delta, link_delta = self.chi_delta, self.link_delta
         budget = CASE_CAP
 
-        def rec(s: TypeAssignment, k: int) -> None:
+        def rec(t: int, f: int, chi: int, link: int, k: int) -> None:
             nonlocal budget
-            done = s.t_bits | s.f_bits
-            while k < len(free) and done >> free[k] & 1:
+            done = t | f
+            while k < end and done >> free[k] & 1:
                 k += 1
-            if k == len(free):
+            if k == end:
                 budget -= 1
                 if budget < 0:
                     raise CaseCapExceeded(f"{what}: more than {CASE_CAP} cases")
-                leaf(s)
+                leaf(t, f, chi, link)
                 return
             o = free[k]
-            for value in (TRUE, FALSE):
-                child = self.propagate(s, o, value, stats)
-                if child is not None:
-                    rec(child, k + 1)
+            k += 1
+            # TRUE: the orbit and everything below it, with their deltas
+            add = lower[o] & ~t
+            if add & f:
+                stats.prunes_by_conflict += 1
+            else:
+                c, lk, rem = chi, link, add
+                while rem:
+                    b = rem & -rem
+                    rem ^= b
+                    i = b.bit_length() - 1
+                    c += chi_delta[i]
+                    lk += link_delta[i]
+                rec(t | add, f, c, lk, k)
+            # FALSE: the orbit and everything above it; chi is unchanged
+            add = upper[o] & ~f
+            if add & t:
+                stats.prunes_by_conflict += 1
+            else:
+                rec(t, f | add, chi, link, k)
 
-        rec(st, 0)
+        rec(st.t_bits, st.f_bits, st.chi, st.chi_link, 0)
+        # rec holds itself through its closure cell; breaking that cycle
+        # frees it and its lists now, not at the cycle collector's pass
+        del rec
 
     def enumerate_cases(self, st: TypeAssignment, check: SubgroupCheck,
                         stats: SearchStats) -> list[TypeAssignment]:
         """All assignments of the check's free governed orbits that survive
-        propagation and meet the check's Euler condition."""
+        closure and meet the check's Euler condition."""
+        table, poset = self.table, self.poset
         out: list[TypeAssignment] = []
 
-        def leaf(s: TypeAssignment) -> None:
-            if condition_met(check.condition, self.subgroup_chi(s, check)):
-                out.append(s)
+        def leaf(t: int, f: int, chi: int, link: int) -> None:
+            if condition_met(check.condition, self.subgroup_chi(t, check)):
+                out.append(TypeAssignment(table, poset, t, f, chi, link))
             else:
                 stats.prunes_by_chi += 1
 
@@ -186,18 +191,19 @@ class SearchEngine:
                        link_check: bool = True) -> list[TypeAssignment]:
         """Resolve all remaining free orbits against chi(Delta) = 1, then
         test chi(Link(Delta, x1)) = 1 on each chi-feasible assignment."""
+        table, poset = self.table, self.poset
         survivors: list[TypeAssignment] = []
 
-        def leaf(s: TypeAssignment) -> None:
+        def leaf(t: int, f: int, chi: int, link: int) -> None:
             stats.leaf_assignments += 1
-            if s.chi != 1:
+            if chi != 1:
                 stats.prunes_by_chi += 1
                 return
             stats.leaf_chi1 += 1
-            if link_check and s.chi_link != 1:
+            if link_check and link != 1:
                 stats.prunes_by_link += 1
             else:
-                survivors.append(s)
+                survivors.append(TypeAssignment(table, poset, t, f, chi, link))
 
         self._complete(st, range(1, self.table.orbit_count), leaf, stats,
                        "leaf")

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import strategies as st
 
 from elusive14.bundle import build_campaign
+from elusive14.complexes import TypeAssignment
 from elusive14.oracle import BooleanFunction
 from elusive14.orbits import iter_bits
 from elusive14.perm import Permutation, generate, parse_cycles
+from elusive14.search import SearchStats
 
 
 @pytest.fixture(scope="session")
@@ -66,6 +68,20 @@ def random_monotone_bits(table, poset, rng: random.Random,
     for o in rng.sample(candidates, rng.randint(1, max_seeds)):
         t |= poset.lower[o]
     return t
+
+
+def completions(engine, st, orbits, stats=None) -> list:
+    """Every case of the search's completion kernel on ``orbits`` from
+    ``st``, in the kernel's order.  On one free orbit of a closed state
+    these are its closed TRUE child and then its closed FALSE child."""
+    out = []
+
+    def leaf(t, f, chi, link):
+        out.append(TypeAssignment(engine.table, engine.poset, t, f, chi, link))
+
+    engine._complete(st, orbits, leaf,
+                     SearchStats() if stats is None else stats, "test")
+    return out
 
 
 def true_masks(a) -> list[int]:

@@ -18,7 +18,7 @@ import time
 
 import pytest
 
-from conftest import (explicit_euler, link, opposite, r_vector,
+from conftest import (completions, explicit_euler, link, opposite, r_vector,
                       random_monotone_bits)
 from elusive14.bundle import expand_labels, load_group_specs
 from elusive14.complexes import (FALSE, TRUE, TypeAssignment, chi_deltas,
@@ -29,7 +29,7 @@ from elusive14.oracle import (BooleanFunction, decision_tree_depth,
                               sample_invariant_function)
 from elusive14.perm import classify, subgroup, verify_witness
 from elusive14.replay import replay_case_study
-from elusive14.search import SearchEngine, SearchStats, run_search
+from elusive14.search import SearchEngine, run_search
 
 
 @pytest.fixture(scope="module")
@@ -299,14 +299,15 @@ def test_criterion_8_property_suites(campaign):
         assert all(14 * r_link[k - 1] == k * r[k] for k in range(1, 15))
         assert link_euler_fast(a) == explicit_euler(lk)
 
-    # (c) propagate closure vs brute-force member-scan recomputation
+    # (c) the kernel's closure step vs brute-force member-scan
+    # recomputation; from a blank state both children exist, TRUE first
     blank = TypeAssignment(table, poset)
     top = table.oid("14.0")
     ids = [o for o in range(1, table.orbit_count) if o != top]
     for _ in range(100):
         o = rng.choice(ids)
         value = rng.choice((TRUE, FALSE))
-        st = engine.propagate(blank, o, value, SearchStats())
+        st = completions(engine, blank, [o])[value == FALSE]
         bits = st.t_bits if value == TRUE else st.f_bits
         for p in rng.sample(range(1, table.orbit_count), 12):
             if value == TRUE:

@@ -18,7 +18,8 @@ from elusive14.oracle import (ArityError, BooleanFunction, ConjectureReport,
                               exhaustive_conjecture_check,
                               is_elusive,
                               sample_invariant_function,
-                              _relabellers, _relabelling_classes)
+                              _relabellers, _relabelling_classes,
+                              _trivial_table)
 from elusive14.orbits import OrbitPoset, OrbitTable
 from elusive14.perm import closure, generate, parse_cycles
 
@@ -74,8 +75,12 @@ def decision_tree_depth_plain(f, assigned=0, values=0):
 
 
 def test_arity_cap():
-    with pytest.raises(ArityError):
-        DepthSolver(BooleanFunction(15, bytes(1 << 15)))
+    # the constructor refuses the arity before it builds the trivial table
+    # of 2^15 masks, and a refused function leaves no table cached
+    before = _trivial_table.cache_info().currsize
+    with pytest.raises(ArityError, match="arity 15 exceeds the 14 limit"):
+        BooleanFunction(15, bytes(1 << 15))
+    assert _trivial_table.cache_info().currsize == before
 
 
 _monotone = cache(enumerate_monotone)

@@ -32,6 +32,9 @@ def brute_force_local_count(table, st, check) -> int:
     covers = {(table.orbit_of(unions[s]), table.orbit_of(unions[s ^ 1 << i]))
               for s in range(1, len(unions)) for i in range(s.bit_length())
               if s >> i & 1 and s ^ 1 << i}
+    # chi of the fixed-point complex: one signed term per TRUE block union
+    terms = [(table.orbit_of(unions[s]), (-1) ** (s.bit_count() + 1))
+             for s in range(1, len(unions))]
     assigned = st.t_bits | st.f_bits
     free = [o for o in check.governed if not assigned >> o & 1]
     governed_t = st.t_bits & sum(1 << o for o in check.governed)
@@ -41,7 +44,7 @@ def brute_force_local_count(table, st, check) -> int:
                              if setting >> j & 1)
         closed = all(t >> below & 1 for above, below in covers
                      if t >> above & 1)
-        chi = sum(w for o, w in check.weights if t >> o & 1)
+        chi = sum(sign for o, sign in terms if t >> o & 1)
         count += closed and condition_met(check.condition, chi)
     return count
 

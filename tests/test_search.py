@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import completions
 from elusive14 import search
 from elusive14.complexes import (FALSE, TRUE, TypeAssignment, assert_monotone,
                                  euler, fixed_point_complex, link_euler_fast)
@@ -21,9 +22,8 @@ def test_initial_state_pins_only_the_top_orbit(campaign):
 
 def test_propagate_lower_closure_matches_published_count(campaign):
     engine = campaign.engine()
-    st = engine.propagate(engine.initial_state(), campaign.anchors.get("6.24"),
-                          TRUE, SearchStats())
-    assert st is not None
+    st, _ = completions(engine, engine.initial_state(),
+                        [campaign.anchors.get("6.24")])
     assert st.t_bits.bit_count() == 10
     levels = sorted(campaign.table.level[o]
                     for o in range(campaign.table.orbit_count)
@@ -35,21 +35,29 @@ def test_propagate_lower_closure_matches_published_count(campaign):
 
 def test_propagate_upper_closure(campaign):
     engine = campaign.engine()
-    st = engine.propagate(engine.initial_state(), campaign.anchors.get("8.24"),
-                          FALSE, SearchStats())
+    _, st = completions(engine, engine.initial_state(),
+                        [campaign.anchors.get("8.24")])
     assert st.f_bits.bit_count() == 11
 
 
 def test_propagate_conflict(campaign):
-    engine = campaign.engine()
-    table = campaign.table
+    # the kernel branches only on free orbits, and the closure of a closed
+    # state meets no assigned orbit, so a conflict needs a state that is
+    # not closed: here one orbit is assigned and a free one sits beside it
+    engine, table, poset = campaign.engine(), campaign.table, campaign.poset
     stats = SearchStats()
     level2 = table.ids_at_level[2][0]
     level1 = table.ids_at_level[1][0]
-    st = engine.propagate(engine.initial_state(), level2, TRUE, stats)
-    assert st is not None and st.t_bits >> level1 & 1
-    assert engine.propagate(st, level1, FALSE, stats) is None
+    assert poset.lower[level2] >> level1 & 1
+    below_false = TypeAssignment(table, poset, 0, 1 << level1)
+    (child,) = completions(engine, below_false, [level2], stats)
+    assert child.t_bits == 0
+    assert child.f_bits == 1 << level1 | poset.upper[level2]
     assert stats.prunes_by_conflict == 1
+    above_true = TypeAssignment(table, poset, 1 << level2, 0)
+    (child,) = completions(engine, above_true, [level1], stats)
+    assert child.t_bits == 1 << level2 | 1 << level1 and child.f_bits == 0
+    assert stats.prunes_by_conflict == 2
 
 
 def test_propagate_against_brute_force_closure(campaign):
@@ -58,13 +66,13 @@ def test_propagate_against_brute_force_closure(campaign):
     rng = random.Random(13)
     top = table.oid("14.0")
     ids = [o for o in range(1, table.orbit_count) if o != top]
-    stats = SearchStats()
     blank = TypeAssignment(table, campaign.poset)
     full = (1 << table.n) - 1
     for _ in range(100):
         o = rng.choice(ids)
         value = rng.choice((TRUE, FALSE))
-        st = engine.propagate(blank, o, value, stats)
+        # nothing is assigned, so both children exist, TRUE first
+        st = completions(engine, blank, [o])[value == FALSE]
         # TRUE: p is below o iff some member of p lies inside a member of o.
         # FALSE: p is above o, the same test on complemented sets.
         flip = 0 if value == TRUE else full
@@ -83,6 +91,66 @@ def test_propagate_against_brute_force_closure(campaign):
         bits = st.t_bits if value == TRUE else st.f_bits
         got = {p for p in range(1, table.orbit_count) if bits >> p & 1}
         assert got == brute
+        assert (st.t_bits if value == FALSE else st.f_bits) == 0
+
+
+def _downward_closed_completions(table, st, free):
+    """Brute force: every T/F setting of ``free`` whose TRUE orbits,
+    together with those of ``st``, are closed downward, as (t_bits,
+    f_bits) in the lexicographic order of the settings with TRUE first.
+    A union of orbits is closed downward iff one member of each of its
+    orbits has all its one-point deletions in it, which is read from the
+    orbit members, not from the poset."""
+    below = {}
+    for o in range(1, table.orbit_count):
+        m = table.members[o][0]
+        below[o] = 0
+        for i in range(table.n):
+            if m >> i & 1:
+                below[o] |= 1 << table.orbit_of(m ^ 1 << i)
+        below[o] &= ~1      # the empty face is always present
+    fixed_t = [o for o in range(1, table.orbit_count) if st.t_bits >> o & 1]
+    out = []
+    last = len(free) - 1
+    for pick in range(1 << len(free)):
+        # bit last - j of pick set means the j-th free orbit is FALSE, so
+        # counting up runs TRUE-first in the order of the free orbits
+        true = [o for j, o in enumerate(free) if not pick >> last - j & 1]
+        t = st.t_bits | sum(1 << o for o in true)
+        if all(below[o] & ~t == 0 for o in fixed_t + true):
+            out.append((t, st.f_bits | sum(1 << o for o in free) & ~t))
+    return out
+
+
+def test_completion_kernel_against_brute_force(campaign):
+    """Random closed partial states reached by a few kernel steps: the
+    kernel's complete cases are every downward-closed completion of the
+    free orbits, TRUE first in the given order, each with chi and link chi
+    summed from scratch, and no branch meets a conflict."""
+    engine, table, poset = campaign.engine(), campaign.table, campaign.poset
+    rng = random.Random(20)
+    everything = (1 << table.orbit_count) - 2
+    checked = 0
+    for _ in range(12):
+        st = engine.initial_state()
+        while True:
+            free = [o for o in range(1, table.orbit_count)
+                    if not (st.t_bits | st.f_bits) >> o & 1]
+            if len(free) <= 10:
+                break
+            st = rng.choice(completions(engine, st, [rng.choice(free)]))
+        rng.shuffle(free)
+        stats = SearchStats()
+        cases = completions(engine, st, free, stats)
+        assert stats.prunes_by_conflict == 0
+        assert ([(c.t_bits, c.f_bits) for c in cases]
+                == _downward_closed_completions(table, st, free))
+        for c in cases:
+            assert c.t_bits | c.f_bits == everything
+            scratch = TypeAssignment(table, poset, c.t_bits, c.f_bits)
+            assert (c.chi, c.chi_link) == (scratch.chi, scratch.chi_link)
+        checked += len(cases)
+    assert checked > 12
 
 
 def test_step_one_enumeration(campaign):
@@ -103,6 +171,7 @@ def test_full_search_both_schedules(campaign):
         rep = run_search(engine, campaign.schedule(name))
         assert rep.verified
         assert rep.feasible_functions == []
+        assert rep.stats.prunes_by_conflict == 0
         reports[name] = rep
     assert (reports["default"].feasible_functions
             == reports["alternate"].feasible_functions)
@@ -147,6 +216,29 @@ def test_relabelling_the_points_keeps_the_search_counters(campaign):
             assert len(rep.feasible_functions) == (0 if link_check else 4224)
 
 
+def test_the_replay_meets_no_conflict(campaign, monkeypatch):
+    # the kernel branches only on free orbits of closed states, so the
+    # conflict branch, kept for states that are not closed, is never taken
+    # on the search path (the schedules' tests pin that) nor by the replay,
+    # whose block-local counts run on the order that a check's unions
+    # generate, not on the orbit poset
+    from elusive14 import replay
+    made = []
+
+    def recording_stats():
+        made.append(SearchStats())
+        return made[-1]
+
+    monkeypatch.setattr(replay, "SearchStats", recording_stats)
+    assert replay.replay_case_study(campaign).ok
+    # the replay's one search stats, and one per step for the local counts
+    steps = campaign.case_study["steps"]
+    assert len(made) == 1 + len(steps)
+    assert ([s.cases_enumerated for s in made[1:]]
+            == [step["printed_cases"] for step in steps])
+    assert [s.prunes_by_conflict for s in made] == [0] * len(made)
+
+
 def test_link_condition_is_load_bearing(campaign):
     engine = campaign.engine()
     rep = run_search(engine, campaign.schedule("default"), link_check=False)
@@ -157,6 +249,7 @@ def test_link_condition_is_load_bearing(campaign):
     # the survivor set, not just its size, is schedule independent
     other = run_search(engine, campaign.schedule("alternate"), link_check=False)
     assert rep.feasible_functions == other.feasible_functions
+    assert rep.stats.prunes_by_conflict == other.stats.prunes_by_conflict == 0
     # Alexander duality (the dual complex holds a set iff its complement is
     # not in the complex) commutes with taking a subgroup's fixed-point
     # complex and changes the reduced Euler characteristic at most in sign,
@@ -248,10 +341,16 @@ def test_schedule_validation(campaign):
 
 
 def test_forced_full_simplex_conflicts_immediately(campaign):
-    engine = campaign.engine()
-    top = campaign.table.oid("14.0")
+    # a TRUE full set forces every orbit TRUE, so one FALSE orbit anywhere
+    # prunes that branch and leaves only the FALSE child
+    engine, table, poset = campaign.engine(), campaign.table, campaign.poset
+    top = table.oid("14.0")
+    level1 = table.ids_at_level[1][0]
     stats = SearchStats()
-    assert engine.propagate(engine.initial_state(), top, TRUE, stats) is None
+    (child,) = completions(engine, TypeAssignment(table, poset, 0, 1 << level1),
+                           [top], stats)
+    assert child.f_bits == 1 << level1 | 1 << top
+    assert stats.prunes_by_conflict == 1
 
 
 def test_link_disabled_survivor_is_still_elusive(campaign):
