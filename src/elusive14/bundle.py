@@ -145,19 +145,23 @@ _GROUP_FILE = {"name": str, "degree": _POINT, "generators": [str]}
 ASSIGNMENT = [{"orbit": str, "state": _STATE}]
 
 
-def _read_data(name: str, override: str | None = None) -> bytes:
+def _read_data(name: str | None, override: str | None = None) -> bytes:
     if override is not None:
         with open(override, "rb") as fh:
             return fh.read()
     return resources.files("elusive14.data").joinpath(name).read_bytes()
 
 
-def load_json(name: str, override: str | None = None, shape=None):
-    """A bundled data file (or its override), checked against ``shape``."""
-    where = override or name
+def load_json(name: str | None, override: str | None = None, shape=None,
+              where: str | None = None):
+    """The bundled data file ``name``, or the file ``override`` read in
+    its place, checked against ``shape``.  Text that is not JSON, or that
+    nests deeper than the parser can recurse, is a DataIntegrityError;
+    each error starts with ``where``, by default the file's name."""
+    where = where or override or name
     try:
-        raw = json.loads(_read_data(name, override).decode("utf-8"))
-    except ValueError as exc:
+        raw = json.loads(_read_data(name, override))
+    except (ValueError, RecursionError) as exc:
         raise DataIntegrityError(f"{where}: {exc}") from exc
     return raw if shape is None else _conform(raw, shape, where)
 
@@ -245,10 +249,6 @@ class SubgroupSpec(namedtuple(
         "source", defaults=(None, "subgroups.json"))):
     __slots__ = ()
 
-    @property
-    def number(self) -> int:
-        return int(self.name.split("_")[1])
-
     def build(self, degree: int) -> PermGroup:
         try:
             gens = [parse_cycles(s, degree) for s in self.generators]
@@ -283,8 +283,7 @@ def load_group_file(path: str) -> tuple[str, PermGroup]:
     closure cap is not and propagates."""
     where = f"bad group file {path}"
     try:
-        with open(path, "rb") as fh:
-            raw = _conform(json.load(fh), _GROUP_FILE, where)
+        raw = load_json(None, path, _GROUP_FILE, where)
         return raw["name"], generate([parse_cycles(g, raw["degree"])
                                       for g in raw["generators"]])
     except (OSError, ValueError) as exc:
@@ -340,23 +339,19 @@ class Campaign(namedtuple(
 
     def engine(self) -> SearchEngine:
         from .search import SearchEngine
-        return SearchEngine(self.table, self.poset, self.checks)
+        return SearchEngine(self.table, self.poset)
 
     def schedule(self, name: str = "default") -> Schedule:
         """Built-in schedules: 'default' visits subgroups with fewer
-        variable-orbits first (ties: higher subgroup number first);
-        'alternate' breaks ties the other way."""
+        variable-orbits first (ties: higher k of G6_k first); 'alternate'
+        breaks ties the other way.  A check with b blocks has 2^b unions."""
         from .search import Schedule
-        checked = [self.subgroup_specs[name] for name in self.checks]
-        blocks = {s.name: len(self.subgroups[s.name].point_orbits())
-                  for s in checked}
-        if name == "default":
-            ordered = sorted(checked, key=lambda s: (blocks[s.name], -s.number))
-        elif name == "alternate":
-            ordered = sorted(checked, key=lambda s: (blocks[s.name], s.number))
-        else:
+        if name not in ("default", "alternate"):
             raise ValueError(f"unknown schedule {name!r}")
-        return Schedule(name, tuple(s.name for s in ordered))
+        sign = -1 if name == "default" else 1
+        return Schedule(name, tuple(sorted(
+            self.checks.values(),
+            key=lambda c: (len(c.unions), sign * int(c.name.split("_")[1])))))
 
 
 def build_campaign(groups_file: str | None = None,

@@ -20,7 +20,7 @@ import time
 
 from . import InputError, __version__
 from .oracle import BooleanFunction, DepthSolver, exhaustive_conjecture_check
-from .orbits import OrbitPoset, OrbitTable
+from .orbits import OrbitPoset, OrbitTable, iter_bits
 from .perm import PermGroup, classify, is_transitive
 
 # type checkers read this name as True; importing it from typing would
@@ -61,13 +61,11 @@ def _load_assignment(args) -> tuple[str, TypeAssignment]:
     """The group argument's name and the assignment file over its orbits:
     a JSON list of {"orbit": "level.index", "state": "T"|"F"} whose TRUE
     orbits lie above no FALSE orbit."""
-    from .bundle import ASSIGNMENT, _conform
+    from .bundle import ASSIGNMENT, load_json
     from .complexes import TypeAssignment, assert_monotone
     path = args.assignment
-    with open(path, "rb") as fh:
-        raw = _conform(json.load(fh), ASSIGNMENT, path)
     states = {}
-    for entry in raw:
+    for entry in load_json(None, path, ASSIGNMENT):
         if entry["orbit"] in states:
             raise ValueError(f"{path}: orbit {entry['orbit']} is listed twice")
         states[entry["orbit"]] = entry["state"]
@@ -122,7 +120,7 @@ def cmd_orbits(args) -> int:
     poset = OrbitPoset(table)
     edges = []
     for o2 in range(1, table.orbit_count):
-        for o1 in poset.lower_ids(o2):
+        for o1 in iter_bits(poset.lower[o2]):
             if o1 != o2:
                 edges.append([table.label(o1), table.label(o2)])
     report = {"group": name, "comparable_pairs": edges}
@@ -131,10 +129,12 @@ def cmd_orbits(args) -> int:
 
 
 def cmd_euler(args) -> int:
-    from .complexes import euler, link_euler_fast
+    from .complexes import IndeterminateFace
     name, assignment = _load_assignment(args)
-    report = {"group": name, "euler": euler(assignment),
-              "link_euler_x1": link_euler_fast(assignment)}
+    if not assignment.is_fully_assigned():
+        raise IndeterminateFace("assignment has FREE orbits")
+    report = {"group": name, "euler": assignment.chi,
+              "link_euler_x1": assignment.chi_link}
     sys.stdout.write(emit(report, args.format))
     return 0
 

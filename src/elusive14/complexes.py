@@ -8,7 +8,7 @@ orbits FREE; queries that need a determined value raise IndeterminateFace.
 TypeAssignment is the package's one assignment type: the search's nodes,
 the replay's states and the assignment files the CLI reads are all
 instances.  Each carries chi and the link-at-x1 chi of its TRUE orbits,
-which euler() and link_euler_fast() read instead of summing again.
+which are the encoded complex's values once it is fully assigned.
 """
 
 from __future__ import annotations
@@ -121,24 +121,6 @@ def assert_monotone(a: TypeAssignment) -> bool:
     poset, t, f = a.poset, a.t_bits, a.f_bits
     return (not any(poset.lower[o] & f for o in iter_bits(t))
             and not any(poset.upper[o] & t for o in iter_bits(f)))
-
-
-def _require_full(a: TypeAssignment) -> None:
-    if not a.is_fully_assigned():
-        raise IndeterminateFace("assignment has FREE orbits")
-
-
-def euler(a: TypeAssignment) -> int:
-    """Euler characteristic of the encoded complex (empty face excluded)."""
-    _require_full(a)
-    return a.chi
-
-
-def link_euler_fast(a: TypeAssignment) -> int:
-    """chi of the link at x1 without materializing it: the sum of the TRUE
-    orbits' link_x1_deltas, which the assignment tracks."""
-    _require_full(a)
-    return a.chi_link
 
 
 class FixedPointComplex(namedtuple("FixedPointComplex", "blocks faces euler")):

@@ -123,19 +123,14 @@ class BooleanFunction:
     @classmethod
     def from_orbit_types(cls, table: OrbitTable, t_bits: int) -> "BooleanFunction":
         """Function whose true inputs are the empty input and the members of
-        the TRUE orbits, which must be closed downward (``ValueError``)."""
+        the TRUE orbits, which must be closed downward (``ValueError``).
+        The constructor's monotonicity check refuses any other set: its
+        table rises somewhere, and falls from the true empty input."""
         tab = bytearray(1 << table.n)
         tab[0] = 1
-        for o in range(1, table.orbit_count):
-            if t_bits >> o & 1:
-                # ids run up the levels, so the smaller subsets are already
-                # set; the table is G-invariant, so one member per orbit will do
-                m = table.members[o][0]
-                if not all(tab[m ^ 1 << i] for i in range(table.n) if m >> i & 1):
-                    raise ValueError(f"TRUE orbit {table.label(o)} is above a "
-                                     "FALSE one")
-                for m in table.members[o]:
-                    tab[m] = 1
+        for o in iter_bits(t_bits):
+            for m in table.members[o]:
+                tab[m] = 1
         return cls(table.n, tab, table)
 
 

@@ -187,6 +187,3 @@ class OrbitPoset:
             for q in above[o]:
                 acc |= upper[q]
             upper[o] = acc
-
-    def lower_ids(self, o: int) -> list[int]:
-        return list(iter_bits(self.lower[o]))

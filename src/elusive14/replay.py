@@ -69,8 +69,7 @@ def count_local_cases(camp: Campaign, st: TypeAssignment,
             if s ^ 1 << i:
                 covers[table.orbit_of(unions[s])].add(
                     table.orbit_of(unions[s ^ 1 << i]))
-    engine = SearchEngine(table, OrbitPoset.generated_by(table, covers),
-                          camp.checks)
+    engine = SearchEngine(table, OrbitPoset.generated_by(table, covers))
     gbits = sum(1 << o for o in check.governed)
     start = TypeAssignment(table, engine.poset, st.t_bits & gbits,
                            st.f_bits & gbits)

@@ -67,8 +67,8 @@ def build_check(table: OrbitTable, sub: PermGroup, name: str,
         weights=tuple(sorted(with_weight.items())), unions=unions)
 
 
-# ordered subgroup checks by name
-Schedule = namedtuple("Schedule", "name order")
+# a named visiting order: the SubgroupChecks in the order the search runs them
+Schedule = namedtuple("Schedule", "name checks")
 
 
 class SearchStats:
@@ -98,11 +98,9 @@ class SearchReport(namedtuple("SearchReport",
 class SearchEngine:
     """Shared immutable context, the completion kernel and its two users."""
 
-    def __init__(self, table: OrbitTable, poset: OrbitPoset,
-                 checks: dict[str, SubgroupCheck]):
+    def __init__(self, table: OrbitTable, poset: OrbitPoset):
         self.table = table
         self.poset = poset
-        self.checks = checks
         self.chi_delta = chi_deltas(table)
         self.link_delta = link_x1_deltas(table)
         self.top_oid = table.oid(f"{table.n}.0")
@@ -209,15 +207,10 @@ class SearchEngine:
                        "leaf")
         return survivors
 
-    def schedule_checks(self, schedule: Schedule) -> list[SubgroupCheck]:
-        if sorted(schedule.order) != sorted(self.checks):
-            raise ValueError("schedule must list every subgroup check exactly once")
-        return [self.checks[name] for name in schedule.order]
 
-
-def _walk(engine: SearchEngine, checks: list[SubgroupCheck], st: TypeAssignment,
-          depth: int, stats: SearchStats, link_check: bool,
-          audit=None) -> list[TypeAssignment]:
+def _walk(engine: SearchEngine, checks: tuple[SubgroupCheck, ...],
+          st: TypeAssignment, depth: int, stats: SearchStats,
+          link_check: bool, audit=None) -> list[TypeAssignment]:
     stats.nodes_explored += 1
     if audit is not None:
         audit(st)
@@ -234,9 +227,8 @@ def run_search(engine: SearchEngine, schedule: Schedule, link_check: bool = True
                audit=None) -> SearchReport:
     """Depth-first search over the whole schedule; returns the report with
     every surviving full assignment (expected: none)."""
-    checks = engine.schedule_checks(schedule)
     stats = SearchStats()
-    found = _walk(engine, checks, engine.initial_state(), 0, stats,
+    found = _walk(engine, schedule.checks, engine.initial_state(), 0, stats,
                   link_check, audit)
     found.sort(key=lambda s: s.t_bits)
     labels = [(o, engine.table.label(o))

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from elusive14.bundle import build_campaign
 from elusive14.complexes import TypeAssignment
 from elusive14.oracle import BooleanFunction
-from elusive14.orbits import iter_bits
+from elusive14.orbits import OrbitPoset, iter_bits
 from elusive14.perm import Permutation, generate, parse_cycles
 from elusive14.search import SearchStats
 
@@ -68,6 +68,16 @@ def random_monotone_bits(table, poset, rng: random.Random,
     for o in rng.sample(candidates, rng.randint(1, max_seeds)):
         t |= poset.lower[o]
     return t
+
+
+def down_sets(table) -> list[int]:
+    """The T-bitsets of every downward-closed set of the table's orbits."""
+    poset = OrbitPoset(table)
+    sets = [0]
+    for o in range(1, table.orbit_count):
+        below = poset.lower[o] ^ 1 << o
+        sets += [t | 1 << o for t in sets if not below & ~t]
+    return sets
 
 
 def completions(engine, st, orbits, stats=None) -> list:

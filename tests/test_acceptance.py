@@ -11,10 +11,15 @@ and that an explicit-face enumeration of the free orbits reproduces the
 residual chi=1 count with no setting passing the link.  The sentence's own
 integers (6 free orbits, 2 chi=1 cases) are an erratum recorded in the
 bundled case study.
+
+The last test holds README's premise ledger, the table of what the
+verdict rests on, to the tests it names.
 """
 
 import random
+import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +27,7 @@ from conftest import (completions, explicit_euler, link, opposite, r_vector,
                       random_monotone_bits)
 from elusive14.bundle import expand_labels, load_group_specs
 from elusive14.complexes import (FALSE, TRUE, TypeAssignment, chi_deltas,
-                                 link_euler_fast, link_x1_deltas)
+                                 link_x1_deltas)
 from elusive14.oracle import (BooleanFunction, decision_tree_depth,
                               enumerate_monotone,
                               exhaustive_conjecture_check,
@@ -297,7 +302,7 @@ def test_criterion_8_property_suites(campaign):
         for m in lk:
             r_link[m.bit_count()] += 1
         assert all(14 * r_link[k - 1] == k * r[k] for k in range(1, 15))
-        assert link_euler_fast(a) == explicit_euler(lk)
+        assert a.chi_link == explicit_euler(lk)
 
     # (c) the kernel's closure step vs brute-force member-scan
     # recomputation; from a blank state both children exist, TRUE first
@@ -344,3 +349,26 @@ def test_criterion_8_property_suites(campaign):
     print(f"\nACCEPTANCE 8 PASS: property suites clean "
           f"(100+100+100 randomized cases, {audited[0]} audited nodes, "
           f"{checked} depth pairs)")
+
+
+def test_premise_ledger_names_existing_tests():
+    # README's premise ledger: every row has one of the four statuses, each
+    # computed or checked premise names a test, and each test named exists
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    ledger = readme.split("## What the verdict rests on\n")[1].split("\n## ")[0]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in ledger.splitlines()
+            if line.startswith("| ") and not line.startswith("| Premise")]
+    assert len(rows) > 10
+    for premise, status, checked_by in rows:
+        assert status in ("computed here", "bundled and checked",
+                          "bundled, not checkable offline", "cited"), premise
+        named = re.findall(r"`(tests/\w+\.py)::(\w+)`", checked_by)
+        assert named or status not in ("computed here",
+                                       "bundled and checked"), premise
+        for path, name in named:
+            source = (root / path).read_text(encoding="utf-8")
+            assert re.search(rf"^def {name}\(", source, re.M), f"{path}::{name}"
+    print(f"\nPREMISE LEDGER PASS: {len(rows)} premises, every named test "
+          "exists")

@@ -443,6 +443,8 @@ def test_euler_and_fixedpoint_cli(capsys, tmp_path, campaign):
     partial = tmp_path / "partial.json"
     partial.write_text(json.dumps([{"orbit": "1.0", "state": "T"}]))
     assert main(["euler", "G6", str(partial)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: assignment has FREE orbits\n")
 
 
 def test_euler_and_fixedpoint_reject_non_closed_assignments(capsys, tmp_path,
@@ -568,6 +570,27 @@ def test_malformed_assignment_files_exit_two(capsys, tmp_path):
         assert main(["euler", "G6", str(path)]) == 2
         assert main(["fixedpoint", "G6", "G6_1", str(path)]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    (["euler", "G6"], "{path}: "),
+    (["group", "order"], "bad group file {path}: "),
+    (["verify14", "--groups-file"], "{path}: "),
+], ids=["assignment file", "group file", "override file"])
+@pytest.mark.parametrize("text", [
+    "not json",
+    # json.dumps cannot build a value this deep; the parser gives up with
+    # a RecursionError, which is not a verification failure
+    "[" * 100_000 + "]" * 100_000,
+], ids=["not JSON", "nested too deep"])
+def test_unreadable_json_exits_two_naming_the_file(capsys, tmp_path, argv,
+                                                   prefix, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert main([*argv, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + prefix.format(path=path)), err
+    assert "Traceback" not in err
 
 
 def test_conjecture_cli(capsys):

@@ -6,8 +6,7 @@ from conftest import (explicit_euler, link, r_vector, random_monotone_bits,
                       true_masks)
 from elusive14.complexes import (FALSE, FREE, TRUE, IndeterminateFace,
                                  TypeAssignment, assert_monotone, chi_deltas,
-                                 euler, fixed_point_complex, link_euler_fast,
-                                 link_x1_deltas)
+                                 fixed_point_complex, link_x1_deltas)
 from elusive14.orbits import OrbitPoset, OrbitTable
 
 
@@ -40,19 +39,14 @@ def from_t_bits(table, poset, t_bits):
 
 
 def test_euler_full_simplex(g6_table, g6_poset):
-    assert euler(all_true(g6_table, g6_poset)) == 1   # alternating binomial sum
+    assert all_true(g6_table, g6_poset).chi == 1   # alternating binomial sum
 
 
 def test_euler_empty_and_vertices(g6_table, g6_poset):
-    assert euler(all_false(g6_table, g6_poset)) == 0
+    assert all_false(g6_table, g6_poset).chi == 0
     level1 = g6_table.ids_at_level[1][0]
     a = from_t_bits(g6_table, g6_poset, 1 << level1)
-    assert euler(a) == 14
-
-
-def test_euler_requires_full_assignment(g6_table, g6_poset):
-    with pytest.raises(IndeterminateFace):
-        euler(TypeAssignment(g6_table, g6_poset))
+    assert a.chi == 14
 
 
 def test_euler_equals_explicit_face_sum(g6_table, g6_poset):
@@ -61,7 +55,7 @@ def test_euler_equals_explicit_face_sum(g6_table, g6_poset):
         a = from_t_bits(g6_table, g6_poset,
                         random_monotone_bits(g6_table, g6_poset, rng))
         faces = true_masks(a)
-        assert euler(a) == explicit_euler(faces)
+        assert a.chi == explicit_euler(faces)
 
 
 def test_chi_sums_match_the_delta_tables(g6_table, g6_poset, c6):
@@ -84,13 +78,13 @@ def test_link_of_full_simplex(g6_table, g6_poset):
     # the full simplex on the 13 remaining variables, empty face included
     assert len(lk) == 1 << 13
     assert explicit_euler(lk) == 1
-    assert link_euler_fast(a) == 1
+    assert a.chi_link == 1
 
 
 def test_link_of_empty_complex(g6_table, g6_poset):
     a = all_false(g6_table, g6_poset)
     assert link(a, 1) == set()
-    assert link_euler_fast(a) == 0
+    assert a.chi_link == 0
 
 
 def test_deletion_examples(g6_table, g6_poset):
@@ -109,7 +103,7 @@ def test_link_euler_fast_agrees_with_explicit(g6_table, g6_poset):
                         random_monotone_bits(g6_table, g6_poset, rng))
         v = rng.randint(1, 14)
         # G6 is transitive: the link at every vertex has the x1 link's chi
-        assert link_euler_fast(a) == explicit_euler(link(a, v))
+        assert a.chi_link == explicit_euler(link(a, v))
 
 
 def test_r_vector_link_identity(g6_table, g6_poset):
@@ -193,7 +187,7 @@ def test_fixed_point_identity_subgroup_equals_euler(campaign, g6_table, g6_poset
     a = from_t_bits(g6_table, g6_poset,
                     random_monotone_bits(g6_table, g6_poset, rng))
     fpc = fixed_point_complex(a, campaign.subgroups["G6_1"])
-    assert fpc.euler == euler(a)
+    assert fpc.euler == a.chi
 
 
 def test_fixed_point_downward_closed_when_monotone(campaign, g6_table, g6_poset):

@@ -2,14 +2,16 @@ import random
 
 import pytest
 
-from conftest import completions
+from conftest import completions, down_sets
 from elusive14 import search
 from elusive14.complexes import (FALSE, TRUE, TypeAssignment, assert_monotone,
-                                 euler, fixed_point_complex, link_euler_fast)
+                                 fixed_point_complex)
 from elusive14.orbits import OrbitPoset, OrbitTable
-from elusive14.perm import Permutation, classify, generate
-from elusive14.search import (CaseCapExceeded, SearchEngine, SearchStats,
-                              build_check, condition_met, run_search)
+from elusive14.oracle import BooleanFunction, DepthSolver
+from elusive14.perm import Permutation, classify, generate, parse_cycles
+from elusive14.search import (CaseCapExceeded, Schedule, SearchEngine,
+                              SearchStats, build_check, condition_met,
+                              run_search)
 
 
 def test_initial_state_pins_only_the_top_orbit(campaign):
@@ -205,11 +207,13 @@ def test_relabelling_the_points_keeps_the_search_counters(campaign):
         condition = check.condition
         assert classify(H).chi_condition == condition, name
         checks[name] = build_check(table, H, name, condition)
-    engine = SearchEngine(table, OrbitPoset(table), checks)
+    engine = SearchEngine(table, OrbitPoset(table))
     for schedule, nodes, cases in (("default", 521, 520),
                                    ("alternate", 517, 516)):
+        order = tuple(checks[c.name]
+                      for c in campaign.schedule(schedule).checks)
         for link_check in (True, False):
-            rep = run_search(engine, campaign.schedule(schedule), link_check)
+            rep = run_search(engine, Schedule(schedule, order), link_check)
             s = rep.stats
             assert (s.nodes_explored, s.cases_enumerated, s.leaf_assignments,
                     s.leaf_chi1) == (nodes, cases, 25444, 4224)
@@ -280,8 +284,8 @@ def test_disabled_link_survivors_really_satisfy_everything_else(campaign):
     for survivor in states:
         a = TypeAssignment.from_states(campaign.table, campaign.poset, survivor)
         assert assert_monotone(a)
-        assert euler(a) == 1
-        assert link_euler_fast(a) != 1
+        assert a.chi == 1
+        assert a.chi_link != 1
         for name, check in campaign.checks.items():
             fpc = fixed_point_complex(a, campaign.subgroups[name])
             assert condition_met(check.condition, fpc.euler)
@@ -309,10 +313,9 @@ def test_states_reverify_with_fixed_point_complex(campaign):
     """Children produced by a check satisfy monotonicity and the check's
     Euler condition when re-verified from scratch."""
     engine = campaign.engine()
-    sched = engine.schedule_checks(campaign.schedule("default"))
     stats = SearchStats()
     frontier = [engine.initial_state()]
-    for check in sched[:3]:
+    for check in campaign.schedule("default").checks[:3]:
         nxt = []
         for st in frontier:
             for child in engine.enumerate_cases(st, check, stats):
@@ -328,16 +331,6 @@ def test_case_cap(campaign, monkeypatch):
     monkeypatch.setattr(search, "CASE_CAP", 1)
     with pytest.raises(CaseCapExceeded):
         run_search(campaign.engine(), campaign.schedule("default"))
-
-
-def test_schedule_validation(campaign):
-    from elusive14.search import Schedule
-    engine = campaign.engine()
-    with pytest.raises(ValueError):
-        engine.schedule_checks(Schedule("bad", ("G6_1", "G6_2")))
-    order = campaign.schedule("default").order
-    with pytest.raises(ValueError):
-        engine.schedule_checks(Schedule("bad", order[:-1] + (order[0],)))
 
 
 def test_forced_full_simplex_conflicts_immediately(campaign):
@@ -357,7 +350,7 @@ def test_link_disabled_survivor_is_still_elusive(campaign):
     """Dual route: a labelling that passes every subgroup condition and
     chi(Delta) = 1 but fails only the link test still encodes an elusive
     function, per the independent depth oracle."""
-    from elusive14.oracle import BooleanFunction, decision_tree_depth
+    from elusive14.oracle import decision_tree_depth
 
     engine = campaign.engine()
     rep = run_search(engine, campaign.schedule("default"), link_check=False)
@@ -368,3 +361,41 @@ def test_link_disabled_survivor_is_still_elusive(campaign):
             t_bits |= 1 << campaign.table.oid(label)
     f = BooleanFunction.from_orbit_types(campaign.table, t_bits)
     assert decision_tree_depth(f) == 14
+
+
+@pytest.mark.parametrize("generators, survivors, non_evasive", [
+    (["(1,2,3)(4,5,6)"], 98, 72),
+    (["(1,2,3)(4,5,6)", "(1,2)(4,5)"], 30, 24),
+], ids=["C3", "S3"])
+def test_every_non_evasive_function_survives_the_checks(generators, survivors,
+                                                        non_evasive):
+    # A non-evasive complex is collapsible (Kahn-Saks-Sturtevant), so
+    # Z-acyclic: it has chi = 1 and meets every Euler condition that
+    # classify derives for a subgroup's fixed-point complex.  So the whole
+    # pipeline (the checks with their conditions, the kernel and the
+    # leaf's chi test) must keep every invariant function that the oracle
+    # finds non-evasive.  These groups are intransitive, so the link test
+    # is off.
+    G = generate([parse_cycles(g, 6) for g in generators])
+    table = OrbitTable(G)
+    subgroups = {}
+    for a in G.elements:
+        for b in G.elements:
+            H = generate([a, b])
+            if H.order > 1:
+                subgroups.setdefault(H.element_set, H)
+    checks = []
+    for i, H in enumerate(subgroups.values()):
+        condition = classify(H).chi_condition
+        assert condition is not None
+        checks.append(build_check(table, H, f"H{i}", condition))
+    rep = run_search(SearchEngine(table, OrbitPoset(table)),
+                     Schedule("pairs", tuple(checks)), link_check=False)
+    found = {sum(1 << table.oid(label) for label, state in states.items()
+                 if state == TRUE) for states in rep.feasible_functions}
+    top = table.oid(f"{table.n}.0")
+    nonevasive = {
+        t for t in down_sets(table) if not t >> top & 1
+        and not DepthSolver(BooleanFunction.from_orbit_types(table, t)).evasive()}
+    assert nonevasive <= found
+    assert (len(found), len(nonevasive)) == (survivors, non_evasive)
