@@ -322,38 +322,30 @@ class DepthSolver:
         evasive child, so the play takes the lowest free variable and
         answers 1 exactly when the 1-child is evasive; no exact depth of a
         non-evasive child is needed."""
-        if self.evasive():
-            return self._evasive_path()
         path: list[tuple[int, int]] = []
         assigned = values = 0
         # a restriction of depth 0 is constant, and the deeper child of the
         # chosen query has depth target - 1
         target = self.depth()
         while target:
-            for i in iter_bits(self.full ^ assigned):
-                b = 1 << i
-                d0 = self.depth(assigned | b, values)
-                d1 = self.depth(assigned | b, values | b)
-                if 1 + max(d0, d1) == target:
-                    break
-            answer = 1 if d1 >= d0 else 0
-            path.append((i + 1, answer))
+            rem = self.full ^ assigned
+            if target == rem.bit_count():
+                b = rem & -rem
+                a, v = assigned | b, values | b
+                answer = int(self._evasive(a, v, self.keys.key(a, v),
+                                           target - 1))
+            else:
+                for i in iter_bits(rem):
+                    b = 1 << i
+                    d0 = self.depth(assigned | b, values)
+                    d1 = self.depth(assigned | b, values | b)
+                    if 1 + max(d0, d1) == target:
+                        break
+                answer = 1 if d1 >= d0 else 0
+            path.append((b.bit_length(), answer))
             assigned |= b
             values |= b * answer
             target -= 1
-        return path
-
-    def _evasive_path(self) -> list[tuple[int, int]]:
-        # with x1..xi assigned, the lowest free variable is x(i+1)
-        path: list[tuple[int, int]] = []
-        values = 0
-        for i in range(self.n):
-            b = 1 << i
-            child = (2 * b - 1, values | b)
-            answer = int(self._evasive(*child, self.keys.key(*child),
-                                       self.n - 1 - i))
-            values |= b * answer
-            path.append((i + 1, answer))
         return path
 
 
@@ -385,7 +377,8 @@ def _bit_mover(targets: list[int]):
 def enumerate_monotone(n: int) -> list[int]:
     """All monotone non-increasing functions on n variables as truth-table
     bitvectors (bit m = value on input mask m).  The order is lexicographic
-    in the values on the masks taken by (size, value), false before true."""
+    in the values on the masks taken in increasing order, false before
+    true: the pairs (f0, f1) are listed by f0, then by f1."""
     # a down-set on k + 1 variables is a pair of down-sets on k variables,
     # f0 where x_{k+1} is false and f1 where it is true, with f1 inside f0
     down = [0, 1]
@@ -393,13 +386,7 @@ def enumerate_monotone(n: int) -> list[int]:
         shift = 1 << k
         down = [f0 | f1 << shift for f0 in down for f1 in down
                 if not f1 & ~f0]
-    # the sort key moves the first mask's bit to the top, and so on down
-    top = (1 << n) - 1
-    targets = [0] * (1 << n)
-    for pos, m in enumerate(sorted(range(1 << n),
-                                   key=lambda m: (m.bit_count(), m))):
-        targets[m] = top - pos
-    return sorted(down, key=_bit_mover(targets))
+    return down
 
 
 def _relabellers(n: int, first: int = 0) -> list:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import warnings
@@ -518,6 +519,68 @@ def test_dtree_does_not_depend_on_the_numbering_of_the_points(
         report = json.loads(out)
         reports.append((code, report["depth"], report["elusive"]))
     assert reports[0] == reports[1]
+
+
+def _relabelled_data_files(tmp_path, seed):
+    """Copies of the three data files with the 14 points renumbered by one
+    seeded sigma: G6's generators, the subgroups' generators and block
+    points, and the case study's union-anchor points.  A generator g
+    becomes sigma g sigma^-1, whose cycles are g's with each point p
+    written as sigma(p).  The printed labels stay as published."""
+    images = list(range(14))
+    random.Random(seed).shuffle(images)
+
+    def points(ps):
+        return [images[p - 1] + 1 for p in ps]
+
+    def generator(g):
+        return re.sub(r"\d+", lambda m: str(images[int(m[0]) - 1] + 1), g)
+
+    groups, subgroups, case_study = (
+        load_json(name) for name in ("groups.json", "subgroups.json",
+                                     "case_study.json"))
+    (g6,) = [g for g in groups["groups"] if g["name"] == "G6"]
+    g6["generators"] = [generator(g) for g in g6["generators"]]
+    for sub in subgroups["subgroups"]:
+        sub["generators"] = [generator(g) for g in sub["generators"]]
+        for block in sub["blocks"]:
+            block["points"] = points(block["points"])
+    for anchor in case_study["union_anchors"]:
+        anchor["points"] = points(anchor["points"])
+    argv = []
+    for flag, raw in (("--groups-file", groups),
+                      ("--subgroups-file", subgroups),
+                      ("--case-study-file", case_study)):
+        path = tmp_path / f"relabelled{flag[1:]}.json"
+        path.write_text(json.dumps(raw))
+        argv += [flag, str(path)]
+    return argv
+
+
+def test_the_verdict_does_not_depend_on_the_numbering_of_the_points(
+        capsys, tmp_path):
+    # the data path end to end: the campaign reads the relabelled files,
+    # and the replay maps the printed labels through their anchor points
+    argv = _relabelled_data_files(tmp_path, seed=1)
+    code, out = run_cli(capsys, "--format", "json", "verify14",
+                        "--seed-independent", *argv)
+    report = json.loads(out)
+    assert code == 0 and report["all_verified"]
+    # the report names the three relabelled files, not the bundled ones
+    assert all(report["data_digests"][name] != digest
+               for name, digest in data_digests().items())
+    (g6,) = [g for g in report["groups"] if g["name"] == "G6"]
+    assert [(s["nodes_explored"], s["cases_enumerated"],
+             s["leaf_assignments"], s["feasible_functions"])
+            for s in g6["search"]] == [(521, 520, 25444, 0),
+                                       (517, 516, 25444, 0)]
+    code, out = run_cli(capsys, "--format", "json", "replay-appendix", *argv)
+    replay = json.loads(out)
+    assert code == 0 and replay["ok"]
+    assert [s["block_local_cases"] for s in replay["steps"]] == [
+        2, 2, 2, 4, 3, 2]
+    assert (replay["residual_cases_chi_1"],
+            replay["residual_cases_passing_link"]) == (16, 0)
 
 
 def test_dtree_cli(capsys, tmp_path):

@@ -246,6 +246,49 @@ def test_adversary_path_is_a_depth_witness():
         assert len({v for v, _ in path}) == len(path)
 
 
+def _reference_adversary_path(f):
+    """The play by exact depths alone: at each restriction the least
+    variable v with 1 + max(d0, d1) equal to its depth, answered 1 when
+    d1 >= d0."""
+    solver = DepthSolver(f)
+    path = []
+    assigned = values = 0
+    target = solver.depth()
+    while target:
+        for v in range(1, f.n + 1):
+            b = 1 << (v - 1)
+            if assigned & b:
+                continue
+            d0 = solver.depth(assigned | b, values)
+            d1 = solver.depth(assigned | b, values | b)
+            if 1 + max(d0, d1) == target:
+                break
+        answer = int(d1 >= d0)
+        path.append((v, answer))
+        assigned |= b
+        values |= b * answer
+        target -= 1
+    return path
+
+
+def test_adversary_path_follows_the_exact_depth_play():
+    # the path takes a shortcut from every evasive restriction it reaches;
+    # the reference plays every step by exact depths, on functions that are
+    # evasive, constant, and non-evasive with evasive restrictions below
+    fs = [g for n in range(1, 5) for bits in enumerate_monotone(n)
+          for f in [BooleanFunction.from_bitvector(n, bits)]
+          for g in (f, opposite(f))]
+    table = OrbitTable(generate([parse_cycles("(1,2,3)(4,5,6)", 6)]))
+    c3 = [BooleanFunction.from_orbit_types(table, t) for t in down_sets(table)]
+    assert len(c3) == 561
+    non_evasive = 0
+    for f in fs + c3:
+        path = DepthSolver(f).adversary_path()
+        assert path == _reference_adversary_path(f)
+        non_evasive += f.orbits is table and 0 < len(path) < 6
+    assert non_evasive == 72
+
+
 def test_conjecture_check_small():
     rep2 = exhaustive_conjecture_check(2)
     assert rep2.monotone_functions == 6
@@ -315,9 +358,10 @@ def test_sweep_matches_full_scan_and_exact_depth():
 
 
 def _reference_enumerate_monotone(n):
-    """Every down-set, branching on the masks by (size, value), the branch
-    without the mask first."""
-    masks = sorted(range(1 << n), key=lambda m: (m.bit_count(), m))
+    """Every down-set, branching on the masks in increasing order, the
+    branch without the mask first; a mask's submasks are smaller, so they
+    are decided before it."""
+    masks = range(1 << n)
     subs = [[m ^ (1 << i) for i in range(n) if m >> i & 1]
             for m in range(1 << n)]
     out = []

@@ -363,19 +363,22 @@ def test_link_disabled_survivor_is_still_elusive(campaign):
     assert decision_tree_depth(f) == 14
 
 
-@pytest.mark.parametrize("generators, survivors, non_evasive", [
-    (["(1,2,3)(4,5,6)"], 98, 72),
-    (["(1,2,3)(4,5,6)", "(1,2)(4,5)"], 30, 24),
-], ids=["C3", "S3"])
-def test_every_non_evasive_function_survives_the_checks(generators, survivors,
-                                                        non_evasive):
+@pytest.mark.parametrize("generators, mod_checks, survivors, non_evasive, "
+                         "links", [
+    (["(1,2,3)(4,5,6)"], 0, 98, 72, (70, 2)),
+    (["(1,2,3)(4,5,6)", "(1,2)(4,5)"], 0, 30, 24, (22, 2)),
+    (["(1,2,3,4)", "(1,2)"], 1, 36, 36, (30, 6)),
+], ids=["C3", "S3", "S4"])
+def test_every_non_evasive_function_survives_the_checks(
+        generators, mod_checks, survivors, non_evasive, links):
     # A non-evasive complex is collapsible (Kahn-Saks-Sturtevant), so
     # Z-acyclic: it has chi = 1 and meets every Euler condition that
     # classify derives for a subgroup's fixed-point complex.  So the whole
     # pipeline (the checks with their conditions, the kernel and the
     # leaf's chi test) must keep every invariant function that the oracle
     # finds non-evasive.  These groups are intransitive, so the link test
-    # is off.
+    # is off.  S4 on four of the six points is the one whose own check
+    # has a "mod" condition (chain V4 < A4 < S4 of index 2).
     G = generate([parse_cycles(g, 6) for g in generators])
     table = OrbitTable(G)
     subgroups = {}
@@ -389,13 +392,33 @@ def test_every_non_evasive_function_survives_the_checks(generators, survivors,
         condition = classify(H).chi_condition
         assert condition is not None
         checks.append(build_check(table, H, f"H{i}", condition))
+    assert sum(c.condition[0] == "mod" for c in checks) == mod_checks
     rep = run_search(SearchEngine(table, OrbitPoset(table)),
                      Schedule("pairs", tuple(checks)), link_check=False)
     found = {sum(1 << table.oid(label) for label, state in states.items()
                  if state == TRUE) for states in rep.feasible_functions}
     top = table.oid(f"{table.n}.0")
-    nonevasive = {
-        t for t in down_sets(table) if not t >> top & 1
-        and not DepthSolver(BooleanFunction.from_orbit_types(table, t)).evasive()}
+    nonevasive = set()
+    checked = void = 0
+    for t in down_sets(table):
+        f = BooleanFunction.from_orbit_types(table, t)
+        solver = DepthSolver(f)
+        if t >> top & 1 or solver.evasive():
+            continue
+        nonevasive.add(t)
+        # the link lemma at an optimal root x_v: the x_v = 1 restriction is
+        # non-evasive, and its complex is Link(Delta, v), so chi = 1 there;
+        # if {x_v} is FALSE, that restriction is constant 0 and the link void
+        v, _ = solver.adversary_path()[0]
+        b = 1 << (v - 1)
+        if not f.table[b]:
+            void += 1
+            continue
+        assert solver.depth(b, b) < table.n - 1
+        # a link face S - {x_v} of size |S| - 1 adds (-1)^|S|
+        assert sum((-1) ** m.bit_count() for m in range(1 << table.n)
+                   if m & b and m != b and f.table[m]) == 1
+        checked += 1
     assert nonevasive <= found
     assert (len(found), len(nonevasive)) == (survivors, non_evasive)
+    assert (checked, void) == links
