@@ -220,8 +220,8 @@ def verify14(seed_independent: bool = False,
             entry["method"] = "search"
             schedules = (("default", "alternate") if seed_independent
                          else ("default",))
-            reports = [run_search(camp.engine(), camp.schedule(s))
-                       for s in schedules]
+            engine = camp.engine()
+            reports = [run_search(engine, camp.schedule(s)) for s in schedules]
             entry["search"] = [_search_summary(r) for r in reports]
             entry["verified"] = (cls.kind == "unresolved"
                                  and all(r.verified for r in reports))

@@ -167,10 +167,10 @@ def test_step_one_enumeration(campaign):
 
 
 def test_full_search_both_schedules(campaign):
-    engine = campaign.engine()
+    # each schedule on its own engine, so it resolves every leaf itself
     reports = {}
     for name in ("default", "alternate"):
-        rep = run_search(engine, campaign.schedule(name))
+        rep = run_search(campaign.engine(), campaign.schedule(name))
         assert rep.verified
         assert rep.feasible_functions == []
         assert rep.stats.prunes_by_conflict == 0
@@ -180,11 +180,27 @@ def test_full_search_both_schedules(campaign):
 
 
 def test_search_node_counts_deterministic(campaign):
-    engine = campaign.engine()
-    a = run_search(engine, campaign.schedule("default"))
-    b = run_search(engine, campaign.schedule("default"))
+    a = run_search(campaign.engine(), campaign.schedule("default"))
+    b = run_search(campaign.engine(), campaign.schedule("default"))
     assert a.stats == b.stats
     assert a.stats.nodes_explored == 521
+
+
+def test_one_engine_resolves_each_leaf_once(campaign):
+    # both schedules reach the same leaf states, so on one engine the
+    # alternate resolves none itself, yet reports what a fresh engine does
+    engine = campaign.engine()
+    run_search(engine, campaign.schedule("default"))
+    assert len(engine.leaves) == 332
+    shared = run_search(engine, campaign.schedule("alternate"))
+    assert len(engine.leaves) == 332
+    fresh = run_search(campaign.engine(), campaign.schedule("alternate"))
+    assert shared.stats == fresh.stats
+    assert shared.feasible_functions == fresh.feasible_functions == []
+    # without the link test the same states are new leaves
+    rep = run_search(engine, campaign.schedule("default"), link_check=False)
+    assert len(rep.feasible_functions) == rep.stats.leaf_chi1 == 4224
+    assert len(engine.leaves) == 2 * 332
 
 
 def test_relabelling_the_points_keeps_the_search_counters(campaign):
@@ -207,13 +223,14 @@ def test_relabelling_the_points_keeps_the_search_counters(campaign):
         condition = check.condition
         assert classify(H).chi_condition == condition, name
         checks[name] = build_check(table, H, name, condition)
-    engine = SearchEngine(table, OrbitPoset(table))
+    poset = OrbitPoset(table)
     for schedule, nodes, cases in (("default", 521, 520),
                                    ("alternate", 517, 516)):
         order = tuple(checks[c.name]
                       for c in campaign.schedule(schedule).checks)
         for link_check in (True, False):
-            rep = run_search(engine, Schedule(schedule, order), link_check)
+            rep = run_search(SearchEngine(table, poset),
+                             Schedule(schedule, order), link_check)
             s = rep.stats
             assert (s.nodes_explored, s.cases_enumerated, s.leaf_assignments,
                     s.leaf_chi1) == (nodes, cases, 25444, 4224)
@@ -244,14 +261,15 @@ def test_the_replay_meets_no_conflict(campaign, monkeypatch):
 
 
 def test_link_condition_is_load_bearing(campaign):
-    engine = campaign.engine()
-    rep = run_search(engine, campaign.schedule("default"), link_check=False)
+    rep = run_search(campaign.engine(), campaign.schedule("default"),
+                     link_check=False)
     assert len(rep.feasible_functions) > 0
     assert len(rep.feasible_functions) == 4224
     # every survivor saved by disabling the link check fails it
     assert rep.stats.leaf_chi1 == 4224
     # the survivor set, not just its size, is schedule independent
-    other = run_search(engine, campaign.schedule("alternate"), link_check=False)
+    other = run_search(campaign.engine(), campaign.schedule("alternate"),
+                       link_check=False)
     assert rep.feasible_functions == other.feasible_functions
     assert rep.stats.prunes_by_conflict == other.stats.prunes_by_conflict == 0
     # Alexander duality (the dual complex holds a set iff its complement is
