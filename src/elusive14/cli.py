@@ -60,7 +60,9 @@ def _resolve_group(arg: str) -> tuple[str, PermGroup, GroupSpec | None]:
 def _load_assignment(args) -> tuple[str, TypeAssignment]:
     """The group argument's name and the assignment file over its orbits:
     a JSON list of {"orbit": "level.index", "state": "T"|"F"} whose TRUE
-    orbits lie above no FALSE orbit."""
+    orbits lie above no FALSE orbit.  A refusal of the file's JSON, of an
+    orbit listed twice, or of an orbit label or state starts with the
+    file's path."""
     from .bundle import ASSIGNMENT, load_json
     from .complexes import TypeAssignment, assert_monotone
     path = args.assignment
@@ -71,7 +73,11 @@ def _load_assignment(args) -> tuple[str, TypeAssignment]:
         states[entry["orbit"]] = entry["state"]
     name, group, _ = _resolve_group(args.groupfile)
     table = OrbitTable(group)
-    assignment = TypeAssignment.from_states(table, OrbitPoset(table), states)
+    try:
+        assignment = TypeAssignment.from_states(table, OrbitPoset(table),
+                                                states)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not assert_monotone(assignment):
         raise ValueError(f"{args.command} needs a downward-closed assignment: "
                          "a TRUE orbit lies above a FALSE one")

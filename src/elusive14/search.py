@@ -13,8 +13,9 @@ A subgroup check and the leaf run one completion kernel on plain ints: it
 assigns the free orbits in the given order, TRUE first, with monotone
 closure and incremental chi, and hands every complete case to a leaf test
 of its own; only the cases a test keeps become TypeAssignments.  An
-engine resolves each leaf state once: a schedule that reaches a leaf
-another schedule reached reads its counters and survivors from a memo.
+engine resolves each leaf state once, into counters and survivors of the
+leaf's own; every visit to that state, the first included, adds those
+counters to its run's and returns those survivors.
 """
 
 from __future__ import annotations
@@ -87,10 +88,9 @@ class SearchStats:
             getattr(self, name) == getattr(other, name)
             for name in self.__slots__)
 
-
-# the counters a leaf moves, in the order a leaf memo entry stores them
-LEAF_COUNTERS = ("leaf_assignments", "prunes_by_chi", "leaf_chi1",
-                 "prunes_by_link", "prunes_by_conflict")
+    def add(self, other: "SearchStats") -> None:
+        for name in self.__slots__:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
 
 class SearchReport(namedtuple("SearchReport",
@@ -104,9 +104,10 @@ class SearchReport(namedtuple("SearchReport",
 
 class SearchEngine:
     """The orbit table, its poset and chi deltas, the completion kernel and
-    its two users, and a memo of resolved leaves.  A leaf state is the
-    closure of the T/F values on every governed orbit, whatever order the
-    checks ran in, so all schedules run on one engine share its leaves."""
+    its two users, and a memo of resolved leaves, each held as the leaf's
+    own SearchStats and survivors.  A leaf state is the closure of the T/F
+    values on every governed orbit, whatever order the checks ran in, so
+    all schedules run on one engine share its leaves."""
 
     def __init__(self, table: OrbitTable, poset: OrbitPoset):
         self.table = table
@@ -114,9 +115,9 @@ class SearchEngine:
         self.chi_delta = chi_deltas(table)
         self.link_delta = link_x1_deltas(table)
         self.top_oid = table.oid(f"{table.n}.0")
-        # (t_bits, f_bits, link_check) -> (the leaf's counter deltas in
-        # LEAF_COUNTERS order, its survivors as (t, f, chi, link) tuples)
-        self.leaves: dict[tuple[int, int, bool], tuple[tuple, tuple]] = {}
+        # (t_bits, f_bits, link_check) -> (the leaf's own SearchStats, its
+        # survivors as a tuple of TypeAssignments)
+        self.leaves: dict[tuple[int, int, bool], tuple[SearchStats, tuple]] = {}
 
     def initial_state(self) -> TypeAssignment:
         """All orbits free except the full-set orbit, pinned FALSE (a TRUE
@@ -201,42 +202,34 @@ class SearchEngine:
     def leaf_survivors(self, st: TypeAssignment, stats: SearchStats,
                        link_check: bool = True) -> list[TypeAssignment]:
         """Resolve all remaining free orbits against chi(Delta) = 1, then
-        test chi(Link(Delta, x1)) = 1 on each chi-feasible assignment.  A
-        state resolved before on this engine adds its stored counter deltas
-        to ``stats`` and returns its stored survivors."""
+        test chi(Link(Delta, x1)) = 1 on each chi-feasible assignment.  The
+        first visit to a state on this engine counts into the leaf's own
+        SearchStats, kept with its survivors; every visit adds those to
+        ``stats`` and returns the survivors.  A capped leaf keeps nothing
+        and leaves ``stats`` as it was."""
         key = (st.t_bits, st.f_bits, link_check)
-        memo = self.leaves.get(key)
-        if memo is not None:
-            deltas, found = memo
-            assignments, chi_prunes, chi1, link_prunes, conflicts = deltas
-            stats.leaf_assignments += assignments
-            stats.prunes_by_chi += chi_prunes
-            stats.leaf_chi1 += chi1
-            stats.prunes_by_link += link_prunes
-            stats.prunes_by_conflict += conflicts
-        else:
-            before = [getattr(stats, name) for name in LEAF_COUNTERS]
-            survivors: list[tuple[int, int, int, int]] = []
+        if key not in self.leaves:
+            own = SearchStats()
+            table, poset = self.table, self.poset
+            survivors: list[TypeAssignment] = []
 
             def leaf(t: int, f: int, chi: int, link: int) -> None:
-                stats.leaf_assignments += 1
+                own.leaf_assignments += 1
                 if chi != 1:
-                    stats.prunes_by_chi += 1
+                    own.prunes_by_chi += 1
                     return
-                stats.leaf_chi1 += 1
+                own.leaf_chi1 += 1
                 if link_check and link != 1:
-                    stats.prunes_by_link += 1
+                    own.prunes_by_link += 1
                 else:
-                    survivors.append((t, f, chi, link))
+                    survivors.append(
+                        TypeAssignment(table, poset, t, f, chi, link))
 
-            self._complete(st, range(1, self.table.orbit_count), leaf, stats,
-                           "leaf")
-            found = tuple(survivors)
-            self.leaves[key] = (
-                tuple(getattr(stats, name) - b
-                      for name, b in zip(LEAF_COUNTERS, before)), found)
-        table, poset = self.table, self.poset
-        return [TypeAssignment(table, poset, *s) for s in found]
+            self._complete(st, range(1, table.orbit_count), leaf, own, "leaf")
+            self.leaves[key] = (own, tuple(survivors))
+        own, found = self.leaves[key]
+        stats.add(own)
+        return list(found)
 
 
 def _walk(engine: SearchEngine, checks: tuple[SubgroupCheck, ...],

@@ -635,6 +635,17 @@ def test_malformed_assignment_files_exit_two(capsys, tmp_path):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("label", ["99.0", "abc", "0.0"],
+                         ids=["no such orbit", "bad label", "empty subset"])
+def test_assignment_orbit_refusals_name_the_file(capsys, tmp_path, label):
+    path = tmp_path / "assignment.json"
+    path.write_text(json.dumps([{"orbit": label, "state": "T"}]))
+    assert main(["euler", "G6", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: "), err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv, prefix", [
     (["euler", "G6"], "{path}: "),
     (["group", "order"], "bad group file {path}: "),

@@ -351,6 +351,40 @@ def test_case_cap(campaign, monkeypatch):
         run_search(campaign.engine(), campaign.schedule("default"))
 
 
+def test_a_capped_leaf_stores_nothing(campaign, monkeypatch):
+    # the largest check enumeration completes 185 cases and the largest
+    # leaf 452, so at this cap only a leaf raises, partway through the run
+    engine = campaign.engine()
+    entered = []
+    resolve = engine.leaf_survivors
+
+    def leaf_survivors(st, stats, link_check=True):
+        entered.append(st)
+        return resolve(st, stats, link_check)
+
+    monkeypatch.setattr(engine, "leaf_survivors", leaf_survivors)
+    cap = search.CASE_CAP
+    monkeypatch.setattr(search, "CASE_CAP", 185)
+    with pytest.raises(CaseCapExceeded, match="^leaf: "):
+        run_search(engine, campaign.schedule("default"))
+    # fifteen leaves resolve and are kept, the sixteenth is capped
+    assert len(entered) == 16
+    assert set(engine.leaves) == {(st.t_bits, st.f_bits, True)
+                                  for st in entered[:-1]}
+    # and the caller's counters are left as they were
+    stats = SearchStats()
+    with pytest.raises(CaseCapExceeded):
+        engine.leaf_survivors(entered[-1], stats)
+    assert stats == SearchStats()
+    assert len(engine.leaves) == 15
+    # at the full cap the same engine counts what a fresh one does
+    monkeypatch.setattr(search, "CASE_CAP", cap)
+    rep = run_search(engine, campaign.schedule("default"))
+    assert rep.stats == run_search(campaign.engine(),
+                                   campaign.schedule("default")).stats
+    assert rep.verified and len(engine.leaves) == 332
+
+
 def test_forced_full_simplex_conflicts_immediately(campaign):
     # a TRUE full set forces every orbit TRUE, so one FALSE orbit anywhere
     # prunes that branch and leaves only the FALSE child
