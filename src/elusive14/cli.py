@@ -19,7 +19,8 @@ import sys
 import time
 
 from . import InputError, __version__
-from .oracle import BooleanFunction, DepthSolver, exhaustive_conjecture_check
+from .oracle import (MAX_ARITY, ArityError, BooleanFunction, DepthSolver,
+                     exhaustive_conjecture_check)
 from .orbits import OrbitPoset, OrbitTable, iter_bits
 from .perm import PermGroup, classify, is_transitive
 
@@ -57,12 +58,14 @@ def _resolve_group(arg: str) -> tuple[str, PermGroup, GroupSpec | None]:
     return (*load_group_file(arg), None)
 
 
-def _load_assignment(args) -> tuple[str, TypeAssignment]:
+def _load_assignment(args, max_arity: int | None = None
+                     ) -> tuple[str, TypeAssignment]:
     """The group argument's name and the assignment file over its orbits:
     a JSON list of {"orbit": "level.index", "state": "T"|"F"} whose TRUE
     orbits lie above no FALSE orbit.  A refusal of the file's JSON, of an
     orbit listed twice, or of an orbit label or state starts with the
-    file's path."""
+    file's path.  A group of degree above ``max_arity`` is refused before
+    its orbit table is built."""
     from .bundle import ASSIGNMENT, load_json
     from .complexes import TypeAssignment, assert_monotone
     path = args.assignment
@@ -72,6 +75,9 @@ def _load_assignment(args) -> tuple[str, TypeAssignment]:
             raise ValueError(f"{path}: orbit {entry['orbit']} is listed twice")
         states[entry["orbit"]] = entry["state"]
     name, group, _ = _resolve_group(args.groupfile)
+    if max_arity is not None and group.degree > max_arity:
+        raise ArityError(f"arity {group.degree} exceeds the {max_arity} "
+                         f"limit")
     table = OrbitTable(group)
     try:
         assignment = TypeAssignment.from_states(table, OrbitPoset(table),
@@ -161,7 +167,7 @@ def cmd_fixedpoint(args) -> int:
 
 
 def cmd_dtree(args) -> int:
-    name, assignment = _load_assignment(args)
+    name, assignment = _load_assignment(args, MAX_ARITY)
     if not assignment.is_fully_assigned():
         raise ValueError("dtree needs every orbit assigned T or F")
     f = BooleanFunction.from_orbit_types(assignment.table, assignment.t_bits)

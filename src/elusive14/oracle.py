@@ -8,10 +8,13 @@ variable (free / answered 0 / answered 1), of its image under an element of
 the function's invariance group G that carries its assigned mask to the
 least mask of that mask's orbit.  Restrictions with equal keys are G-images
 of each other and have the same depth, so isomorphic subproblems share one
-memo entry and every free variable can be queried.  A function given
-without an orbit table gets the trivial group's table of its arity, whose
-keys are the plain radix-3 indices.  The same keys check the group: the
-truth table is G-invariant iff it is constant on every mask orbit.
+memo entry and every free variable can be queried.  The keys come from
+the orbit table's own image scan: its chunk images give each orbit's
+least mask under every element, so the elements are found without a
+second pass over the masks.  A function given without an orbit table gets
+the trivial group's table of its arity, whose keys are the plain radix-3
+indices.  The same keys check the group: the truth table is G-invariant
+iff it is constant on every mask orbit.
 
 The decision pass comes first.  A restriction is evasive (its depth equals
 its number of free variables) iff it has no free variable, or it is
@@ -40,13 +43,12 @@ from __future__ import annotations
 
 import random
 import weakref
-from array import array
-from collections import Counter, deque, namedtuple
+from collections import Counter, namedtuple
 from functools import cache
+from itertools import repeat
 from math import factorial
-from operator import itemgetter, or_
 
-from .orbits import (OrbitPoset, OrbitTable, action_table, iter_bits,
+from .orbits import (CHUNK, OrbitPoset, OrbitTable, action_table, iter_bits,
                      subset_unions)
 from .perm import Permutation, closure
 
@@ -134,11 +136,6 @@ class BooleanFunction:
         return cls(table.n, tab, table)
 
 
-def _scatter(target, positions, values) -> None:
-    """target[p] = v for each pair, in order, at C speed."""
-    deque(map(target.__setitem__, positions, values), maxlen=0)
-
-
 class OrbitKeys:
     """Memo keys of restrictions (assigned mask A, values mask V) that G
     carries onto each other.
@@ -147,14 +144,17 @@ class OrbitKeys:
     ``(base, lo, hi)`` for an element g of G that maps A to ``least[A]``:
     ``base`` is the radix-3 index of ``least[A]`` with every variable
     answered 0, and ``lo[V & low] + hi[V >> half]`` raises the digit of
-    each point of gV from 1 to 2.  The key of (A, V) is the radix-3 index
-    of (gA, gV), one digit per variable (free / answered 0 / answered 1).
-    Equal keys mean gA = g'A' and gV = g'V', so g'^-1 g carries one
-    restriction onto the other, and a G-invariant function has the same
-    depth on both.  The keys need not be complete: the stabilizer of the
-    least mask may still move gV.  Under the trivial group the key is the
-    plain radix-3 index of (A, V).  Both come from the group's OrbitTable,
-    the elements g from the images of its orbits' least masks alone.
+    each point of gV from 1 to 2, one 7-point chunk of V at a time.  The
+    key of (A, V) is the radix-3 index of (gA, gV), one digit per variable
+    (free / answered 0 / answered 1).  Equal keys mean gA = g'A' and
+    gV = g'V', so g'^-1 g carries one restriction onto the other, and a
+    G-invariant function has the same depth on both.  The keys need not be
+    complete: the stabilizer of the least mask may still move gV.  Under
+    the trivial group the key is the plain radix-3 index of (A, V).
+
+    Everything comes from the group's OrbitTable: its chunk images give
+    each orbit's least mask m under every element k, and the mask k m
+    gets the row of k's inverse, for the first such k in element order.
     """
 
     __slots__ = ("least", "rows", "half", "low")
@@ -163,37 +163,32 @@ class OrbitKeys:
         n = table.n
         elements = table.group.elements
         index = {g: k for k, g in enumerate(elements)}
-        inverse = [index[g.inverse()] for g in elements]
-        self.half = half = n // 2
-        self.low = low = (1 << half) - 1
+        self.half = CHUNK
+        self.low = (1 << CHUNK) - 1
         # radix[M]: the radix-3 index of M with every point answered 0
         radix = [0]
         for i in range(n):
             w = 3 ** i
             radix += [x + w for x in radix]
-        # mask images under each element, half a mask at a time, kept as
-        # 16-bit arrays while the build lasts; the key tables reuse radix's
-        # int objects rather than making their own
-        bits = [[1 << p for p in g.images] for g in elements]
-        lo_img = [array("H", subset_unions(b[:half])) for b in bits]
-        hi_img = [array("H", subset_unions(b[half:])) for b in bits]
-        lo = [list(map(radix.__getitem__, t)) for t in lo_img]
-        hi = [list(map(radix.__getitem__, t)) for t in hi_img]
-        trans = [0] * (1 << n)
-        inverse.reverse()
-        for m in table.min_mask:
-            # element k carries the orbit's least mask to images[k], and the
-            # inverse of k carries that image back; written in reverse, the
-            # first such k is the one that stays
-            images = list(map(or_, map(itemgetter(m & low), lo_img),
-                              map(itemgetter(m >> half), hi_img)))
-            images.reverse()
-            _scatter(trans, images, inverse)
-        self.least = least = list(map(table.min_mask.__getitem__,
-                                      map(table.orbit_of, range(1 << n))))
+        # per element, radix of the image of each value of the low and the
+        # high chunk, as int objects of radix
+        lo, hi = ([list(map(radix.__getitem__, col))
+                   for col in zip(*table.chunk_images(c))] for c in (0, 1))
+        # in reverse element order, the tables of each element's inverse:
+        # scattered over the reversed images, the first element that
+        # carries m to a mask writes that mask's row last
+        back = [index[g.inverse()] for g in reversed(elements)]
+        lo_inv = list(map(lo.__getitem__, back))
+        hi_inv = list(map(hi.__getitem__, back))
         # one triple per mask: the decision pass reads a child's key from
         # one list lookup
-        self.rows = [(radix[x], lo[k], hi[k]) for x, k in zip(least, trans)]
+        self.rows = rows = [None] * (1 << n)
+        for m in table.min_mask:
+            images = table.images(m)
+            images.reverse()
+            for x, row in zip(images, zip(repeat(radix[m]), lo_inv, hi_inv)):
+                rows[x] = row
+        self.least = list(map(table.min_mask.__getitem__, table._orbit_of))
 
     def key(self, assigned: int, values: int) -> int:
         base, lo, hi = self.rows[assigned]

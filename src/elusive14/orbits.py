@@ -4,14 +4,29 @@ indexing, and the inclusion poset with Upper/Lower closures.
 Subsets are machine-word bitmasks: bit i set means variable x_{i+1} is in
 the subset, so x_1 is the least significant bit.  Everything for n = 14
 (16384 masks) is precomputed once and then immutable.
+
+An orbit is found by one scan: the images of its least mask under every
+element of the group, read from per-element images of 7-point chunks of a
+mask.  Those chunk tables hold ceil(n/7) * 128 * |G| entries, so the
+table's cost grows with the group's order: 43 008 entries for G6 (168
+elements) and 279 552 for G5 (1092).  The oracle's memo keys read
+the same chunk images.
 """
 
 from __future__ import annotations
 
-from .perm import Permutation, PermGroup, closure, generate, identity
+import sys
+from array import array
 
-# OrbitTable keeps several 2^n-entry lists: about 200 MiB at degree 20
+from .perm import Permutation, PermGroup, generate, identity
+
+# OrbitTable keeps several 2^n-entry lists, about 200 MiB at degree 20, and
+# at most ceil(n/7) * 128 * |G| chunk images: at degree 20, for a group at
+# perm's 100 000-element closure cap, 38.4 M entries of 4 bytes, 154 MB
 MAX_DEGREE = 20
+
+# points per chunk of a mask in the chunk images
+CHUNK = 7
 
 
 def mask_from_points(points) -> int:
@@ -65,33 +80,68 @@ class OrbitTable:
         if n > MAX_DEGREE:
             raise ValueError(f"degree {n} is too large for the orbit tables "
                              f"(2^n entries each; at most {MAX_DEGREE})")
-        maps = [action_table(g).__getitem__ for g in group.generators]
+        self._set_group(group)
         seen = bytearray(1 << n)
         members: list[list[int]] = []
         # masks run upward, so the first one not yet seen is the least of
-        # its orbit
+        # its orbit, whose members are its images
         m = 0
         while m >= 0:
-            members.append(sorted(closure((m,), maps)))
+            members.append(sorted(set(self.images(m))))
             for x in members[-1]:
                 seen[x] = 1
             m = seen.find(0, m + 1)
-        self._index(group, members)
+        self._index(members)
 
     @classmethod
     def of_identity(cls, n: int) -> "OrbitTable":
         """The trivial group's table, whose orbits are the single masks:
         no scan."""
         table = cls.__new__(cls)
-        table._index(generate([identity(n)]), [[m] for m in range(1 << n)])
+        table._set_group(generate([identity(n)]))
+        table._index([[m] for m in range(1 << n)])
         return table
 
-    def _index(self, group: PermGroup, members: list[list[int]]) -> None:
+    def _set_group(self, group: PermGroup) -> None:
+        """The group, its degree and its chunk images: per chunk of CHUNK
+        points, per value v of the chunk's bits, the images of v under the
+        elements, in element order, as the bytes of one array read as an
+        int.  An OR of such ints is an OR of every element's images."""
+        self.group = group
+        self.n = n = group.degree
+        # the narrowest array type that holds n bits
+        self._code = next(t for t in "HIL" if array(t).itemsize * 8 >= n)
+        self._width = array(self._code).itemsize * group.order
+        points = [int.from_bytes(array(self._code, [1 << p for p in images]),
+                                 sys.byteorder)
+                  for images in zip(*(g.images for g in group.elements))]
+        self._chunks = [subset_unions(points[i:i + CHUNK])
+                        for i in range(0, n, CHUNK)]
+
+    def _array(self, images: int) -> array:
+        return array(self._code, images.to_bytes(self._width, sys.byteorder))
+
+    def images(self, mask: int) -> array:
+        """The image of ``mask`` under each element of the group, in
+        element order: one OR of its chunks' images."""
+        images = 0
+        for rows in self._chunks:
+            images |= rows[mask & (1 << CHUNK) - 1]
+            mask >>= CHUNK
+        return self._array(images)
+
+    def chunk_images(self, c: int) -> list[array]:
+        """Per value v of the bits of chunk c (points CHUNK * c on), the
+        image of v under each element of the group, in element order.  A
+        chunk past the last point has the one value 0."""
+        return list(map(self._array, self._chunks[c]
+                        if c < len(self._chunks) else [0]))
+
+    def _index(self, members: list[list[int]]) -> None:
         """The tables of the orbits with the sorted member lists
         ``members``, in any order; ids sort by level, then least member."""
         members.sort(key=lambda mem: (mem[0].bit_count(), mem[0]))
-        self.group = group
-        self.n = n = group.degree
+        n = self.n
         self._orbit_of = orbit_of = [0] * (1 << n)
         for oid, mem in enumerate(members):
             for x in mem:

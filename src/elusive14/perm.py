@@ -178,8 +178,8 @@ class PermGroup:
 def closure(seeds, maps, cap: int | None = None) -> set:
     """The least set that contains ``seeds`` and is closed under every
     function in ``maps``.  Group elements, point orbits, conjugacy classes,
-    normal closures and subset orbits all come from here.  A closure of
-    more than ``cap`` elements raises ClosureCapExceeded."""
+    normal closures and the sweep's relabelling classes all come from here.
+    A closure of more than ``cap`` elements raises ClosureCapExceeded."""
     found = set(seeds)
     frontier = list(found)
     while frontier:

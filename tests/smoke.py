@@ -30,6 +30,8 @@ ASSIGNMENT = str(ROOT / "tests" / "data" / "g6_closure_1.json")
 
 CASES = [
     (["orbits", "compute", "G6", "--format", "json"], 0, NO_TRACEBACK, None),
+    # G5, with 1092 elements, has the largest bundled image tables
+    (["orbits", "compute", "G5", "--format", "json"], 0, NO_TRACEBACK, None),
     # an intransitive group's census comes with nothing on stderr
     (["orbits", "compute", "G6_3", "--format", "json"], 0, EMPTY, None),
     (["conjecture-check", "--n", "4"], 0, NO_TRACEBACK, None),
@@ -73,6 +75,11 @@ CASES = [
      NO_TRACEBACK, None),
     # G1 is not a subgroup of G6, so it has no fixed-point complex there
     (["fixedpoint", "G6", "G1", ASSIGNMENT], 2, NO_TRACEBACK, None),
+    # a group wider than the oracle's 14 variables is refused by its arity
+    (["dtree", "c15.json", ASSIGNMENT], 2, NO_TRACEBACK,
+     ("c15.json", None, [],
+      {"name": "C15", "degree": 15,
+       "generators": ["(1,2,3,4,5,6,7,8,9,10,11,12,13,14,15)"]})),
     # a TRUE orbit above a FALSE one is no monotone function
     (["dtree", "G6", "upward.json"], 2, NO_TRACEBACK,
      ("upward.json", None, [], [{"orbit": "1.0", "state": "F"},

@@ -623,6 +623,25 @@ def test_dtree_rejects_partial_and_non_monotone_assignments(capsys, tmp_path):
     assert err.count("error: dtree needs") == 2
 
 
+def test_dtree_refuses_a_wide_group_before_its_table(capsys, tmp_path,
+                                                    monkeypatch):
+    # the arity message, not the incomplete assignment's, and no orbit
+    # table of 2^15 masks first
+    group = tmp_path / "c15.json"
+    group.write_text(json.dumps({"name": "C15", "degree": 15, "generators": [
+        "(1,2,3,4,5,6,7,8,9,10,11,12,13,14,15)"]}))
+    partial = tmp_path / "partial.json"
+    partial.write_text(json.dumps([{"orbit": "1.0", "state": "T"}]))
+
+    def no_table(group):
+        raise AssertionError("built an orbit table")
+
+    monkeypatch.setattr("elusive14.cli.OrbitTable", no_table)
+    assert main(["dtree", str(group), str(partial)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: arity 15 exceeds the 14 limit\n")
+
+
 def test_malformed_assignment_files_exit_two(capsys, tmp_path):
     unknown = tmp_path / "unknown.json"
     unknown.write_text(json.dumps([{"orbit": "99.0", "state": "T"}]))

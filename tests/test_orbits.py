@@ -257,6 +257,16 @@ def test_identity_table_matches_the_mask_scan():
         assert table.ids_at_level == by_level
 
 
+def test_tables_above_sixteen_points_use_wide_images():
+    # 16-bit image arrays would drop point 17; the binary necklaces of
+    # length 17 number (2^17 + 16 * 2) / 17
+    c17 = generate([Permutation(tuple(range(1, 17)) + (0,))])
+    table = OrbitTable(c17)
+    assert table.orbit_count == 7712
+    orbit_of, _, _ = reference_partition(c17)
+    assert table._orbit_of == orbit_of
+
+
 def test_small_group_orbits():
     c4 = generate([parse_cycles("(1,2,3,4)", 4)])
     table = OrbitTable(c4)
