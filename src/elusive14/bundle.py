@@ -169,11 +169,19 @@ def load_json(name: str | None, override: str | None = None, shape=None,
 def data_digests(overrides: dict[str, str | None] | None = None
                  ) -> dict[str, str]:
     """SHA-256 of each data file, bundled or the override that
-    ``overrides`` names for it, for report provenance."""
-    import hashlib
+    ``overrides`` names for it, for report provenance.  The digest is
+    CPython's builtin SHA-256, because ``hashlib`` loads OpenSSL, which
+    would set the peak memory of a ``verify14`` run."""
+    try:
+        from _sha2 import sha256          # CPython 3.12 on
+    except ImportError:
+        try:
+            from _sha256 import sha256    # up to CPython 3.11
+        except ImportError:
+            from hashlib import sha256
     overrides = overrides or {}
-    return {name: hashlib.sha256(_read_data(name, overrides.get(name)))
-            .hexdigest() for name in DATA_FILES}
+    return {name: sha256(_read_data(name, overrides.get(name))).hexdigest()
+            for name in DATA_FILES}
 
 
 def expand_labels(entries: list[str], where: str = "labels") -> list[str]:

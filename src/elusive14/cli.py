@@ -5,9 +5,9 @@ unresolved), 2 = input or data error.  JSON output is canonical: sorted
 keys, no timestamps; timings appear only in the text rendering.
 
 Each command imports the modules it runs when it runs, so that the sweep
-and the oracle do not load the campaign data, the search or hashlib.  The
-imports name the defining module at call time, so a wrapper put in that
-module's namespace applies.
+and the oracle do not load the campaign data or the search, and none
+loads hashlib.  The imports name the defining module at call time, so a
+wrapper put in that module's namespace applies.
 """
 
 from __future__ import annotations

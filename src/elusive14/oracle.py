@@ -20,8 +20,11 @@ The decision pass comes first.  A restriction is evasive (its depth equals
 its number of free variables) iff it has no free variable, or it is
 nonconstant and every free query has an answer whose child is evasive; the
 pass stops at the first query whose two children are both non-evasive.
-Only a non-evasive restriction falls back to the exact minimax, which then
-finds its evasive children already settled.
+So a nonconstant restriction with one free variable is evasive, its two
+children being fully assigned and constant, and the pass settles it
+without them: no fully assigned restriction gets a memo entry.  Only a
+non-evasive restriction falls back to the exact minimax, which then finds
+its evasive children already settled.
 
 The oracle deliberately leaves out the Rivest-Vuillemin parity shortcut
 (a restriction whose true inputs have a nonzero signed count is evasive).
@@ -152,12 +155,18 @@ class OrbitKeys:
     complete: the stabilizer of the least mask may still move gV.  Under
     the trivial group the key is the plain radix-3 index of (A, V).
 
+    A restriction with a free variable has ``least[A]`` below the full
+    mask, and its key is at most twice the radix-3 index of that least
+    mask (every point answered 1).  ``span`` is one more than the largest
+    such key: 3^(n-1) for a transitive group, whose non-full least masks
+    all miss the last point, and 3^n - 2 for the trivial group.
+
     Everything comes from the group's OrbitTable: its chunk images give
     each orbit's least mask m under every element k, and the mask k m
     gets the row of k's inverse, for the first such k in element order.
     """
 
-    __slots__ = ("least", "rows", "half", "low")
+    __slots__ = ("least", "rows", "half", "low", "span")
 
     def __init__(self, table: OrbitTable):
         n = table.n
@@ -189,6 +198,9 @@ class OrbitKeys:
             for x, row in zip(images, zip(repeat(radix[m]), lo_inv, hi_inv)):
                 rows[x] = row
         self.least = list(map(table.min_mask.__getitem__, table._orbit_of))
+        full = (1 << n) - 1
+        self.span = 2 * max((radix[m] for m in table.min_mask if m != full),
+                            default=0) + 1
 
     def key(self, assigned: int, values: int) -> int:
         base, lo, hi = self.rows[assigned]
@@ -219,16 +231,21 @@ class DepthSolver:
     that its group G carries onto each other; under the trivial group it is
     the plain radix-3 index.  The function's invariance is checked through
     the same keys: the table must be constant on every mask orbit.
+
+    Only restrictions with a free variable get an entry, so the memo has
+    ``OrbitKeys.span`` entries, 3^13 for a transitive group of degree 14: a
+    fully assigned restriction has depth 0, and the decision pass settles
+    a restriction with one free variable without reading its children.
     """
 
     def __init__(self, f: BooleanFunction):
         self.n = f.n
         self.full = (1 << f.n) - 1
-        self.memo = bytearray([UNFILLED]) * (3 ** f.n)
         self.keys = keys = _orbit_keys(f.orbits)
         if bytes(map(f.table.__getitem__, keys.least)) != f.table:
             raise ValueError(f"truth table is not invariant under "
                              f"{f.orbits.group!r}")
+        self.memo = bytearray([UNFILLED]) * keys.span
         # the decision pass reads these from the solver, one attribute each
         self.table = f.table
         self.rows, self.low, self.half = keys.rows, keys.low, keys.half
@@ -245,7 +262,11 @@ class DepthSolver:
         # hot path
         if table[values] == table[values | rem]:
             memo[key] = 0
-            return free == 0
+            return False
+        if free == 1:
+            # both children are fully assigned, so constant: evasive
+            memo[key] = 1
+            return True
         rows, low, half = self.rows, self.low, self.half
         evasive = self._evasive
         sub = free - 1
@@ -272,11 +293,14 @@ class DepthSolver:
 
     def evasive(self) -> bool:
         """Whether the function has full decision-tree depth."""
-        return self._evasive(0, 0, self.keys.key(0, 0), self.n)
+        # a function of no variables is constant, at depth 0
+        return not self.n or self._evasive(0, 0, self.keys.key(0, 0), self.n)
 
     def depth(self, assigned: int = 0, values: int = 0) -> int:
         """Exact depth of the restriction with the variables in ``assigned``
         answered, those in ``values`` with 1 and the rest with 0."""
+        if assigned == self.full:
+            return 0
         return self._depth(assigned, values, self.keys.key(assigned, values))
 
     def _depth(self, assigned: int, values: int, key: int) -> int:
@@ -326,9 +350,12 @@ class DepthSolver:
             rem = self.full ^ assigned
             if target == rem.bit_count():
                 b = rem & -rem
-                a, v = assigned | b, values | b
-                answer = int(self._evasive(a, v, self.keys.key(a, v),
-                                           target - 1))
+                # a fully assigned child is constant, so evasive
+                answer = 1
+                if target > 1:
+                    a, v = assigned | b, values | b
+                    answer = int(self._evasive(a, v, self.keys.key(a, v),
+                                               target - 1))
             else:
                 for i in iter_bits(rem):
                     b = 1 << i

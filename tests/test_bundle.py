@@ -1,8 +1,10 @@
+import hashlib
 import json
+from importlib import resources
 
 import pytest
 
-from elusive14.bundle import (DataIntegrityError, build_anchor_map,
+from elusive14.bundle import (DATA_FILES, DataIntegrityError, build_anchor_map,
                               build_campaign, data_digests, expand_labels,
                               load_case_study, load_group_file,
                               load_group_specs, load_subgroup_specs)
@@ -21,6 +23,21 @@ PINNED_DIGESTS = {
 
 def test_data_digests_pinned():
     assert data_digests() == PINNED_DIGESTS
+
+
+def test_data_digests_agree_with_hashlib(tmp_path):
+    # the builtin SHA-256 the digests use gives hashlib's digest, for the
+    # bundled files and for a file read in place of one
+    data = resources.files("elusive14.data")
+    assert data_digests() == {
+        name: hashlib.sha256(data.joinpath(name).read_bytes()).hexdigest()
+        for name in DATA_FILES}
+    path = tmp_path / "case_study.json"
+    path.write_bytes(b"not even JSON \xff")
+    digests = data_digests({"case_study.json": str(path)})
+    assert digests["case_study.json"] == hashlib.sha256(
+        path.read_bytes()).hexdigest()
+    assert digests["groups.json"] == PINNED_DIGESTS["groups.json"]
 
 
 def test_group_specs_carry_the_published_record():

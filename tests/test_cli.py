@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import random
@@ -885,16 +886,17 @@ _DEFERRED = ("elusive14.bundle", "elusive14.complexes", "elusive14.search",
              "elusive14.replay", "hashlib", "dataclasses", "inspect")
 
 
-def _deferred_loaded(*argv) -> list[str]:
-    """The deferred modules a fresh interpreter loads while running the
-    CLI with ``argv`` (those loaded before the CLI import do not count)."""
+def _deferred_loaded(*argv, modules=_DEFERRED) -> list[str]:
+    """The ``modules``, by default the deferred ones, that a fresh
+    interpreter loads while running the CLI with ``argv`` (those loaded
+    before the CLI import do not count)."""
     code = ("import contextlib, io, sys\n"
             "before = set(sys.modules)\n"
             "from elusive14.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    if main(sys.argv[1:]) != 0:\n"
             "        sys.exit('the command failed')\n"
-            f"print(*sorted(m for m in {_DEFERRED!r}\n"
+            f"print(*sorted(m for m in {modules!r}\n"
             "             if m in sys.modules and m not in before))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
@@ -912,6 +914,18 @@ def test_commands_load_only_the_modules_they_run():
     for argv in (["verify14"], ["replay-appendix"]):
         loaded = _deferred_loaded(*argv)
         assert "dataclasses" not in loaded and "inspect" not in loaded, argv
+
+
+@pytest.mark.skipif(
+    importlib.util.find_spec("_sha2") is None
+    and importlib.util.find_spec("_sha256") is None,
+    reason="this interpreter has no builtin SHA-256, so the data digests "
+           "fall back to hashlib")
+def test_no_command_loads_openssl():
+    # the data digests use the builtin SHA-256: hashlib would load OpenSSL
+    # through _hashlib, and with it set the run's peak memory
+    for argv in (["verify14", "--seed-independent"], ["replay-appendix"]):
+        assert _deferred_loaded(*argv, modules=("hashlib", "_hashlib")) == []
 
 
 def test_exit_two_errors_share_one_base():

@@ -725,3 +725,96 @@ def test_g6_orbit_keys_map_to_least_masks(campaign):
         assert keys.key(a, a) == 2 * keys.key(a, 0)
     # transitive: the fourteen one-variable restrictions share one key
     assert len({keys.key(1 << i, 0) for i in range(14)}) == 1
+
+
+def test_transitive_degree_14_memos_span_3_to_the_13(campaign):
+    # a transitive group's least masks below the full one miss the last
+    # point, so the memo ends at 3^13; the trivial group and G6_3 fix x1,
+    # so all points but x1 are their orbit's least mask, and the memo ends
+    # only two keys short of 3^14
+    def memo_size(table):
+        return len(DepthSolver(BooleanFunction(14, bytes(1 << 14),
+                                               table)).memo)
+
+    for name in ("G1", "G4", "G5"):
+        assert memo_size(OrbitTable(campaign.groups[name])) == 3 ** 13, name
+    f = sample_invariant_function(campaign.table, campaign.poset,
+                                  random.Random(68))
+    assert len(DepthSolver(f).memo) == 3 ** 13
+    assert memo_size(OrbitTable(campaign.subgroups["G6_3"])) == 3 ** 14 - 2
+    assert memo_size(_trivial_table(14)) == 3 ** 14 - 2
+
+
+# intransitive on 9 points, moving the last one
+_C3_C2 = generate([parse_cycles("(1,2,3)(7,8,9)", 9),
+                   parse_cycles("(4,5)", 9)])
+
+
+def _fully_assigned_keys_written(solver):
+    """The memo entries of fully assigned restrictions that were written:
+    their keys are theirs alone, the only keys whose assigned points are
+    every point."""
+    full = solver.full
+    values = range(full + 1)
+    keys = {solver.keys.key(full, v) for v in values}
+    return [k for k in keys
+            if k < len(solver.memo) and solver.memo[k] != oracle.UNFILLED]
+
+
+def test_the_memo_ends_where_the_keys_with_a_free_variable_end(c6):
+    rng = random.Random(69)
+    tables = [OrbitTable(c6), OrbitTable(_C3_C2)]
+    tables += [_trivial_table(n) for n in range(1, 7)]
+    for table in tables:
+        n = table.n
+        full = (1 << n) - 1
+        keys = OrbitKeys(table)
+        top = max(keys.key(a, v) for a in range(full) for v in range(a + 1)
+                  if v & ~a == 0)
+        # every key of a restriction with a free variable is in the memo,
+        # and the last entry is used
+        assert top == keys.span - 1, table.group
+        poset = OrbitPoset(table)
+        fs = [sample_invariant_function(table, poset, rng,
+                                        seed_orbits=rng.randint(1, 3))
+              for _ in range(6)]
+        fs += [opposite(f) for f in fs]
+        for f in fs:
+            solver = DepthSolver(f)
+            assert len(solver.memo) == keys.span
+            solver.depth()
+            solver.adversary_path()
+            assert _fully_assigned_keys_written(solver) == []
+    for _ in range(40):
+        solver = DepthSolver(_random_monotone(rng, rng.randint(1, 5)))
+        assert solver.evasive() == (solver.depth() == solver.n)
+        solver.adversary_path()
+        assert _fully_assigned_keys_written(solver) == []
+
+
+def test_arity_zero_and_one():
+    for value in (0, 1):
+        solver = DepthSolver(BooleanFunction(0, bytes([value])))
+        # no variable: constant, and evasive, at depth 0 = n
+        assert solver.depth() == 0 and solver.evasive()
+        assert solver.adversary_path() == []
+        constant = DepthSolver(BooleanFunction(1, bytes([value]) * 2))
+        assert constant.depth() == 0 and not constant.evasive()
+        assert constant.adversary_path() == []
+        assert constant.depth(1, value) == 0
+        # the dictator and its opposite: one query, whose children are
+        # fully assigned and answered toward the 1-child on a tie
+        dictator = DepthSolver(BooleanFunction(1, bytes([value, 1 - value])))
+        assert dictator.depth() == 1 and dictator.evasive()
+        assert dictator.adversary_path() == [(1, 1)]
+        assert dictator.depth(1, 0) == dictator.depth(1, 1) == 0
+
+
+def test_a_fully_assigned_restriction_has_depth_zero():
+    rng = random.Random(70)
+    for n in range(1, 6):
+        f = _random_monotone(rng, n)
+        solver = DepthSolver(f)
+        full = (1 << n) - 1
+        assert all(solver.depth(full, v) == 0 for v in range(full + 1))
+        assert _fully_assigned_keys_written(solver) == []

@@ -8,7 +8,8 @@ from elusive14.complexes import (FALSE, TRUE, TypeAssignment, assert_monotone,
                                  fixed_point_complex)
 from elusive14.orbits import OrbitPoset, OrbitTable
 from elusive14.oracle import BooleanFunction, DepthSolver
-from elusive14.perm import Permutation, classify, generate, parse_cycles
+from elusive14.perm import (Permutation, _prime_power, classify, generate,
+                            parse_cycles)
 from elusive14.search import (CaseCapExceeded, Schedule, SearchEngine,
                               SearchStats, build_check, condition_met,
                               run_search)
@@ -413,6 +414,31 @@ def test_link_disabled_survivor_is_still_elusive(campaign):
             t_bits |= 1 << campaign.table.oid(label)
     f = BooleanFunction.from_orbit_types(campaign.table, t_bits)
     assert decision_tree_depth(f) == 14
+
+
+def test_the_prime_power_subgroups_alone_give_the_verdict(campaign):
+    # Smith theory: a p-group acting on a Z_p-acyclic complex has a Z_p-
+    # acyclic fixed-point complex, so chi = 1 there, and a non-evasive
+    # complex is collapsible, so Z_p-acyclic for every p.  The subgroups of
+    # prime-power order, picked by their order in the default schedule's
+    # order, must end the search with no survivor, and without the link
+    # test keep exactly the leaves the ten checks keep
+    order = {name: H.order for name, H in campaign.subgroups.items()}
+    checks = tuple(c for c in campaign.schedule("default").checks
+                   if _prime_power(order[c.name]))
+    assert sorted(order[c.name] for c in checks) == [2, 3, 4, 4, 4, 8]
+    assert {c.condition for c in checks} == {("exact", 1)}
+    schedule = Schedule("prime-power", checks)
+    rep = run_search(campaign.engine(), schedule)
+    assert rep.feasible_functions == []
+    s = rep.stats
+    assert (s.nodes_explored, s.leaf_assignments, s.leaf_chi1,
+            s.prunes_by_link) == (892, 54624, 4224, 4224)
+    engine = campaign.engine()
+    alone = run_search(engine, schedule, link_check=False)
+    ten = run_search(engine, campaign.schedule("default"), link_check=False)
+    assert len(alone.feasible_functions) == 4224
+    assert alone.feasible_functions == ten.feasible_functions
 
 
 @pytest.mark.parametrize("generators, mod_checks, survivors, non_evasive, "
