@@ -222,9 +222,30 @@ def is_transitive(G: PermGroup) -> bool:
     return len(G.point_orbits()[0]) == G.degree
 
 
+def _landau(n: int) -> int:
+    """Landau's g(n), the largest order of a permutation of n points: the
+    largest lcm of a partition of n, which is the largest product of powers
+    of distinct primes whose sum is at most n (84 for n = 14)."""
+    # best[s]: the largest such product of sum at most s over the primes
+    # taken so far, each prime taken once, so s runs down
+    best = [1] * (n + 1)
+    for p in range(2, n + 1):
+        if _prime_power(p) != p:
+            continue
+        for s in range(n, p - 1, -1):
+            q = p
+            while q <= s:
+                best[s] = max(best[s], best[s - q] * q)
+                q *= p
+    return best[n]
+
+
 def is_cyclic(G: PermGroup) -> bool:
-    """True iff some element has order |G|."""
+    """True iff some element has order |G|.  No element of a group larger
+    than _landau(degree) can be, so such a group is not scanned."""
     n = G.order
+    if n > _landau(G.degree):
+        return False
     return any(e.order() == n for e in G.elements)
 
 

@@ -9,13 +9,16 @@ it gets no entry: the leaf after the last entry enumerates the remaining
 free orbits against chi(Delta) = 1 and tests the survivors against
 chi(Link(Delta, x1)) = 1.
 
-A subgroup check and the leaf run one completion kernel on plain ints: it
-assigns the free orbits in the given order, TRUE first, with monotone
-closure and incremental chi, and hands every complete case to a leaf test
-of its own; only the cases a test keeps become TypeAssignments.  An
-engine resolves each leaf state once, into counters and survivors of the
-leaf's own; every visit to that state, the first included, adds those
-counters to its run's and returns those survivors.
+A subgroup check runs the completion kernel on plain ints: it assigns the
+free orbits in the given order, TRUE first, with monotone closure and
+incremental chi, and hands every complete case to the check's test; only
+the cases the test keeps become TypeAssignments.  A leaf counts instead:
+it tallies its completions by their chi and link chi deltas, memoized by
+the set of orbits still free, and runs the kernel only into the subtrees
+whose tallies hold a case the leaf keeps.  An engine resolves each leaf
+state once, into counters and survivors of the leaf's own; every visit to
+that state, the first included, adds those counters to its run's and
+returns those survivors.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from collections import namedtuple
 
 from . import InputError
 from .complexes import TypeAssignment, chi_deltas, link_x1_deltas
-from .orbits import OrbitPoset, OrbitTable, block_masks, subset_unions
+from .orbits import (OrbitPoset, OrbitTable, block_masks, iter_bits,
+                     subset_unions)
 from .perm import PermGroup
 
 
@@ -103,17 +107,26 @@ class SearchReport(namedtuple("SearchReport",
 
 
 class SearchEngine:
-    """The orbit table, its poset and chi deltas, the completion kernel and
-    its two users, and a memo of resolved leaves, each held as the leaf's
-    own SearchStats and survivors.  A leaf state is the closure of the T/F
-    values on every governed orbit, whatever order the checks ran in, so
-    all schedules run on one engine share its leaves."""
+    """The orbit table, its poset and chi deltas, the completion kernel that
+    enumerates a check's cases and a leaf's kept cases, the leaf count, and
+    a memo of resolved leaves, each held as the leaf's own SearchStats and
+    survivors.  A leaf state is the closure of the T/F values on every
+    governed orbit, whatever order the checks ran in, so all schedules run
+    on one engine share its leaves."""
 
     def __init__(self, table: OrbitTable, poset: OrbitPoset):
         self.table = table
         self.poset = poset
         self.chi_delta = chi_deltas(table)
         self.link_delta = link_x1_deltas(table)
+        # an orbit's chi and link chi deltas packed in one int, link chi in
+        # the low link_shift bits as a signed offset: link chi counts faces
+        # that contain x1, so every sum of link deltas lies within +-2^(n-1),
+        # inside the +-2^n that the low bits hold, and a sum of packed
+        # deltas is the packed pair of sums
+        self.link_shift = table.n + 1
+        self.packed_delta = [(c << self.link_shift) + lk for c, lk
+                             in zip(self.chi_delta, self.link_delta)]
         self.top_oid = table.oid(f"{table.n}.0")
         # (t_bits, f_bits, link_check) -> (the leaf's own SearchStats, its
         # survivors as a tuple of TypeAssignments)
@@ -130,13 +143,21 @@ class SearchEngine:
         return sum(w * (t_bits & m).bit_count() for w, m in check.weights)
 
     def _complete(self, st: TypeAssignment, orbits, leaf, stats: SearchStats,
-                  what: str) -> None:
+                  what: str, wanted=None) -> None:
         """Call ``leaf(t_bits, f_bits, chi, chi_link)`` on every assignment
         of the still-free ``orbits`` that survives monotone closure,
         branching in the given order, TRUE first; a branch that needs some
-        orbit both TRUE and FALSE is pruned by conflict.  More than CASE_CAP
-        complete cases raise CaseCapExceeded.  This is the search's hot
-        path, so the closure step is inline and on plain ints."""
+        orbit both TRUE and FALSE is pruned by conflict.  Given ``wanted``,
+        a branch is entered only if ``wanted(t_bits, f_bits, chi,
+        chi_link)`` holds for the partial case it starts from.  It must hold
+        for ``st``, and for a branch of every partial case it holds for, so
+        the FALSE branch of a case whose TRUE branch it rejects is entered
+        without asking.  More than CASE_CAP complete cases raise
+        CaseCapExceeded.  The closure step is inline and on plain ints, for
+        speed.  The leaf count branches on its own: it may rely on closed
+        states and lowest-first order, where this kernel takes any state and
+        order and must catch conflicts, and a shared branch would cost this
+        loop a call per step."""
         assigned = st.t_bits | st.f_bits
         free = [o for o in orbits if not assigned >> o & 1]
         end = len(free)
@@ -157,6 +178,7 @@ class SearchEngine:
                 return
             o = free[k]
             k += 1
+            sure = wanted is None
             # TRUE: the orbit and everything below it, with their deltas
             add = lower[o] & ~t
             if add & f:
@@ -169,12 +191,16 @@ class SearchEngine:
                     i = b.bit_length() - 1
                     c += chi_delta[i]
                     lk += link_delta[i]
-                rec(t | add, f, c, lk, k)
+                if sure or wanted(t | add, f, c, lk):
+                    rec(t | add, f, c, lk, k)
+                else:
+                    # this case is wanted and its TRUE branch is not
+                    sure = True
             # FALSE: the orbit and everything above it; chi is unchanged
             add = upper[o] & ~f
             if add & t:
                 stats.prunes_by_conflict += 1
-            else:
+            elif sure or wanted(t, f | add, chi, link):
                 rec(t, f | add, chi, link, k)
 
         rec(st.t_bits, st.f_bits, st.chi, st.chi_link, 0)
@@ -199,33 +225,110 @@ class SearchEngine:
         stats.cases_enumerated += len(out)
         return out
 
+    def _count(self, free: int, weight: list[int]) -> dict:
+        """Tally the completions of a closed state whose free orbits are the
+        bitset ``free``.  The returned memo maps ``free``, and each set R of
+        orbits still free on the way, to a pair: a dict from the sum of
+        ``weight`` over the orbits of R that a completion turns TRUE to the
+        number of completions with that sum, and the number of all of them.
+        R branches on its lowest orbit o: TRUE turns ``lower[o] & R`` TRUE
+        and FALSE leaves ``R & ~upper[o]`` free, which is exact on a closed
+        state.  Each reuse of a memoized set, the empty one (a complete case)
+        included, charges its number of completions to a budget of
+        CASE_CAP, as the kernel's walk would count them one by one, so the
+        count raises CaseCapExceeded exactly when that walk would, after no
+        more steps than it and before the leaf keeps anything."""
+        lower, upper = self.poset.lower, self.poset.upper
+        memo = {0: ({0: 1}, 1)}
+        budget = CASE_CAP
+        capped = f"leaf: more than {CASE_CAP} cases"
+
+        def count(R: int) -> tuple[dict, int]:
+            nonlocal budget
+            o = (R & -R).bit_length() - 1
+            add = lower[o] & R
+            delta, rem = 0, add
+            while rem:
+                b = rem & -rem
+                rem ^= b
+                delta += weight[b.bit_length() - 1]
+            yes = memo.get(R ^ add)
+            if yes is None:
+                yes = count(R ^ add)
+            else:
+                budget -= yes[1]
+                if budget < 0:
+                    raise CaseCapExceeded(capped)
+            no = memo.get(R & ~upper[o])
+            if no is None:
+                no = count(R & ~upper[o])
+            else:
+                budget -= no[1]
+                if budget < 0:
+                    raise CaseCapExceeded(capped)
+            tally = dict(no[0])
+            for k, n in yes[0].items():
+                k += delta
+                tally[k] = tally.get(k, 0) + n
+            memo[R] = (tally, yes[1] + no[1])
+            return memo[R]
+
+        try:
+            if free:
+                count(free)
+        finally:
+            # count holds itself through its closure cell; breaking that
+            # cycle frees the memo with the caller's last reference to it,
+            # not at the cycle collector's pass
+            del count
+        return memo
+
     def leaf_survivors(self, st: TypeAssignment, stats: SearchStats,
                        link_check: bool = True) -> list[TypeAssignment]:
         """Resolve all remaining free orbits against chi(Delta) = 1, then
         test chi(Link(Delta, x1)) = 1 on each chi-feasible assignment.  The
-        first visit to a state on this engine counts into the leaf's own
-        SearchStats, kept with its survivors; every visit adds those to
-        ``stats`` and returns the survivors.  A capped leaf keeps nothing
-        and leaves ``stats`` as it was."""
+        first visit to a state on this engine counts its completions by
+        their chi and link chi deltas into the leaf's own SearchStats, and
+        runs the kernel, into the subtrees whose counts hold a kept case
+        only, when there is one; it keeps both.  Every visit adds those
+        counters to ``stats`` and returns the survivors.  A leaf of more
+        than CASE_CAP completions raises CaseCapExceeded, keeps nothing and
+        leaves ``stats`` as it was."""
         key = (st.t_bits, st.f_bits, link_check)
         if key not in self.leaves:
-            own = SearchStats()
             table, poset = self.table, self.poset
+            everything = (1 << table.orbit_count) - 2
+            free = everything & ~(st.t_bits | st.f_bits)
+            # tally by packed (chi, link chi) deltas under the link test and
+            # by chi deltas alone without it
+            if link_check:
+                shift, weight, link_on = self.link_shift, self.packed_delta, 1
+            else:
+                shift, weight, link_on = 0, self.chi_delta, 0
+            memo = self._count(free, weight)
+            tally, total = memo[free]
+            half = (1 << shift) >> 1
+            own = SearchStats()
+            own.leaf_assignments = total
+            own.leaf_chi1 = sum(n for k, n in tally.items()
+                                if (k + half) >> shift == 1 - st.chi)
+            own.prunes_by_chi = total - own.leaf_chi1
+            # a kept case has chi 1 and, under the link test, link chi 1
+            kept = tally.get(
+                ((1 - st.chi) << shift) + link_on * (1 - st.chi_link), 0)
+            own.prunes_by_link = own.leaf_chi1 - kept
             survivors: list[TypeAssignment] = []
+            if kept:
 
-            def leaf(t: int, f: int, chi: int, link: int) -> None:
-                own.leaf_assignments += 1
-                if chi != 1:
-                    own.prunes_by_chi += 1
-                    return
-                own.leaf_chi1 += 1
-                if link_check and link != 1:
-                    own.prunes_by_link += 1
-                else:
+                def wanted(t: int, f: int, chi: int, link: int) -> bool:
+                    return (((1 - chi) << shift) + link_on * (1 - link)
+                            in memo[everything & ~(t | f)][0])
+
+                def leaf(t: int, f: int, chi: int, link: int) -> None:
                     survivors.append(
                         TypeAssignment(table, poset, t, f, chi, link))
 
-            self._complete(st, range(1, table.orbit_count), leaf, own, "leaf")
+                self._complete(st, iter_bits(free), leaf, own, "leaf", wanted)
             self.leaves[key] = (own, tuple(survivors))
         own, found = self.leaves[key]
         stats.add(own)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,7 +7,8 @@ from hypothesis import strategies as st
 from conftest import generated_groups
 from elusive14 import perm
 from elusive14.perm import (ClosureCapExceeded, OliverWitness, ParseError,
-                            Permutation, WitnessError, _cyclic_mod, classify,
+                            Permutation, WitnessError, _cyclic_mod, _landau,
+                            classify,
                             closure, conjugacy_class_representatives,
                             generate, identity, is_cyclic, is_normal,
                             is_transitive, normal_closure, parse_cycles,
@@ -116,6 +119,40 @@ def test_cyclicity(groups):
     assert is_cyclic(groups["G1"])
     assert not is_cyclic(groups["G5"])
     assert is_cyclic(generate([identity(14)]))
+
+
+def _scanned_cyclic(G) -> bool:
+    return any(e.order() == G.order for e in G.elements)
+
+
+def test_landau_is_the_largest_lcm_of_a_partition():
+    def partitions(n, most):
+        if n == 0:
+            yield []
+        for k in range(min(n, most), 0, -1):
+            for rest in partitions(n - k, k):
+                yield [k] + rest
+
+    for n in range(15):
+        assert _landau(n) == max(math.lcm(*p) for p in partitions(n, n))
+    assert _landau(14) == 84
+
+
+@settings(max_examples=60, deadline=None)
+@given(generated_groups())
+def test_cyclicity_agrees_with_the_order_scan(case):
+    _, perms = case
+    G = generate([Permutation(p) for p in perms])
+    assert is_cyclic(G) == _scanned_cyclic(G)
+
+
+def test_cyclicity_agrees_with_the_order_scan_on_the_bundled_groups(campaign):
+    groups = {**campaign.groups, **campaign.subgroups}
+    for name, G in groups.items():
+        assert is_cyclic(G) == _scanned_cyclic(G), name
+    # the groups whose scan the bound skips
+    assert sorted(name for name, G in groups.items()
+                  if G.order > _landau(G.degree)) == ["G4", "G5", "G6"]
 
 
 def test_psi_p_witnesses(campaign, groups):

@@ -1,4 +1,6 @@
+import gc
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -441,22 +443,16 @@ def test_the_prime_power_subgroups_alone_give_the_verdict(campaign):
     assert alone.feasible_functions == ten.feasible_functions
 
 
-@pytest.mark.parametrize("generators, mod_checks, survivors, non_evasive, "
-                         "links", [
-    (["(1,2,3)(4,5,6)"], 0, 98, 72, (70, 2)),
-    (["(1,2,3)(4,5,6)", "(1,2)(4,5)"], 0, 30, 24, (22, 2)),
-    (["(1,2,3,4)", "(1,2)"], 1, 36, 36, (30, 6)),
-], ids=["C3", "S3", "S4"])
-def test_every_non_evasive_function_survives_the_checks(
-        generators, mod_checks, survivors, non_evasive, links):
-    # A non-evasive complex is collapsible (Kahn-Saks-Sturtevant), so
-    # Z-acyclic: it has chi = 1 and meets every Euler condition that
-    # classify derives for a subgroup's fixed-point complex.  So the whole
-    # pipeline (the checks with their conditions, the kernel and the
-    # leaf's chi test) must keep every invariant function that the oracle
-    # finds non-evasive.  These groups are intransitive, so the link test
-    # is off.  S4 on four of the six points is the one whose own check
-    # has a "mod" condition (chain V4 < A4 < S4 of index 2).
+# three small groups on six points, each as its list of generators
+SMALL_GROUPS = {"C3": ["(1,2,3)(4,5,6)"],
+                "S3": ["(1,2,3)(4,5,6)", "(1,2)(4,5)"],
+                "S4": ["(1,2,3,4)", "(1,2)"]}
+
+
+def _pair_schedule(generators):
+    """The orbit table of the group that ``generators`` generate on six
+    points, and a schedule of one check per nontrivial subgroup that two
+    of its elements generate, each under the condition classify derives."""
     G = generate([parse_cycles(g, 6) for g in generators])
     table = OrbitTable(G)
     subgroups = {}
@@ -470,9 +466,29 @@ def test_every_non_evasive_function_survives_the_checks(
         condition = classify(H).chi_condition
         assert condition is not None
         checks.append(build_check(table, H, f"H{i}", condition))
-    assert sum(c.condition[0] == "mod" for c in checks) == mod_checks
-    rep = run_search(SearchEngine(table, OrbitPoset(table)),
-                     Schedule("pairs", tuple(checks)), link_check=False)
+    return table, Schedule("pairs", tuple(checks))
+
+
+@pytest.mark.parametrize("generators, mod_checks, survivors, non_evasive, "
+                         "links", [
+    (SMALL_GROUPS["C3"], 0, 98, 72, (70, 2)),
+    (SMALL_GROUPS["S3"], 0, 30, 24, (22, 2)),
+    (SMALL_GROUPS["S4"], 1, 36, 36, (30, 6)),
+], ids=["C3", "S3", "S4"])
+def test_every_non_evasive_function_survives_the_checks(
+        generators, mod_checks, survivors, non_evasive, links):
+    # A non-evasive complex is collapsible (Kahn-Saks-Sturtevant), so
+    # Z-acyclic: it has chi = 1 and meets every Euler condition that
+    # classify derives for a subgroup's fixed-point complex.  So the whole
+    # pipeline (the checks with their conditions, the kernel and the
+    # leaf's chi test) must keep every invariant function that the oracle
+    # finds non-evasive.  These groups are intransitive, so the link test
+    # is off.  S4 on four of the six points is the one whose own check
+    # has a "mod" condition (chain V4 < A4 < S4 of index 2).
+    table, schedule = _pair_schedule(generators)
+    assert sum(c.condition[0] == "mod" for c in schedule.checks) == mod_checks
+    rep = run_search(SearchEngine(table, OrbitPoset(table)), schedule,
+                     link_check=False)
     found = {sum(1 << table.oid(label) for label, state in states.items()
                  if state == TRUE) for states in rep.feasible_functions}
     top = table.oid(f"{table.n}.0")
@@ -500,3 +516,128 @@ def test_every_non_evasive_function_survives_the_checks(
     assert nonevasive <= found
     assert (len(found), len(nonevasive)) == (survivors, non_evasive)
     assert (checked, void) == links
+
+
+class _CountedReads(list):
+    """A list that counts the items read from it by index."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return list.__getitem__(self, i)
+
+
+def test_a_leaf_past_the_cap_stops_within_the_walk_s_steps(campaign,
+                                                           monkeypatch):
+    # with no checks G6's one leaf is the initial state, whose completions
+    # are far more than any cap here: the count must raise as the kernel's
+    # walk does, store nothing, and take no more steps than the walk, each
+    # step of either reading lower[] once.  Without its budget the count's
+    # memo on this leaf grows until memory runs out
+    monkeypatch.setattr(search, "CASE_CAP", 4096)
+    table = campaign.table
+    lower = _CountedReads(campaign.poset.lower)
+    engine = SearchEngine(table, SimpleNamespace(lower=lower,
+                                                 upper=campaign.poset.upper))
+    with pytest.raises(CaseCapExceeded, match="^leaf: more than 4096 cases$"):
+        run_search(engine, Schedule("none", ()))
+    assert engine.leaves == {}
+    counted, lower.reads = lower.reads, 0
+    with pytest.raises(CaseCapExceeded):
+        completions(engine, engine.initial_state(),
+                    range(1, table.orbit_count))
+    assert 0 < counted <= lower.reads
+
+
+def _walked(engine, st, link_check: bool):
+    """A leaf's own SearchStats and survivors as the completion kernel's
+    walk over all of its completions finds them: the reference for the
+    leaf count."""
+    own = SearchStats()
+    cases = completions(engine, st, range(1, engine.table.orbit_count), own)
+    chi1 = [c for c in cases if c.chi == 1]
+    kept = [c for c in chi1 if not link_check or c.chi_link == 1]
+    own.leaf_assignments = len(cases)
+    own.leaf_chi1 = len(chi1)
+    own.prunes_by_chi = len(cases) - len(chi1)
+    own.prunes_by_link = len(chi1) - len(kept)
+    return own, kept
+
+
+def _leaf_states(engine, schedules, monkeypatch) -> list:
+    """Every distinct leaf state that the schedules reach on ``engine``."""
+    states = {}
+    resolve = engine.leaf_survivors
+
+    def leaf_survivors(st, stats, link_check=True):
+        states.setdefault((st.t_bits, st.f_bits), st)
+        return resolve(st, stats, link_check)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "leaf_survivors", leaf_survivors)
+        for schedule in schedules:
+            run_search(engine, schedule)
+    return list(states.values())
+
+
+def _assert_counted_as_walked(engine, states) -> None:
+    """Each state's leaf resolves, with the link test and without, to the
+    counters and survivors of the kernel's walk."""
+    for st in states:
+        for link_check in (True, False):
+            stats = SearchStats()
+            found = engine.leaf_survivors(st, stats, link_check)
+            own, kept = _walked(engine, st, link_check)
+            assert stats == own
+            assert ([(c.t_bits, c.f_bits, c.chi, c.chi_link) for c in found]
+                    == [(c.t_bits, c.f_bits, c.chi, c.chi_link) for c in kept])
+
+
+def test_the_leaf_count_equals_the_walk_on_every_g6_leaf(campaign,
+                                                         monkeypatch):
+    # the default, alternate and prime-power schedules' leaf states: the
+    # prime-power one reaches the default's 332 and 406 more
+    prime_power = Schedule("prime-power", tuple(
+        c for c in campaign.schedule("default").checks
+        if _prime_power(campaign.subgroups[c.name].order)))
+    states = _leaf_states(campaign.engine(), [
+        campaign.schedule("default"), campaign.schedule("alternate"),
+        prime_power], monkeypatch)
+    assert len(states) == 738
+    _assert_counted_as_walked(campaign.engine(), states)
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_GROUPS))
+def test_the_leaf_count_equals_the_walk_on_small_groups(name, monkeypatch):
+    table, schedule = _pair_schedule(SMALL_GROUPS[name])
+    poset = OrbitPoset(table)
+    states = _leaf_states(SearchEngine(table, poset), [schedule], monkeypatch)
+    assert states
+    _assert_counted_as_walked(SearchEngine(table, poset), states)
+
+
+def test_g5_with_no_checks_counts_as_walked(campaign):
+    # G5's orbits are few enough for one leaf with no check before it
+    table = OrbitTable(campaign.groups["G5"])
+    engine = SearchEngine(table, OrbitPoset(table))
+    st = engine.initial_state()
+    _assert_counted_as_walked(engine, [st])
+    own, survivors = engine.leaves[(st.t_bits, st.f_bits, True)]
+    assert (own.leaf_assignments, own.leaf_chi1, own.prunes_by_link,
+            survivors) == (5714, 140, 140, ())
+
+
+def test_leaf_resolution_leaves_no_reference_cycle(campaign):
+    # a recursive closure holds itself through its cell; one left unbroken
+    # keeps its memo until the cycle collector runs
+    engine = campaign.engine()
+    gc.collect()
+    gc.disable()
+    try:
+        for name in ("default", "alternate"):
+            run_search(engine, campaign.schedule(name))
+        run_search(engine, campaign.schedule("default"), link_check=False)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
