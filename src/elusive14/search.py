@@ -14,11 +14,11 @@ free orbits in the given order, TRUE first, with monotone closure and
 incremental chi, and hands every complete case to the check's test; only
 the cases the test keeps become TypeAssignments.  A leaf counts instead:
 it tallies its completions by their chi and link chi deltas, memoized by
-the set of orbits still free, and runs the kernel only into the subtrees
-whose tallies hold a case the leaf keeps.  An engine resolves each leaf
-state once, into counters and survivors of the leaf's own; every visit to
-that state, the first included, adds those counters to its run's and
-returns those survivors.
+the set of orbits still free, and emits the cases it keeps by following
+that memo into the branches whose tallies hold one.  An engine resolves
+each leaf state once, into counters and survivors of the leaf's own; every
+visit to that state, the first included, adds those counters to its run's
+and returns those survivors.
 """
 
 from __future__ import annotations
@@ -108,11 +108,11 @@ class SearchReport(namedtuple("SearchReport",
 
 class SearchEngine:
     """The orbit table, its poset and chi deltas, the completion kernel that
-    enumerates a check's cases and a leaf's kept cases, the leaf count, and
-    a memo of resolved leaves, each held as the leaf's own SearchStats and
-    survivors.  A leaf state is the closure of the T/F values on every
-    governed orbit, whatever order the checks ran in, so all schedules run
-    on one engine share its leaves."""
+    enumerates a check's cases, the leaf count whose memo a leaf's kept
+    cases are read from, and a memo of resolved leaves, each held as the
+    leaf's own SearchStats and survivors.  A leaf state is the closure of
+    the T/F values on every governed orbit, whatever order the checks ran
+    in, so all schedules run on one engine share its leaves."""
 
     def __init__(self, table: OrbitTable, poset: OrbitPoset):
         self.table = table
@@ -143,21 +143,13 @@ class SearchEngine:
         return sum(w * (t_bits & m).bit_count() for w, m in check.weights)
 
     def _complete(self, st: TypeAssignment, orbits, leaf, stats: SearchStats,
-                  what: str, wanted=None) -> None:
+                  what: str) -> None:
         """Call ``leaf(t_bits, f_bits, chi, chi_link)`` on every assignment
         of the still-free ``orbits`` that survives monotone closure,
         branching in the given order, TRUE first; a branch that needs some
-        orbit both TRUE and FALSE is pruned by conflict.  Given ``wanted``,
-        a branch is entered only if ``wanted(t_bits, f_bits, chi,
-        chi_link)`` holds for the partial case it starts from.  It must hold
-        for ``st``, and for a branch of every partial case it holds for, so
-        the FALSE branch of a case whose TRUE branch it rejects is entered
-        without asking.  More than CASE_CAP complete cases raise
-        CaseCapExceeded.  The closure step is inline and on plain ints, for
-        speed.  The leaf count branches on its own: it may rely on closed
-        states and lowest-first order, where this kernel takes any state and
-        order and must catch conflicts, and a shared branch would cost this
-        loop a call per step."""
+        orbit both TRUE and FALSE is pruned by conflict.  More than CASE_CAP
+        complete cases raise CaseCapExceeded.  The closure step is inline
+        and on plain ints, for speed."""
         assigned = st.t_bits | st.f_bits
         free = [o for o in orbits if not assigned >> o & 1]
         end = len(free)
@@ -178,7 +170,6 @@ class SearchEngine:
                 return
             o = free[k]
             k += 1
-            sure = wanted is None
             # TRUE: the orbit and everything below it, with their deltas
             add = lower[o] & ~t
             if add & f:
@@ -191,22 +182,21 @@ class SearchEngine:
                     i = b.bit_length() - 1
                     c += chi_delta[i]
                     lk += link_delta[i]
-                if sure or wanted(t | add, f, c, lk):
-                    rec(t | add, f, c, lk, k)
-                else:
-                    # this case is wanted and its TRUE branch is not
-                    sure = True
+                rec(t | add, f, c, lk, k)
             # FALSE: the orbit and everything above it; chi is unchanged
             add = upper[o] & ~f
             if add & t:
                 stats.prunes_by_conflict += 1
-            elif sure or wanted(t, f | add, chi, link):
+            else:
                 rec(t, f | add, chi, link, k)
 
-        rec(st.t_bits, st.f_bits, st.chi, st.chi_link, 0)
-        # rec holds itself through its closure cell; breaking that cycle
-        # frees it and its lists now, not at the cycle collector's pass
-        del rec
+        try:
+            rec(st.t_bits, st.f_bits, st.chi, st.chi_link, 0)
+        finally:
+            # rec holds itself through its closure cell; breaking that cycle
+            # frees it and its lists now, not at the cycle collector's pass,
+            # also when a capped walk raises
+            del rec
 
     def enumerate_cases(self, st: TypeAssignment, check: SubgroupCheck,
                         stats: SearchStats) -> list[TypeAssignment]:
@@ -228,22 +218,24 @@ class SearchEngine:
     def _count(self, free: int, weight: list[int]) -> dict:
         """Tally the completions of a closed state whose free orbits are the
         bitset ``free``.  The returned memo maps ``free``, and each set R of
-        orbits still free on the way, to a pair: a dict from the sum of
-        ``weight`` over the orbits of R that a completion turns TRUE to the
-        number of completions with that sum, and the number of all of them.
-        R branches on its lowest orbit o: TRUE turns ``lower[o] & R`` TRUE
-        and FALSE leaves ``R & ~upper[o]`` free, which is exact on a closed
-        state.  Each reuse of a memoized set, the empty one (a complete case)
-        included, charges its number of completions to a budget of
-        CASE_CAP, as the kernel's walk would count them one by one, so the
-        count raises CaseCapExceeded exactly when that walk would, after no
-        more steps than it and before the leaf keeps anything."""
+        orbits still free on the way, to ``(tally, total, add, delta)``: a
+        dict from the sum of ``weight`` over the orbits of R that a
+        completion turns TRUE to the number of completions with that sum,
+        the number of all of them, and R's branch.  R branches on its lowest
+        orbit o: TRUE turns ``add = lower[o] & R``, of summed weight
+        ``delta``, TRUE, and FALSE leaves ``R & ~upper[o]`` free, which is
+        exact on a closed state.  Each reuse of a memoized set, the empty
+        one (a complete case) included, charges its number of completions to
+        a budget of CASE_CAP, as the kernel's walk would count them one by
+        one, so the count raises CaseCapExceeded exactly when that walk
+        would, after no more steps than it and before the leaf keeps
+        anything."""
         lower, upper = self.poset.lower, self.poset.upper
-        memo = {0: ({0: 1}, 1)}
+        memo = {0: ({0: 1}, 1, 0, 0)}
         budget = CASE_CAP
         capped = f"leaf: more than {CASE_CAP} cases"
 
-        def count(R: int) -> tuple[dict, int]:
+        def count(R: int) -> tuple[dict, int, int, int]:
             nonlocal budget
             o = (R & -R).bit_length() - 1
             add = lower[o] & R
@@ -270,7 +262,7 @@ class SearchEngine:
             for k, n in yes[0].items():
                 k += delta
                 tally[k] = tally.get(k, 0) + n
-            memo[R] = (tally, yes[1] + no[1])
+            memo[R] = (tally, yes[1] + no[1], add, delta)
             return memo[R]
 
         try:
@@ -289,14 +281,14 @@ class SearchEngine:
         test chi(Link(Delta, x1)) = 1 on each chi-feasible assignment.  The
         first visit to a state on this engine counts its completions by
         their chi and link chi deltas into the leaf's own SearchStats, and
-        runs the kernel, into the subtrees whose counts hold a kept case
-        only, when there is one; it keeps both.  Every visit adds those
-        counters to ``stats`` and returns the survivors.  A leaf of more
-        than CASE_CAP completions raises CaseCapExceeded, keeps nothing and
-        leaves ``stats`` as it was."""
+        emits its kept cases, in the kernel's order, by following the
+        count's memo into the branches whose tallies hold one; it keeps
+        both.  Every visit adds those counters to ``stats`` and returns the
+        survivors.  A leaf of more than CASE_CAP completions raises
+        CaseCapExceeded, keeps nothing and leaves ``stats`` as it was."""
         key = (st.t_bits, st.f_bits, link_check)
         if key not in self.leaves:
-            table, poset = self.table, self.poset
+            table, poset, upper = self.table, self.poset, self.poset.upper
             everything = (1 << table.orbit_count) - 2
             free = everything & ~(st.t_bits | st.f_bits)
             # tally by packed (chi, link chi) deltas under the link test and
@@ -306,7 +298,7 @@ class SearchEngine:
             else:
                 shift, weight, link_on = 0, self.chi_delta, 0
             memo = self._count(free, weight)
-            tally, total = memo[free]
+            tally, total = memo[free][:2]
             half = (1 << shift) >> 1
             own = SearchStats()
             own.leaf_assignments = total
@@ -314,21 +306,27 @@ class SearchEngine:
                                 if (k + half) >> shift == 1 - st.chi)
             own.prunes_by_chi = total - own.leaf_chi1
             # a kept case has chi 1 and, under the link test, link chi 1
-            kept = tally.get(
-                ((1 - st.chi) << shift) + link_on * (1 - st.chi_link), 0)
+            want = ((1 - st.chi) << shift) + link_on * (1 - st.chi_link)
+            kept = tally.get(want, 0)
             own.prunes_by_link = own.leaf_chi1 - kept
             survivors: list[TypeAssignment] = []
-            if kept:
-
-                def wanted(t: int, f: int, chi: int, link: int) -> bool:
-                    return (((1 - chi) << shift) + link_on * (1 - link)
-                            in memo[everything & ~(t | f)][0])
-
-                def leaf(t: int, f: int, chi: int, link: int) -> None:
-                    survivors.append(
-                        TypeAssignment(table, poset, t, f, chi, link))
-
-                self._complete(st, iter_bits(free), leaf, own, "leaf", wanted)
+            # a branch is entered when its tally holds the deltas a kept
+            # case still needs; the stack pushes FALSE before TRUE, so the
+            # cases come in the kernel's order, lowest orbit and TRUE first
+            todo = [(free, want, st.t_bits, st.chi_link)] if kept else []
+            while todo:
+                R, want, t, link = todo.pop()
+                if not R:
+                    survivors.append(TypeAssignment(
+                        table, poset, t, everything & ~t, 1, link))
+                    continue
+                add, delta = memo[R][2:]
+                no = R & ~upper[(R & -R).bit_length() - 1]
+                if want in memo[no][0]:
+                    todo.append((no, want, t, link))
+                if want - delta in memo[R ^ add][0]:
+                    todo.append((R ^ add, want - delta, t | add, link + sum(
+                        self.link_delta[i] for i in iter_bits(add))))
             self.leaves[key] = (own, tuple(survivors))
         own, found = self.leaves[key]
         stats.add(own)

@@ -641,3 +641,19 @@ def test_leaf_resolution_leaves_no_reference_cycle(campaign):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_a_capped_check_leaves_no_reference_cycle(campaign, monkeypatch):
+    # the kernel's recursive closure must be broken when a check raises
+    # CaseCapExceeded too, not only when it returns
+    engine = campaign.engine()
+    monkeypatch.setattr(search, "CASE_CAP", 1)
+    gc.collect()
+    gc.disable()
+    try:
+        with pytest.raises(CaseCapExceeded, match="^G6_11: "):
+            engine.enumerate_cases(engine.initial_state(),
+                                   campaign.checks["G6_11"], SearchStats())
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
