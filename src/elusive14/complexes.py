@@ -58,11 +58,11 @@ class TypeAssignment:
     with the Euler characteristics of the TRUE orbits' faces and of their
     link at x1.
 
-    The search's completion kernel works on the bitsets and both chi values
-    as plain ints and builds an assignment only for each case it keeps,
-    passing ``chi`` and ``chi_link`` as it tracked them; left out, they are
-    summed from the TRUE orbits.  Orbit id 0 (the empty subset) is never
-    assigned; the empty face is implicitly always present.
+    The search's enumeration kernel works on the bitsets and both chi
+    values as plain ints and builds an assignment only for each case it
+    keeps, passing ``chi`` and ``chi_link`` as it tracked them; left out,
+    they are summed from the TRUE orbits.  Orbit id 0 (the empty subset)
+    is never assigned; the empty face is implicitly always present.
     """
 
     __slots__ = ("table", "poset", "t_bits", "f_bits", "chi", "chi_link")

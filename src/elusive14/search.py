@@ -9,16 +9,16 @@ it gets no entry: the leaf after the last entry enumerates the remaining
 free orbits against chi(Delta) = 1 and tests the survivors against
 chi(Link(Delta, x1)) = 1.
 
-A subgroup check runs the completion kernel on plain ints: it assigns the
-free orbits in the given order, TRUE first, with monotone closure and
-incremental chi, and hands every complete case to the check's test; only
-the cases the test keeps become TypeAssignments.  A leaf counts instead:
-it tallies its completions by their chi and link chi deltas, memoized by
-the set of orbits still free, and emits the cases it keeps by following
-that memo into the branches whose tallies hold one.  An engine resolves
-each leaf state once, into counters and survivors of the leaf's own; every
-visit to that state, the first included, adds those counters to its run's
-and returns those survivors.
+Checks and leaves share one enumeration kernel on plain ints.  It counts
+the completions of the orbits it resolves (a check's free governed
+orbits, a leaf's every free orbit), tallied by the weight they add and
+memoized by the set of orbits still free; then it emits the cases kept,
+the tally keys that meet the test, by following that memo into the
+branches whose tallies hold one.  A check's weight is each orbit's term
+in its fixed-point chi, a leaf's the chi and link chi deltas.  An engine
+resolves each leaf state once, into counters and survivors of the leaf's
+own; every visit to that state, the first included, adds those counters
+to its run's and returns those survivors.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from collections import namedtuple
 
 from . import InputError
 from .complexes import TypeAssignment, chi_deltas, link_x1_deltas
-from .orbits import (OrbitPoset, OrbitTable, block_masks, iter_bits,
-                     subset_unions)
+from .orbits import OrbitPoset, OrbitTable, block_masks, subset_unions
 from .perm import PermGroup
 
 
@@ -41,11 +40,11 @@ CASE_CAP = 1 << 20
 
 # A subgroup's Euler condition and the precomputed mapping from its block
 # unions to governed orbits: condition is ("exact", 1) or ("mod", q),
-# governed the orbit ids of all block unions, weights the (alternating-sum
-# weight, bitset of the governed orbits with that weight) pairs, and
+# governed the orbit ids of all block unions, weight[o] orbit o's term in
+# the fixed-point complex's alternating sum (0 off the governed orbits), and
 # unions[s] the union of the blocks in s.
 SubgroupCheck = namedtuple(
-    "SubgroupCheck", "name condition governed weights unions")
+    "SubgroupCheck", "name condition governed weight unions")
 
 
 def condition_met(condition: tuple[str, int], chi: int) -> bool:
@@ -61,17 +60,15 @@ def build_check(table: OrbitTable, sub: PermGroup, name: str,
                 condition: tuple[str, int]) -> SubgroupCheck:
     """Precompute governed orbits and chi weights for one subgroup."""
     unions = tuple(subset_unions(block_masks(sub)))
-    weights: dict[int, int] = {}
+    weight = [0] * table.orbit_count
+    governed = set()
     for s in range(1, len(unions)):
         o = table.orbit_of(unions[s])
-        weights[o] = weights.get(o, 0) + (-1) ** (s.bit_count() + 1)
-    # a few distinct weights, so chi is a few popcounts
-    with_weight: dict[int, int] = {}
-    for o, w in weights.items():
-        with_weight[w] = with_weight.get(w, 0) | 1 << o
+        governed.add(o)
+        weight[o] += (-1) ** (s.bit_count() + 1)
     return SubgroupCheck(
-        name=name, condition=condition, governed=tuple(sorted(weights)),
-        weights=tuple(sorted(with_weight.items())), unions=unions)
+        name=name, condition=condition, governed=tuple(sorted(governed)),
+        weight=tuple(weight), unions=unions)
 
 
 # a named visiting order: the SubgroupChecks in the order the search runs them
@@ -107,12 +104,12 @@ class SearchReport(namedtuple("SearchReport",
 
 
 class SearchEngine:
-    """The orbit table, its poset and chi deltas, the completion kernel that
-    enumerates a check's cases, the leaf count whose memo a leaf's kept
-    cases are read from, and a memo of resolved leaves, each held as the
-    leaf's own SearchStats and survivors.  A leaf state is the closure of
-    the T/F values on every governed orbit, whatever order the checks ran
-    in, so all schedules run on one engine share its leaves."""
+    """The orbit table, its poset and chi deltas, the enumeration kernel
+    that counts and emits a check's and a leaf's cases, and a memo of
+    resolved leaves, each held as the leaf's own SearchStats and survivors.
+    A leaf state is the closure of the T/F values on every governed orbit,
+    whatever order the checks ran in, so all schedules run on one engine
+    share its leaves."""
 
     def __init__(self, table: OrbitTable, poset: OrbitPoset):
         self.table = table
@@ -139,83 +136,30 @@ class SearchEngine:
 
     def subgroup_chi(self, t_bits: int, check: SubgroupCheck) -> int:
         """chi of the check's fixed-point complex on the TRUE orbits
-        ``t_bits``, which must decide every governed orbit."""
-        return sum(w * (t_bits & m).bit_count() for w, m in check.weights)
-
-    def _complete(self, st: TypeAssignment, orbits, leaf, stats: SearchStats,
-                  what: str) -> None:
-        """Call ``leaf(t_bits, f_bits, chi, chi_link)`` on every assignment
-        of the still-free ``orbits`` that survives monotone closure,
-        branching in the given order, TRUE first; a branch that needs some
-        orbit both TRUE and FALSE is pruned by conflict.  More than CASE_CAP
-        complete cases raise CaseCapExceeded.  The closure step is inline
-        and on plain ints, for speed."""
-        assigned = st.t_bits | st.f_bits
-        free = [o for o in orbits if not assigned >> o & 1]
-        end = len(free)
-        lower, upper = self.poset.lower, self.poset.upper
-        chi_delta, link_delta = self.chi_delta, self.link_delta
-        budget = CASE_CAP
-
-        def rec(t: int, f: int, chi: int, link: int, k: int) -> None:
-            nonlocal budget
-            done = t | f
-            while k < end and done >> free[k] & 1:
-                k += 1
-            if k == end:
-                budget -= 1
-                if budget < 0:
-                    raise CaseCapExceeded(f"{what}: more than {CASE_CAP} cases")
-                leaf(t, f, chi, link)
-                return
-            o = free[k]
-            k += 1
-            # TRUE: the orbit and everything below it, with their deltas
-            add = lower[o] & ~t
-            if add & f:
-                stats.prunes_by_conflict += 1
-            else:
-                c, lk, rem = chi, link, add
-                while rem:
-                    b = rem & -rem
-                    rem ^= b
-                    i = b.bit_length() - 1
-                    c += chi_delta[i]
-                    lk += link_delta[i]
-                rec(t | add, f, c, lk, k)
-            # FALSE: the orbit and everything above it; chi is unchanged
-            add = upper[o] & ~f
-            if add & t:
-                stats.prunes_by_conflict += 1
-            else:
-                rec(t, f | add, chi, link, k)
-
-        try:
-            rec(st.t_bits, st.f_bits, st.chi, st.chi_link, 0)
-        finally:
-            # rec holds itself through its closure cell; breaking that cycle
-            # frees it and its lists now, not at the cycle collector's pass,
-            # also when a capped walk raises
-            del rec
+        ``t_bits``, a governed orbit still free counting as FALSE."""
+        return sum(check.weight[o] for o in check.governed if t_bits >> o & 1)
 
     def enumerate_cases(self, st: TypeAssignment, check: SubgroupCheck,
                         stats: SearchStats) -> list[TypeAssignment]:
         """All assignments of the check's free governed orbits that survive
-        closure and meet the check's Euler condition."""
-        table, poset = self.table, self.poset
+        closure and meet the check's Euler condition.  The count tallies
+        the completions by the chi they add to the fixed-point complex; the
+        cases of each tally key that meets the condition, in ascending
+        order, are emitted in the kernel's order."""
+        assigned = st.t_bits | st.f_bits
+        free = sum(1 << o for o in check.governed if not assigned >> o & 1)
+        memo = self._count(free, check.weight, check.name)
+        tally, total = memo[free][:2]
+        base = self.subgroup_chi(st.t_bits, check)
         out: list[TypeAssignment] = []
-
-        def leaf(t: int, f: int, chi: int, link: int) -> None:
-            if condition_met(check.condition, self.subgroup_chi(t, check)):
-                out.append(TypeAssignment(table, poset, t, f, chi, link))
-            else:
-                stats.prunes_by_chi += 1
-
-        self._complete(st, check.governed, leaf, stats, check.name)
+        for k in sorted(tally):
+            if condition_met(check.condition, base + k):
+                out += self._emit(st, memo, free, k)
         stats.cases_enumerated += len(out)
+        stats.prunes_by_chi += total - len(out)
         return out
 
-    def _count(self, free: int, weight: list[int]) -> dict:
+    def _count(self, free: int, weight, what: str) -> dict:
         """Tally the completions of a closed state whose free orbits are the
         bitset ``free``.  The returned memo maps ``free``, and each set R of
         orbits still free on the way, to ``(tally, total, add, delta)``: a
@@ -223,17 +167,18 @@ class SearchEngine:
         completion turns TRUE to the number of completions with that sum,
         the number of all of them, and R's branch.  R branches on its lowest
         orbit o: TRUE turns ``add = lower[o] & R``, of summed weight
-        ``delta``, TRUE, and FALSE leaves ``R & ~upper[o]`` free, which is
-        exact on a closed state.  Each reuse of a memoized set, the empty
-        one (a complete case) included, charges its number of completions to
-        a budget of CASE_CAP, as the kernel's walk would count them one by
-        one, so the count raises CaseCapExceeded exactly when that walk
-        would, after no more steps than it and before the leaf keeps
-        anything."""
+        ``delta``, TRUE, and FALSE leaves ``R & ~upper[o]`` free.  A closed
+        state has no FALSE orbit below a free one and no TRUE orbit above
+        one, so this is exact, also when ``free`` is only some of the free
+        orbits.  Each reuse of a memoized set, the empty one (a complete
+        case) included, charges its number of completions to a budget of
+        CASE_CAP, so the count raises CaseCapExceeded, named by ``what``,
+        exactly when a walk of the completions one by one would, after no
+        more steps than it and before anything is kept."""
         lower, upper = self.poset.lower, self.poset.upper
         memo = {0: ({0: 1}, 1, 0, 0)}
         budget = CASE_CAP
-        capped = f"leaf: more than {CASE_CAP} cases"
+        capped = f"{what}: more than {CASE_CAP} cases"
 
         def count(R: int) -> tuple[dict, int, int, int]:
             nonlocal budget
@@ -275,21 +220,55 @@ class SearchEngine:
             del count
         return memo
 
+    def _emit(self, st: TypeAssignment, memo: dict, free: int,
+              want: int) -> list[TypeAssignment]:
+        """The completions of ``st`` counted in ``memo`` from ``free`` whose
+        summed weight is ``want``, in the kernel's order, lowest orbit and
+        TRUE first.  The walk follows the memo, entering a branch only when
+        its tally holds the weight a case still needs, and carries the
+        whole state: TRUE turns ``lower[o]`` TRUE with its chi and link chi
+        deltas, FALSE turns ``upper[o]`` FALSE."""
+        table, poset = self.table, self.poset
+        lower, upper = poset.lower, poset.upper
+        chi_delta, link_delta = self.chi_delta, self.link_delta
+        out: list[TypeAssignment] = []
+        # the stack pushes FALSE before TRUE, so TRUE comes out first
+        todo = ([(free, want, st.t_bits, st.f_bits, st.chi, st.chi_link)]
+                if want in memo[free][0] else [])
+        while todo:
+            R, want, t, f, chi, link = todo.pop()
+            if not R:
+                out.append(TypeAssignment(table, poset, t, f, chi, link))
+                continue
+            add, delta = memo[R][2:]
+            o = (R & -R).bit_length() - 1
+            if want in memo[R & ~upper[o]][0]:
+                todo.append((R & ~upper[o], want, t, f | upper[o], chi, link))
+            if want - delta in memo[R ^ add][0]:
+                rem = lower[o] & ~t
+                t |= rem
+                while rem:
+                    b = rem & -rem
+                    rem ^= b
+                    i = b.bit_length() - 1
+                    chi += chi_delta[i]
+                    link += link_delta[i]
+                todo.append((R ^ add, want - delta, t, f, chi, link))
+        return out
+
     def leaf_survivors(self, st: TypeAssignment, stats: SearchStats,
                        link_check: bool = True) -> list[TypeAssignment]:
         """Resolve all remaining free orbits against chi(Delta) = 1, then
         test chi(Link(Delta, x1)) = 1 on each chi-feasible assignment.  The
         first visit to a state on this engine counts its completions by
         their chi and link chi deltas into the leaf's own SearchStats, and
-        emits its kept cases, in the kernel's order, by following the
-        count's memo into the branches whose tallies hold one; it keeps
-        both.  Every visit adds those counters to ``stats`` and returns the
-        survivors.  A leaf of more than CASE_CAP completions raises
-        CaseCapExceeded, keeps nothing and leaves ``stats`` as it was."""
+        emits its kept cases from the count's memo; it keeps both.  Every
+        visit adds those counters to ``stats`` and returns the survivors.
+        A leaf of more than CASE_CAP completions raises CaseCapExceeded,
+        keeps nothing and leaves ``stats`` as it was."""
         key = (st.t_bits, st.f_bits, link_check)
         if key not in self.leaves:
-            table, poset, upper = self.table, self.poset, self.poset.upper
-            everything = (1 << table.orbit_count) - 2
+            everything = (1 << self.table.orbit_count) - 2
             free = everything & ~(st.t_bits | st.f_bits)
             # tally by packed (chi, link chi) deltas under the link test and
             # by chi deltas alone without it
@@ -297,7 +276,7 @@ class SearchEngine:
                 shift, weight, link_on = self.link_shift, self.packed_delta, 1
             else:
                 shift, weight, link_on = 0, self.chi_delta, 0
-            memo = self._count(free, weight)
+            memo = self._count(free, weight, "leaf")
             tally, total = memo[free][:2]
             half = (1 << shift) >> 1
             own = SearchStats()
@@ -307,26 +286,8 @@ class SearchEngine:
             own.prunes_by_chi = total - own.leaf_chi1
             # a kept case has chi 1 and, under the link test, link chi 1
             want = ((1 - st.chi) << shift) + link_on * (1 - st.chi_link)
-            kept = tally.get(want, 0)
-            own.prunes_by_link = own.leaf_chi1 - kept
-            survivors: list[TypeAssignment] = []
-            # a branch is entered when its tally holds the deltas a kept
-            # case still needs; the stack pushes FALSE before TRUE, so the
-            # cases come in the kernel's order, lowest orbit and TRUE first
-            todo = [(free, want, st.t_bits, st.chi_link)] if kept else []
-            while todo:
-                R, want, t, link = todo.pop()
-                if not R:
-                    survivors.append(TypeAssignment(
-                        table, poset, t, everything & ~t, 1, link))
-                    continue
-                add, delta = memo[R][2:]
-                no = R & ~upper[(R & -R).bit_length() - 1]
-                if want in memo[no][0]:
-                    todo.append((no, want, t, link))
-                if want - delta in memo[R ^ add][0]:
-                    todo.append((R ^ add, want - delta, t | add, link + sum(
-                        self.link_delta[i] for i in iter_bits(add))))
+            survivors = self._emit(st, memo, free, want)
+            own.prunes_by_link = own.leaf_chi1 - len(survivors)
             self.leaves[key] = (own, tuple(survivors))
         own, found = self.leaves[key]
         stats.add(own)

@@ -3,12 +3,13 @@ import random
 import pytest
 from hypothesis import strategies as st
 
+from elusive14 import search
 from elusive14.bundle import build_campaign
 from elusive14.complexes import TypeAssignment
 from elusive14.oracle import BooleanFunction
 from elusive14.orbits import OrbitPoset, iter_bits
 from elusive14.perm import Permutation, generate, parse_cycles
-from elusive14.search import SearchStats
+from elusive14.search import CaseCapExceeded, SearchStats
 
 
 @pytest.fixture(scope="session")
@@ -81,16 +82,46 @@ def down_sets(table) -> list[int]:
 
 
 def completions(engine, st, orbits, stats=None) -> list:
-    """Every case of the search's completion kernel on ``orbits`` from
-    ``st``, in the kernel's order.  On one free orbit of a closed state
-    these are its closed TRUE child and then its closed FALSE child."""
+    """The reference for the search's enumeration kernel: every completion
+    of the still-free ``orbits`` from ``st`` that survives monotone
+    closure, walked one case at a time, branching in the given order, TRUE
+    first, with chi and link chi summed on the way.  A branch that needs
+    some orbit both TRUE and FALSE is counted in ``stats`` as a conflict
+    and dropped; more than CASE_CAP cases raise CaseCapExceeded.  On one
+    free orbit of a closed state these are its closed TRUE child and then
+    its closed FALSE child."""
+    lower, upper = engine.poset.lower, engine.poset.upper
+    stats = SearchStats() if stats is None else stats
+    orbits = [o for o in orbits if not (st.t_bits | st.f_bits) >> o & 1]
     out = []
 
-    def leaf(t, f, chi, link):
-        out.append(TypeAssignment(engine.table, engine.poset, t, f, chi, link))
+    def walk(t, f, chi, link, k):
+        while k < len(orbits) and (t | f) >> orbits[k] & 1:
+            k += 1
+        if k == len(orbits):
+            if len(out) == search.CASE_CAP:
+                raise CaseCapExceeded(
+                    f"walk: more than {search.CASE_CAP} cases")
+            out.append(TypeAssignment(engine.table, engine.poset, t, f,
+                                      chi, link))
+            return
+        o = orbits[k]
+        add = lower[o] & ~t
+        if add & f:
+            stats.prunes_by_conflict += 1
+        else:
+            c, lk = chi, link
+            for i in iter_bits(add):
+                c += engine.chi_delta[i]
+                lk += engine.link_delta[i]
+            walk(t | add, f, c, lk, k + 1)
+        add = upper[o] & ~f
+        if add & t:
+            stats.prunes_by_conflict += 1
+        else:
+            walk(t, f | add, chi, link, k + 1)
 
-    engine._complete(st, orbits, leaf,
-                     SearchStats() if stats is None else stats, "test")
+    walk(st.t_bits, st.f_bits, st.chi, st.chi_link, 0)
     return out
 
 

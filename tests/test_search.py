@@ -8,7 +8,7 @@ from conftest import completions, down_sets
 from elusive14 import search
 from elusive14.complexes import (FALSE, TRUE, TypeAssignment, assert_monotone,
                                  fixed_point_complex)
-from elusive14.orbits import OrbitPoset, OrbitTable
+from elusive14.orbits import OrbitPoset, OrbitTable, iter_bits
 from elusive14.oracle import BooleanFunction, DepthSolver
 from elusive14.perm import (Permutation, _prime_power, classify, generate,
                             parse_cycles)
@@ -43,26 +43,6 @@ def test_propagate_upper_closure(campaign):
     _, st = completions(engine, engine.initial_state(),
                         [campaign.anchors.get("8.24")])
     assert st.f_bits.bit_count() == 11
-
-
-def test_propagate_conflict(campaign):
-    # the kernel branches only on free orbits, and the closure of a closed
-    # state meets no assigned orbit, so a conflict needs a state that is
-    # not closed: here one orbit is assigned and a free one sits beside it
-    engine, table, poset = campaign.engine(), campaign.table, campaign.poset
-    stats = SearchStats()
-    level2 = table.ids_at_level[2][0]
-    level1 = table.ids_at_level[1][0]
-    assert poset.lower[level2] >> level1 & 1
-    below_false = TypeAssignment(table, poset, 0, 1 << level1)
-    (child,) = completions(engine, below_false, [level2], stats)
-    assert child.t_bits == 0
-    assert child.f_bits == 1 << level1 | poset.upper[level2]
-    assert stats.prunes_by_conflict == 1
-    above_true = TypeAssignment(table, poset, 1 << level2, 0)
-    (child,) = completions(engine, above_true, [level1], stats)
-    assert child.t_bits == 1 << level2 | 1 << level1 and child.f_bits == 0
-    assert stats.prunes_by_conflict == 2
 
 
 def test_propagate_against_brute_force_closure(campaign):
@@ -241,11 +221,11 @@ def test_relabelling_the_points_keeps_the_search_counters(campaign):
 
 
 def test_the_replay_meets_no_conflict(campaign, monkeypatch):
-    # the kernel branches only on free orbits of closed states, so the
-    # conflict branch, kept for states that are not closed, is never taken
-    # on the search path (the schedules' tests pin that) nor by the replay,
-    # whose block-local counts run on the order that a check's unions
-    # generate, not on the orbit poset
+    # the enumeration kernel has no conflict branch, since it is handed
+    # only closed states, so the counter stays 0 on the search path (the
+    # schedules' tests pin that) and in the replay, whose block-local
+    # counts run on the order that a check's unions generate, not on the
+    # orbit poset
     from elusive14 import replay
     made = []
 
@@ -386,19 +366,6 @@ def test_a_capped_leaf_stores_nothing(campaign, monkeypatch):
     assert rep.stats == run_search(campaign.engine(),
                                    campaign.schedule("default")).stats
     assert rep.verified and len(engine.leaves) == 332
-
-
-def test_forced_full_simplex_conflicts_immediately(campaign):
-    # a TRUE full set forces every orbit TRUE, so one FALSE orbit anywhere
-    # prunes that branch and leaves only the FALSE child
-    engine, table, poset = campaign.engine(), campaign.table, campaign.poset
-    top = table.oid("14.0")
-    level1 = table.ids_at_level[1][0]
-    stats = SearchStats()
-    (child,) = completions(engine, TypeAssignment(table, poset, 0, 1 << level1),
-                           [top], stats)
-    assert child.f_bits == 1 << level1 | 1 << top
-    assert stats.prunes_by_conflict == 1
 
 
 def test_link_disabled_survivor_is_still_elusive(campaign):
@@ -626,6 +593,131 @@ def test_g5_with_no_checks_counts_as_walked(campaign):
     own, survivors = engine.leaves[(st.t_bits, st.f_bits, True)]
     assert (own.leaf_assignments, own.leaf_chi1, own.prunes_by_link,
             survivors) == (5714, 140, 140, ())
+
+
+def _prime_power_schedule(campaign) -> Schedule:
+    """The default schedule's checks of prime-power order, in its order."""
+    return Schedule("prime-power", tuple(
+        c for c in campaign.schedule("default").checks
+        if _prime_power(campaign.subgroups[c.name].order)))
+
+
+def _check_nodes(engine, schedules, monkeypatch) -> list:
+    """Every distinct (state, check) pair that the schedules hand to
+    ``enumerate_cases`` on ``engine``."""
+    nodes = {}
+    enumerate_cases = engine.enumerate_cases
+
+    def recording(st, check, stats):
+        nodes.setdefault((st.t_bits, st.f_bits, check.name), (st, check))
+        return enumerate_cases(st, check, stats)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "enumerate_cases", recording)
+        for schedule in schedules:
+            run_search(engine, schedule)
+    return list(nodes.values())
+
+
+def _assert_enumerated_as_walked(engine, nodes) -> int:
+    """Each check's cases are the walk's completions of its governed orbits
+    that meet its condition, in ascending order of their fixed-point chi
+    and in the walk's order within one chi, with the walk's counters.
+    Returns the number of nodes whose cases have more than one chi."""
+    spread = 0
+    for st, check in nodes:
+        stats = SearchStats()
+        got = engine.enumerate_cases(st, check, stats)
+        walked = SearchStats()
+        cases = completions(engine, st, check.governed, walked)
+        chi = {c.t_bits: engine.subgroup_chi(c.t_bits, check) for c in cases}
+        kept = sorted((c for c in cases
+                       if condition_met(check.condition, chi[c.t_bits])),
+                      key=lambda c: chi[c.t_bits])
+        walked.cases_enumerated = len(kept)
+        walked.prunes_by_chi = len(cases) - len(kept)
+        assert stats == walked
+        assert ([(c.t_bits, c.f_bits, c.chi, c.chi_link) for c in got]
+                == [(c.t_bits, c.f_bits, c.chi, c.chi_link) for c in kept])
+        spread += len({chi[c.t_bits] for c in kept}) > 1
+    return spread
+
+
+def test_a_check_enumerates_what_the_walk_enumerates(campaign, monkeypatch):
+    # every check node of the default, alternate and prime-power schedules;
+    # G6_11, the one mod 2 check, keeps two cases at the root, both of
+    # fixed-point chi 1
+    nodes = _check_nodes(campaign.engine(), [
+        campaign.schedule("default"), campaign.schedule("alternate"),
+        _prime_power_schedule(campaign)], monkeypatch)
+    assert {check.condition for _, check in nodes} == {("exact", 1),
+                                                       ("mod", 2)}
+    assert len(nodes) == 312
+    assert _assert_enumerated_as_walked(campaign.engine(), nodes) == 0
+
+
+@pytest.mark.parametrize("name, spread", [("C3", 0), ("S3", 0), ("S4", 1)])
+def test_a_check_enumerates_what_the_walk_enumerates_on_small_groups(
+        name, spread, monkeypatch):
+    # the pipeline's check nodes and each check from the initial state,
+    # where S4's mod 2 check keeps cases of fixed-point chi 1 and 3
+    table, schedule = _pair_schedule(SMALL_GROUPS[name])
+    poset = OrbitPoset(table)
+    engine = SearchEngine(table, poset)
+    nodes = _check_nodes(engine, [schedule], monkeypatch)
+    nodes += [(engine.initial_state(), check) for check in schedule.checks]
+    assert _assert_enumerated_as_walked(SearchEngine(table, poset),
+                                        nodes) == spread
+
+
+def _assert_closed(poset, st) -> None:
+    """Each TRUE orbit's lower closure is TRUE, each FALSE one's upper
+    closure FALSE."""
+    for o in iter_bits(st.t_bits):
+        assert poset.lower[o] & ~st.t_bits == 0
+    for o in iter_bits(st.f_bits):
+        assert poset.upper[o] & ~st.f_bits == 0
+
+
+def test_the_kernel_is_handed_only_closed_states(campaign, monkeypatch):
+    # the count takes TRUE on a free orbit to decide exactly the free
+    # orbits below it and FALSE those above it, which holds when no FALSE
+    # orbit lies below a free one and no TRUE orbit above one: every state
+    # that a schedule hands to a check or a leaf must be closed
+    audited = []
+
+    def audit(st):
+        _assert_closed(campaign.poset, st)
+        audited.append(st)
+
+    for schedule in (campaign.schedule("default"),
+                     campaign.schedule("alternate"),
+                     _prime_power_schedule(campaign)):
+        run_search(campaign.engine(), schedule, audit=audit)
+    assert len(audited) == 521 + 517 + 892
+    # and so must the replay's, the block-local start states included,
+    # which are closed under the order that a check's unions generate
+    from elusive14 import replay
+    posets = []
+    enumerate_cases = SearchEngine.enumerate_cases
+    leaf_survivors = SearchEngine.leaf_survivors
+
+    def enumerating(engine, st, check, stats):
+        _assert_closed(engine.poset, st)
+        posets.append(engine.poset)
+        return enumerate_cases(engine, st, check, stats)
+
+    def resolving(engine, st, stats, link_check=True):
+        _assert_closed(engine.poset, st)
+        posets.append(engine.poset)
+        return leaf_survivors(engine, st, stats, link_check)
+
+    monkeypatch.setattr(SearchEngine, "enumerate_cases", enumerating)
+    monkeypatch.setattr(SearchEngine, "leaf_survivors", resolving)
+    assert replay.replay_case_study(campaign).ok
+    steps = len(campaign.case_study["steps"])
+    assert sum(p is not campaign.poset for p in posets) == steps
+    assert len(posets) == 2 * steps + 1
 
 
 def test_leaf_resolution_leaves_no_reference_cycle(campaign):
