@@ -5,9 +5,12 @@ unresolved), 2 = input or data error.  JSON output is canonical: sorted
 keys, no timestamps; timings appear only in the text rendering.
 
 Each command imports the modules it runs when it runs, so that the sweep
-and the oracle do not load the campaign data or the search, and none
-loads hashlib.  The imports name the defining module at call time, so a
-wrapper put in that module's namespace applies.
+and the oracle do not load the campaign data or the search, the verdict
+commands do not load the oracle, and none loads hashlib.  The imports name
+the defining module at call time, so a wrapper put in that module's
+namespace applies.  ``dtree`` alone reads its solver class from this
+module, as ``DepthSolver``, resolved on first use, so a stand-in put here
+applies.
 """
 
 from __future__ import annotations
@@ -19,8 +22,6 @@ import sys
 import time
 
 from . import InputError, __version__
-from .oracle import (MAX_ARITY, ArityError, BooleanFunction, DepthSolver,
-                     exhaustive_conjecture_check)
 from .orbits import OrbitPoset, OrbitTable, iter_bits
 from .perm import PermGroup, classify, is_transitive
 
@@ -30,6 +31,16 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .bundle import Campaign, GroupSpec
     from .complexes import TypeAssignment
+
+
+def __getattr__(name: str):
+    """``DepthSolver``, imported from the oracle on first use and kept in
+    this namespace."""
+    if name != "DepthSolver":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .oracle import DepthSolver
+    globals()[name] = DepthSolver
+    return DepthSolver
 
 
 def emit(report: dict, fmt: str, text_renderer=None) -> str:
@@ -76,6 +87,7 @@ def _load_assignment(args, max_arity: int | None = None
         states[entry["orbit"]] = entry["state"]
     name, group, _ = _resolve_group(args.groupfile)
     if max_arity is not None and group.degree > max_arity:
+        from .oracle import ArityError
         raise ArityError(f"arity {group.degree} exceeds the {max_arity} "
                          f"limit")
     table = OrbitTable(group)
@@ -167,11 +179,13 @@ def cmd_fixedpoint(args) -> int:
 
 
 def cmd_dtree(args) -> int:
+    from .oracle import MAX_ARITY, BooleanFunction
     name, assignment = _load_assignment(args, MAX_ARITY)
     if not assignment.is_fully_assigned():
         raise ValueError("dtree needs every orbit assigned T or F")
     f = BooleanFunction.from_orbit_types(assignment.table, assignment.t_bits)
-    solver = DepthSolver(f)
+    # the module attribute, read at call time
+    solver = sys.modules[__name__].DepthSolver(f)
     depth = solver.depth()
     report = {"group": name, "arity": f.n, "depth": depth,
               "elusive": depth == f.n,
@@ -182,6 +196,7 @@ def cmd_dtree(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
+    from .oracle import exhaustive_conjecture_check
     rep = exhaustive_conjecture_check(args.n)
     sys.stdout.write(emit({**rep._asdict(), "ok": rep.ok}, args.format))
     return 0 if rep.ok else 1

@@ -11,10 +11,13 @@ of each other and have the same depth, so isomorphic subproblems share one
 memo entry and every free variable can be queried.  The keys come from
 the orbit table's own image scan: its chunk images give each orbit's
 least mask under every element, so the elements are found without a
-second pass over the masks.  A function given without an orbit table gets
-the trivial group's table of its arity, whose keys are the plain radix-3
-indices.  The same keys check the group: the truth table is G-invariant
-iff it is constant on every mask orbit.
+second pass over the masks.  A mask keeps only a reference to its
+element's pair of chunk tables, one row object per element, and both
+halves of a key, the assigned mask's and the answers', are read through
+that pair.  A function given without an orbit table gets the trivial
+group's table of its arity, whose keys are the plain radix-3 indices.
+The same keys check the group: the truth table is G-invariant iff it is
+constant on every mask orbit.
 
 The decision pass comes first.  A restriction is evasive (its depth equals
 its number of free variables) iff it has no free variable, or it is
@@ -48,7 +51,6 @@ import random
 import weakref
 from collections import Counter, namedtuple
 from functools import cache
-from itertools import repeat
 from math import factorial
 
 from .orbits import (CHUNK, OrbitPoset, OrbitTable, action_table, iter_bits,
@@ -143,17 +145,20 @@ class OrbitKeys:
     """Memo keys of restrictions (assigned mask A, values mask V) that G
     carries onto each other.
 
-    ``least[A]`` is the least mask of A's orbit.  ``rows[A]`` is a triple
-    ``(base, lo, hi)`` for an element g of G that maps A to ``least[A]``:
-    ``base`` is the radix-3 index of ``least[A]`` with every variable
-    answered 0, and ``lo[V & low] + hi[V >> half]`` raises the digit of
-    each point of gV from 1 to 2, one 7-point chunk of V at a time.  The
-    key of (A, V) is the radix-3 index of (gA, gV), one digit per variable
-    (free / answered 0 / answered 1).  Equal keys mean gA = g'A' and
-    gV = g'V', so g'^-1 g carries one restriction onto the other, and a
-    G-invariant function has the same depth on both.  The keys need not be
-    complete: the stabilizer of the least mask may still move gV.  Under
-    the trivial group the key is the plain radix-3 index of (A, V).
+    ``least[A]`` is the least mask of A's orbit.  ``rows[A]`` is the pair
+    ``(lo, hi)`` of chunk tables of an element g of G that maps A to
+    ``least[A]``: ``lo[M & low] + hi[M >> half]`` is the radix-3 index of
+    gM with every point answered 0, one 7-point chunk of M at a time.  The
+    key of (A, V) is that sum for A plus that sum for V, the radix-3 index
+    of (gA, gV), one digit per variable (free / answered 0 / answered 1).
+    Equal keys mean gA = g'A' and gV = g'V', so g'^-1 g carries one
+    restriction onto the other, and a G-invariant function has the same
+    depth on both.  The keys need not be complete: the stabilizer of the
+    least mask may still move gV.  Under the trivial group the key is the
+    plain radix-3 index of (A, V).
+
+    There is one row object per element, |G| in all, shared by every mask
+    that element's inverse is chosen for.
 
     A restriction with a free variable has ``least[A]`` below the full
     mask, and its key is at most twice the radix-3 index of that least
@@ -183,28 +188,26 @@ class OrbitKeys:
         # high chunk, as int objects of radix
         lo, hi = ([list(map(radix.__getitem__, col))
                    for col in zip(*table.chunk_images(c))] for c in (0, 1))
-        # in reverse element order, the tables of each element's inverse:
-        # scattered over the reversed images, the first element that
-        # carries m to a mask writes that mask's row last
+        # in reverse element order, the row of each element's inverse:
+        # scattered over the reversed images, one C-level pass per orbit,
+        # the first element that carries m to a mask writes its row last
         back = [index[g.inverse()] for g in reversed(elements)]
-        lo_inv = list(map(lo.__getitem__, back))
-        hi_inv = list(map(hi.__getitem__, back))
-        # one triple per mask: the decision pass reads a child's key from
-        # one list lookup
+        pairs = [(lo[k], hi[k]) for k in back]
         self.rows = rows = [None] * (1 << n)
         for m in table.min_mask:
             images = table.images(m)
             images.reverse()
-            for x, row in zip(images, zip(repeat(radix[m]), lo_inv, hi_inv)):
-                rows[x] = row
+            any(map(rows.__setitem__, images, pairs))
         self.least = list(map(table.min_mask.__getitem__, table._orbit_of))
         full = (1 << n) - 1
         self.span = 2 * max((radix[m] for m in table.min_mask if m != full),
                             default=0) + 1
 
     def key(self, assigned: int, values: int) -> int:
-        base, lo, hi = self.rows[assigned]
-        return base + lo[values & self.low] + hi[values >> self.half]
+        lo, hi = self.rows[assigned]
+        low, half = self.low, self.half
+        return (lo[assigned & low] + hi[assigned >> half]
+                + lo[values & low] + hi[values >> half])
 
 
 # one OrbitKeys per orbit table, shared by the solvers of its functions and
@@ -229,8 +232,10 @@ class DepthSolver:
     depth is below its free count, or ``UNFILLED``.  The key is the
     ``OrbitKeys`` key of the function's orbit table, shared by restrictions
     that its group G carries onto each other; under the trivial group it is
-    the plain radix-3 index.  The function's invariance is checked through
-    the same keys: the table must be constant on every mask orbit.
+    the plain radix-3 index.  The decision pass reads a child's key inline,
+    through the child's row: four chunk-table lookups.  The function's
+    invariance is checked through the same keys: the table must be
+    constant on every mask orbit.
 
     Only restrictions with a free variable get an entry, so the memo has
     ``OrbitKeys.span`` entries, 3^13 for a transitive group of degree 14: a
@@ -275,7 +280,8 @@ class DepthSolver:
             b = rem & -rem
             rem ^= b
             a = assigned | b
-            base, lo, hi = rows[a]
+            lo, hi = rows[a]
+            base = lo[a & low] + hi[a >> half]
             v = values | b
             # most children are memo hits, so look them up before recursing
             c = base + lo[v & low] + hi[v >> half]

@@ -883,7 +883,8 @@ def test_canonical_output_digests(capsys, monkeypatch, argv):
 
 # modules a command loads only when it runs them
 _DEFERRED = ("elusive14.bundle", "elusive14.complexes", "elusive14.search",
-             "elusive14.replay", "hashlib", "dataclasses", "inspect")
+             "elusive14.replay", "elusive14.oracle", "hashlib", "dataclasses",
+             "inspect")
 
 
 def _deferred_loaded(*argv, modules=_DEFERRED) -> list[str]:
@@ -907,13 +908,17 @@ def _deferred_loaded(*argv, modules=_DEFERRED) -> list[str]:
 
 
 def test_commands_load_only_the_modules_they_run():
-    assert _deferred_loaded("conjecture-check", "--n", "3") == []
+    assert _deferred_loaded("conjecture-check", "--n", "3") == [
+        "elusive14.oracle"]
     assert _deferred_loaded("dtree", "G6", "tests/data/g6_closure_1.json") == [
-        "elusive14.bundle", "elusive14.complexes"]
-    # no command pays for the dataclasses import, or for inspect under it
-    for argv in (["verify14"], ["replay-appendix"]):
+        "elusive14.bundle", "elusive14.complexes", "elusive14.oracle"]
+    # no command pays for the dataclasses import, or for inspect under it,
+    # and the verdict commands do not load the oracle
+    for argv in (["verify14"], ["verify14", "--seed-independent"],
+                 ["replay-appendix"]):
         loaded = _deferred_loaded(*argv)
         assert "dataclasses" not in loaded and "inspect" not in loaded, argv
+        assert "elusive14.oracle" not in loaded, argv
 
 
 @pytest.mark.skipif(

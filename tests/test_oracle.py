@@ -1,8 +1,10 @@
+import json
 import random
 from collections import Counter
 from functools import cache
 from itertools import permutations
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -725,6 +727,30 @@ def test_g6_orbit_keys_map_to_least_masks(campaign):
         assert keys.key(a, a) == 2 * keys.key(a, 0)
     # transitive: the fourteen one-variable restrictions share one key
     assert len({keys.key(1 << i, 0) for i in range(14)}) == 1
+
+
+def test_g6_orbit_keys_share_one_row_per_element(campaign):
+    # each mask's row is its element's pair of chunk tables, so the 16384
+    # masks reference at most |G| = 168 row objects
+    keys = OrbitKeys(campaign.table)
+    assert len({id(row) for row in keys.rows}) <= campaign.groups["G6"].order
+    assert campaign.groups["G6"].order == 168
+
+
+# the memo entries a dtree input's depth fills: equal keys give equal counts
+@pytest.mark.parametrize("name, filled", [
+    ("g6_closure_1", 10911), ("g6_closure_2", 23010),
+    ("g6_survivor_1", 7765), ("g6_survivor_2", 15403)])
+def test_dtree_inputs_fill_pinned_memo_entries(campaign, name, filled):
+    path = Path(__file__).parent / "data" / f"{name}.json"
+    states = {e["orbit"]: e["state"]
+              for e in json.loads(path.read_text(encoding="utf-8"))}
+    assignment = TypeAssignment.from_states(campaign.table, campaign.poset,
+                                            states)
+    solver = DepthSolver(BooleanFunction.from_orbit_types(
+        campaign.table, assignment.t_bits))
+    assert solver.depth() == 14
+    assert len(solver.memo) - solver.memo.count(oracle.UNFILLED) == filled
 
 
 def test_transitive_degree_14_memos_span_3_to_the_13(campaign):

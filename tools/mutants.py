@@ -8,10 +8,12 @@ that occurs in that file exactly once, its ``replace``ment, a ``why``
 line, and ``tests``: the pytest arguments (test files or node ids)
 expected to kill it.
 
-Each mutant is applied to a fresh copy of ``src/``, ``tests/`` and
-``README.md`` in a temporary directory, and its tests run there with
+Each mutant is applied to a fresh copy of ``src/``, ``tests/``, ``bench/``
+and ``README.md`` in a temporary directory, and its tests run there with
 ``pytest -x``.  A mutant is killed when those tests fail; it survives
-when they pass.  Before any mutant runs, the same tests run once on an
+when they pass.  A mutant whose tests run past ``MUTANT_TIMEOUT_S`` is
+stopped, reported as ``timeout`` and counted as killed, and the summary
+line names it.  Before any mutant runs, the same tests run once on an
 unmutated copy, so a test that fails on its own cannot count as a kill.
 Exit status: 0 when every mutant is killed, 1 when one survives, 2 when
 the list is malformed, a snippet does not match once, or the unmutated
@@ -34,8 +36,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 LIST = ROOT / "tools" / "mutants.json"
 FIELDS = ("name", "file", "find", "replace", "why", "tests")
-# what the tests read: the package, the tests and the README's ledger
-COPIED = ("src", "tests", "README.md")
+# what the tests read: the package, the tests, the benchmark's tracer and
+# the README's ledger
+COPIED = ("src", "tests", "bench", "README.md")
+# the longest test list of any mutant passes in about 5 s on a 2-core
+# machine, so a mutant whose tests run this long loops
+MUTANT_TIMEOUT_S = 120
 
 
 def load(path: Path) -> list[dict]:
@@ -69,12 +75,16 @@ def copy_tree(dest: Path) -> None:
             shutil.copy2(src, dest / name)
 
 
-def run_tests(tree: Path, tests: list[str]) -> subprocess.CompletedProcess:
+def run_tests(tree: Path, tests: list[str],
+              timeout: float | None = None) -> subprocess.CompletedProcess:
+    """The tests' pytest run in ``tree``; ``subprocess.TimeoutExpired``
+    once it runs past ``timeout`` seconds."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"),
                PYTHONDONTWRITEBYTECODE="1")
     return subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         *tests], cwd=tree, env=env, capture_output=True, text=True)
+         *tests], cwd=tree, env=env, capture_output=True, text=True,
+        timeout=timeout)
 
 
 def main() -> int:
@@ -92,7 +102,7 @@ def main() -> int:
             print("error: the unmutated tree fails the listed tests",
                   file=sys.stderr)
             return 2
-        survivors = []
+        survivors, timeouts = [], []
         for i, m in enumerate(mutants):
             tree = Path(tmp) / f"m{i}"
             copy_tree(tree)
@@ -100,15 +110,21 @@ def main() -> int:
             source = target.read_text(encoding="utf-8")
             target.write_text(source.replace(m["find"], m["replace"]),
                               encoding="utf-8")
-            killed = run_tests(tree, m["tests"]).returncode != 0
-            print(f"{'killed ' if killed else 'SURVIVED'}  {m['name']}",
-                  flush=True)
-            if not killed:
+            try:
+                code = run_tests(tree, m["tests"], MUTANT_TIMEOUT_S).returncode
+                verdict = "killed " if code else "SURVIVED"
+            except subprocess.TimeoutExpired:
+                verdict = "timeout "
+                timeouts.append(m["name"])
+            print(f"{verdict}  {m['name']}", flush=True)
+            if verdict == "SURVIVED":
                 survivors.append(m["name"])
             shutil.rmtree(tree)
     elapsed = time.perf_counter() - start
+    timed_out = (f"; timed out after {MUTANT_TIMEOUT_S} s: "
+                 f"{', '.join(timeouts)}" if timeouts else "")
     print(f"{len(mutants) - len(survivors)} of {len(mutants)} mutants "
-          f"killed in {elapsed:.1f} s")
+          f"killed in {elapsed:.1f} s{timed_out}")
     for name in survivors:
         print(f"survivor: {name}")
     return 1 if survivors else 0
