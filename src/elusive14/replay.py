@@ -63,16 +63,15 @@ def count_local_cases(camp: Campaign, st: TypeAssignment,
     published step-4 count of 4 comes out as 3."""
     table = camp.table
     unions = check.unions
-    covers: dict[int, set[int]] = {o: set() for o in check.governed}
+    covers = {o: set() for o in iter_bits(check.governed)}
     for s in range(1, len(unions)):
         for i in iter_bits(s):
             if s ^ 1 << i:
                 covers[table.orbit_of(unions[s])].add(
                     table.orbit_of(unions[s ^ 1 << i]))
     engine = SearchEngine(table, OrbitPoset.generated_by(table, covers))
-    gbits = sum(1 << o for o in check.governed)
-    start = TypeAssignment(table, engine.poset, st.t_bits & gbits,
-                           st.f_bits & gbits)
+    start = TypeAssignment(table, engine.poset, st.t_bits & check.governed,
+                           st.f_bits & check.governed)
     return len(engine.enumerate_cases(start, check, SearchStats()))
 
 
@@ -132,7 +131,7 @@ def _compare_theta(camp: Campaign, state: TypeAssignment, printed_t: list[str],
 
 
 def _select_case(camp: Campaign, children: list[TypeAssignment],
-                 parent: TypeAssignment, governed: tuple[int, ...],
+                 parent: TypeAssignment, governed: int,
                  select: dict, where: str) -> tuple[TypeAssignment, dict[str, str]]:
     anchors = camp.anchors
     named: dict[int, str] = {}
@@ -146,9 +145,9 @@ def _select_case(camp: Campaign, children: list[TypeAssignment],
     default = select.get("default_free")
     if default is not None:
         # every other governed orbit free before this step takes the default
-        assigned_before = parent.t_bits | parent.f_bits
-        named.update((o, default) for o in governed
-                     if not assigned_before >> o & 1 and o not in named)
+        free_before = governed & ~(parent.t_bits | parent.f_bits)
+        named.update((o, default) for o in iter_bits(free_before)
+                     if o not in named)
 
     def matches(child: TypeAssignment) -> bool:
         return all((TRUE if child.t_bits >> o & 1 else FALSE) == want
@@ -212,7 +211,7 @@ def replay_case_study(camp: Campaign) -> ReplayResult:
     for name, check in camp.checks.items():
         if name in visited:
             continue
-        if any(not assigned >> o & 1 for o in check.governed):
+        if check.governed & ~assigned:
             pending.append(name)
             continue
         chi = engine.subgroup_chi(state.t_bits, check)

@@ -27,7 +27,8 @@ from collections import namedtuple
 
 from . import InputError
 from .complexes import TypeAssignment, chi_deltas, link_x1_deltas
-from .orbits import OrbitPoset, OrbitTable, block_masks, subset_unions
+from .orbits import (OrbitPoset, OrbitTable, block_masks, iter_bits,
+                     subset_unions)
 from .perm import PermGroup
 
 
@@ -40,9 +41,9 @@ CASE_CAP = 1 << 20
 
 # A subgroup's Euler condition and the precomputed mapping from its block
 # unions to governed orbits: condition is ("exact", 1) or ("mod", q),
-# governed the orbit ids of all block unions, weight[o] orbit o's term in
-# the fixed-point complex's alternating sum (0 off the governed orbits), and
-# unions[s] the union of the blocks in s.
+# governed the bitset of the orbits of all block unions, weight[o] orbit
+# o's term in the fixed-point complex's alternating sum (0 off the governed
+# orbits), and unions[s] the union of the blocks in s.
 SubgroupCheck = namedtuple(
     "SubgroupCheck", "name condition governed weight unions")
 
@@ -61,13 +62,13 @@ def build_check(table: OrbitTable, sub: PermGroup, name: str,
     """Precompute governed orbits and chi weights for one subgroup."""
     unions = tuple(subset_unions(block_masks(sub)))
     weight = [0] * table.orbit_count
-    governed = set()
+    governed = 0
     for s in range(1, len(unions)):
         o = table.orbit_of(unions[s])
-        governed.add(o)
+        governed |= 1 << o
         weight[o] += (-1) ** (s.bit_count() + 1)
     return SubgroupCheck(
-        name=name, condition=condition, governed=tuple(sorted(governed)),
+        name=name, condition=condition, governed=governed,
         weight=tuple(weight), unions=unions)
 
 
@@ -137,7 +138,7 @@ class SearchEngine:
     def subgroup_chi(self, t_bits: int, check: SubgroupCheck) -> int:
         """chi of the check's fixed-point complex on the TRUE orbits
         ``t_bits``, a governed orbit still free counting as FALSE."""
-        return sum(check.weight[o] for o in check.governed if t_bits >> o & 1)
+        return sum(check.weight[o] for o in iter_bits(t_bits & check.governed))
 
     def enumerate_cases(self, st: TypeAssignment, check: SubgroupCheck,
                         stats: SearchStats) -> list[TypeAssignment]:
@@ -146,8 +147,7 @@ class SearchEngine:
         the completions by the chi they add to the fixed-point complex; the
         cases of each tally key that meets the condition, in ascending
         order, are emitted in the kernel's order."""
-        assigned = st.t_bits | st.f_bits
-        free = sum(1 << o for o in check.governed if not assigned >> o & 1)
+        free = check.governed & ~(st.t_bits | st.f_bits)
         memo = self._count(free, check.weight, check.name)
         tally, total = memo[free][:2]
         base = self.subgroup_chi(st.t_bits, check)
@@ -170,18 +170,14 @@ class SearchEngine:
         ``delta``, TRUE, and FALSE leaves ``R & ~upper[o]`` free.  A closed
         state has no FALSE orbit below a free one and no TRUE orbit above
         one, so this is exact, also when ``free`` is only some of the free
-        orbits.  Each reuse of a memoized set, the empty one (a complete
-        case) included, charges its number of completions to a budget of
-        CASE_CAP, so the count raises CaseCapExceeded, named by ``what``,
-        exactly when a walk of the completions one by one would, after no
-        more steps than it and before anything is kept."""
+        orbits.  Each entry's total is at most the count's, so the count
+        raises CaseCapExceeded, named by ``what``, exactly when its total
+        exceeds CASE_CAP: at the first entry that does, before anything is
+        kept."""
         lower, upper = self.poset.lower, self.poset.upper
         memo = {0: ({0: 1}, 1, 0, 0)}
-        budget = CASE_CAP
-        capped = f"{what}: more than {CASE_CAP} cases"
 
         def count(R: int) -> tuple[dict, int, int, int]:
-            nonlocal budget
             o = (R & -R).bit_length() - 1
             add = lower[o] & R
             delta, rem = 0, add
@@ -189,25 +185,16 @@ class SearchEngine:
                 b = rem & -rem
                 rem ^= b
                 delta += weight[b.bit_length() - 1]
-            yes = memo.get(R ^ add)
-            if yes is None:
-                yes = count(R ^ add)
-            else:
-                budget -= yes[1]
-                if budget < 0:
-                    raise CaseCapExceeded(capped)
-            no = memo.get(R & ~upper[o])
-            if no is None:
-                no = count(R & ~upper[o])
-            else:
-                budget -= no[1]
-                if budget < 0:
-                    raise CaseCapExceeded(capped)
+            yes = memo.get(R ^ add) or count(R ^ add)
+            no = memo.get(R & ~upper[o]) or count(R & ~upper[o])
+            total = yes[1] + no[1]
+            if total > CASE_CAP:
+                raise CaseCapExceeded(f"{what}: more than {CASE_CAP} cases")
             tally = dict(no[0])
             for k, n in yes[0].items():
                 k += delta
                 tally[k] = tally.get(k, 0) + n
-            memo[R] = (tally, yes[1] + no[1], add, delta)
+            memo[R] = (tally, total, add, delta)
             return memo[R]
 
         try:
@@ -296,26 +283,24 @@ class SearchEngine:
 
 def _walk(engine: SearchEngine, checks: tuple[SubgroupCheck, ...],
           st: TypeAssignment, depth: int, stats: SearchStats,
-          link_check: bool, audit=None) -> list[TypeAssignment]:
+          link_check: bool) -> list[TypeAssignment]:
     stats.nodes_explored += 1
-    if audit is not None:
-        audit(st)
     if depth == len(checks):
         return engine.leaf_survivors(st, stats, link_check=link_check)
     found: list[TypeAssignment] = []
     for child in engine.enumerate_cases(st, checks[depth], stats):
         found.extend(_walk(engine, checks, child, depth + 1, stats,
-                           link_check, audit))
+                           link_check))
     return found
 
 
-def run_search(engine: SearchEngine, schedule: Schedule, link_check: bool = True,
-               audit=None) -> SearchReport:
+def run_search(engine: SearchEngine, schedule: Schedule,
+               link_check: bool = True) -> SearchReport:
     """Depth-first search over the whole schedule; returns the report with
     every surviving full assignment (expected: none)."""
     stats = SearchStats()
     found = _walk(engine, schedule.checks, engine.initial_state(), 0, stats,
-                  link_check, audit)
+                  link_check)
     found.sort(key=lambda s: s.t_bits)
     labels = [(o, engine.table.label(o))
               for o in range(1, engine.table.orbit_count)]

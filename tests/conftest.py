@@ -9,7 +9,7 @@ from elusive14.complexes import TypeAssignment
 from elusive14.oracle import BooleanFunction
 from elusive14.orbits import OrbitPoset, iter_bits
 from elusive14.perm import Permutation, generate, parse_cycles
-from elusive14.search import CaseCapExceeded, SearchStats
+from elusive14.search import CaseCapExceeded, SearchStats, run_search
 
 
 @pytest.fixture(scope="session")
@@ -123,6 +123,29 @@ def completions(engine, st, orbits, stats=None) -> list:
 
     walk(st.t_bits, st.f_bits, st.chi, st.chi_link, 0)
     return out
+
+
+def visit_nodes(engine, schedule, visit):
+    """``run_search`` on ``engine`` with ``visit(st)`` called on every node
+    it explores, in the walk's order, and its report returned.  Each node
+    is handed to exactly one of the engine's ``enumerate_cases`` (a check)
+    and ``leaf_survivors`` (a leaf), so wrapping the two on the instance
+    sees them all."""
+    enumerate_cases, leaf_survivors = (engine.enumerate_cases,
+                                       engine.leaf_survivors)
+
+    def enumerating(st, check, stats):
+        visit(st)
+        return enumerate_cases(st, check, stats)
+
+    def resolving(st, stats, link_check=True):
+        visit(st)
+        return leaf_survivors(st, stats, link_check)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "enumerate_cases", enumerating)
+        patch.setattr(engine, "leaf_survivors", resolving)
+        return run_search(engine, schedule)
 
 
 def true_masks(a) -> list[int]:

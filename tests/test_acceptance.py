@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 
 from conftest import (completions, explicit_euler, link, opposite, r_vector,
-                      random_monotone_bits)
+                      random_monotone_bits, visit_nodes)
 from elusive14.bundle import expand_labels, load_group_specs
 from elusive14.complexes import (FALSE, TRUE, TypeAssignment, chi_deltas,
                                  link_x1_deltas)
@@ -198,7 +198,7 @@ def test_criterion_5_published_endgame_counts(replay, campaign, monkeypatch):
     engine = campaign.engine()
     for name in ("default", "alternate"):
         audited[0] = 0
-        report = run_search(engine, campaign.schedule(name), audit=audit)
+        report = visit_nodes(engine, campaign.schedule(name), audit)
         assert audited[0] == report.stats.nodes_explored
     assert matches == []
 
@@ -335,7 +335,7 @@ def test_criterion_8_property_suites(campaign):
         assert (chi, lchi) == (st.chi, st.chi_link)
         audited[0] += 1
 
-    run_search(engine, campaign.schedule("default"), audit=audit)
+    visit_nodes(engine, campaign.schedule("default"), audit)
     assert audited[0] >= 100
 
     # (e) depth of a function equals depth of its opposite

@@ -2,9 +2,11 @@ import copy
 
 import pytest
 
+from conftest import visit_nodes
+from elusive14.orbits import iter_bits
 from elusive14.replay import (MappingIncomplete, count_local_cases,
                               replay_case_study)
-from elusive14.search import condition_met, run_search
+from elusive14.search import condition_met
 
 
 @pytest.fixture(scope="module")
@@ -35,9 +37,8 @@ def brute_force_local_count(table, st, check) -> int:
     # chi of the fixed-point complex: one signed term per TRUE block union
     terms = [(table.orbit_of(unions[s]), (-1) ** (s.bit_count() + 1))
              for s in range(1, len(unions))]
-    assigned = st.t_bits | st.f_bits
-    free = [o for o in check.governed if not assigned >> o & 1]
-    governed_t = st.t_bits & sum(1 << o for o in check.governed)
+    free = list(iter_bits(check.governed & ~(st.t_bits | st.f_bits)))
+    governed_t = st.t_bits & check.governed
     count = 0
     for setting in range(1 << len(free)):
         t = governed_t | sum(1 << o for j, o in enumerate(free)
@@ -51,14 +52,12 @@ def brute_force_local_count(table, st, check) -> int:
 
 def test_local_count_matches_brute_force(campaign):
     nodes = []
-    run_search(campaign.engine(), campaign.schedule("default"),
-               audit=nodes.append)
+    visit_nodes(campaign.engine(), campaign.schedule("default"), nodes.append)
     pairs = 0
     for st in nodes[::13]:
         assigned = st.t_bits | st.f_bits
         for check in campaign.checks.values():
-            free = [o for o in check.governed if not assigned >> o & 1]
-            if len(free) > 12:
+            if (check.governed & ~assigned).bit_count() > 12:
                 continue
             pairs += 1
             assert (count_local_cases(campaign, st, check)

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import completions, down_sets
+from conftest import completions, down_sets, visit_nodes
 from elusive14 import search
 from elusive14.complexes import (FALSE, TRUE, TypeAssignment, assert_monotone,
                                  fixed_point_complex)
@@ -306,7 +306,7 @@ def test_incremental_chi_audited_against_from_scratch(campaign):
         assert (chi, link) == (st.chi, st.chi_link)
         audited.append(st)
 
-    run_search(engine, campaign.schedule("default"), audit=audit)
+    visit_nodes(engine, campaign.schedule("default"), audit)
     assert len(audited) >= 100
 
 
@@ -366,6 +366,41 @@ def test_a_capped_leaf_stores_nothing(campaign, monkeypatch):
     assert rep.stats == run_search(campaign.engine(),
                                    campaign.schedule("default")).stats
     assert rep.verified and len(engine.leaves) == 332
+
+
+def test_a_count_raises_exactly_past_the_cap(campaign, monkeypatch):
+    # a count raises when its total exceeds the cap, not when it reaches
+    # it: the default schedule's largest check count, G6_2's 185 completions
+    # at one node, and its largest leaf's 452 each pass at the cap and
+    # raise one below it
+    default = campaign.schedule("default")
+    want = run_search(campaign.engine(), default).stats
+    engine = campaign.engine()
+    totals = []
+    for st, check in _check_nodes(engine, [default], monkeypatch):
+        full = SearchStats()
+        engine.enumerate_cases(st, check, full)
+        totals.append((full.cases_enumerated + full.prunes_by_chi, st, check,
+                       full))
+    total, st, check, full = max(totals, key=lambda node: node[0])
+    assert (total, check.name) == (185, "G6_2")
+    monkeypatch.setattr(search, "CASE_CAP", 185)
+    stats = SearchStats()
+    engine.enumerate_cases(st, check, stats)
+    assert stats == full
+    monkeypatch.setattr(search, "CASE_CAP", 184)
+    with pytest.raises(CaseCapExceeded, match="^G6_2: more than 184 cases$"):
+        engine.enumerate_cases(st, check, SearchStats())
+    # the leaves: at 452 the schedule runs as it does uncapped
+    monkeypatch.setattr(search, "CASE_CAP", 452)
+    assert run_search(campaign.engine(), default).stats == want
+    monkeypatch.setattr(search, "CASE_CAP", 451)
+    engine, nodes = campaign.engine(), []
+    with pytest.raises(CaseCapExceeded, match="^leaf: more than 451 cases$"):
+        visit_nodes(engine, default, nodes.append)
+    # the capped leaf, the last node the walk reached, stores nothing
+    assert (nodes[-1].t_bits, nodes[-1].f_bits, True) not in engine.leaves
+    assert engine.leaves
 
 
 def test_link_disabled_survivor_is_still_elusive(campaign):
@@ -629,7 +664,7 @@ def _assert_enumerated_as_walked(engine, nodes) -> int:
         stats = SearchStats()
         got = engine.enumerate_cases(st, check, stats)
         walked = SearchStats()
-        cases = completions(engine, st, check.governed, walked)
+        cases = completions(engine, st, iter_bits(check.governed), walked)
         chi = {c.t_bits: engine.subgroup_chi(c.t_bits, check) for c in cases}
         kept = sorted((c for c in cases
                        if condition_met(check.condition, chi[c.t_bits])),
@@ -693,7 +728,7 @@ def test_the_kernel_is_handed_only_closed_states(campaign, monkeypatch):
     for schedule in (campaign.schedule("default"),
                      campaign.schedule("alternate"),
                      _prime_power_schedule(campaign)):
-        run_search(campaign.engine(), schedule, audit=audit)
+        visit_nodes(campaign.engine(), schedule, audit)
     assert len(audited) == 521 + 517 + 892
     # and so must the replay's, the block-local start states included,
     # which are closed under the order that a check's unions generate
