@@ -23,11 +23,11 @@ The decision pass comes first.  A restriction is evasive (its depth equals
 its number of free variables) iff it has no free variable, or it is
 nonconstant and every free query has an answer whose child is evasive; the
 pass stops at the first query whose two children are both non-evasive.
-So a nonconstant restriction with one free variable is evasive, its two
-children being fully assigned and constant, and the pass settles it
-without them: no fully assigned restriction gets a memo entry.  Only a
-non-evasive restriction falls back to the exact minimax, which then finds
-its evasive children already settled.
+Only a non-evasive restriction falls back to the exact minimax, which then
+finds its evasive children already settled.  Neither runs on a restriction
+with at most two free variables: four table reads give its depth (0 if
+constant, 1 if one variable is free or decides it, else 2, an AND or an
+OR), so it gets no key and no memo entry.
 
 The oracle deliberately leaves out the Rivest-Vuillemin parity shortcut
 (a restriction whose true inputs have a nonzero signed count is evasive).
@@ -160,11 +160,10 @@ class OrbitKeys:
     There is one row object per element, |G| in all, shared by every mask
     that element's inverse is chosen for.
 
-    A restriction with a free variable has ``least[A]`` below the full
-    mask, and its key is at most twice the radix-3 index of that least
-    mask (every point answered 1).  ``span`` is one more than the largest
-    such key: 3^(n-1) for a transitive group, whose non-full least masks
-    all miss the last point, and 3^n - 2 for the trivial group.
+    The depth solver keys only restrictions with three or more free
+    variables, whose key is at most twice the radix-3 index of a least
+    mask of at most n - 3 points.  ``span`` is one more than the largest
+    such key: 531,435 for G6, 3^n - 26 for the trivial group (n >= 3).
 
     Everything comes from the group's OrbitTable: its chunk images give
     each orbit's least mask m under every element k, and the mask k m
@@ -199,9 +198,8 @@ class OrbitKeys:
             images.reverse()
             any(map(rows.__setitem__, images, pairs))
         self.least = list(map(table.min_mask.__getitem__, table._orbit_of))
-        full = (1 << n) - 1
-        self.span = 2 * max((radix[m] for m in table.min_mask if m != full),
-                            default=0) + 1
+        self.span = 2 * max((radix[m] for m in table.min_mask
+                             if m.bit_count() <= n - 3), default=0) + 1
 
     def key(self, assigned: int, values: int) -> int:
         lo, hi = self.rows[assigned]
@@ -223,6 +221,17 @@ def _orbit_keys(table: OrbitTable) -> OrbitKeys:
     return keys
 
 
+def _settled(table: bytes, values: int, rem: int) -> int:
+    """Depth of a monotone restriction whose free set ``rem`` has at most
+    two variables: 0 if constant, 1 for one or a dictator, else 2."""
+    if table[values] == table[values | rem]:
+        return 0
+    b = rem & -rem
+    if b == rem or table[values | b] != table[values | rem ^ b]:
+        return 1
+    return 2
+
+
 class DepthSolver:
     """Evasiveness by the adversary recursion, with memoized minimax for
     the exact depth of non-evasive restrictions.
@@ -237,10 +246,9 @@ class DepthSolver:
     invariance is checked through the same keys: the table must be
     constant on every mask orbit.
 
-    Only restrictions with a free variable get an entry, so the memo has
-    ``OrbitKeys.span`` entries, 3^13 for a transitive group of degree 14: a
-    fully assigned restriction has depth 0, and the decision pass settles
-    a restriction with one free variable without reading its children.
+    Only restrictions with three or more free variables get an entry, so
+    the memo has ``OrbitKeys.span`` entries, 531,435 for G6: ``_settled``
+    reads any other restriction's depth from the table.
     """
 
     def __init__(self, f: BooleanFunction):
@@ -268,9 +276,17 @@ class DepthSolver:
         if table[values] == table[values | rem]:
             memo[key] = 0
             return False
-        if free == 1:
-            # both children are fully assigned, so constant: evasive
-            memo[key] = 1
+        if free == 3:
+            # each child has two free variables: evasive iff _settled reads 2
+            three = rem
+            while three:
+                b = three & -three
+                three ^= b
+                if not (_settled(table, values | b, rem ^ b) == 2
+                        or _settled(table, values, rem ^ b) == 2):
+                    memo[key] = NOT_EVASIVE
+                    return False
+            memo[key] = 3
             return True
         rows, low, half = self.rows, self.low, self.half
         evasive = self._evasive
@@ -297,44 +313,47 @@ class DepthSolver:
         memo[key] = free
         return True
 
+    def _evasive_at(self, assigned: int, values: int, free: int) -> bool:
+        """Whether the restriction with ``free`` free variables is evasive."""
+        if free < 3:
+            return self.depth(assigned, values) == free
+        return self._evasive(assigned, values,
+                             self.keys.key(assigned, values), free)
+
     def evasive(self) -> bool:
         """Whether the function has full decision-tree depth."""
-        # a function of no variables is constant, at depth 0
-        return not self.n or self._evasive(0, 0, self.keys.key(0, 0), self.n)
+        return self._evasive_at(0, 0, self.n)
 
     def depth(self, assigned: int = 0, values: int = 0) -> int:
         """Exact depth of the restriction with the variables in ``assigned``
         answered, those in ``values`` with 1 and the rest with 0."""
-        if assigned == self.full:
-            return 0
-        return self._depth(assigned, values, self.keys.key(assigned, values))
-
-    def _depth(self, assigned: int, values: int, key: int) -> int:
-        memo = self.memo
-        free = self.n - assigned.bit_count()
+        rem = self.full ^ assigned
+        free = rem.bit_count()
+        if free < 3:
+            return _settled(self.table, values, rem)
+        key = self.keys.key(assigned, values)
         if self._evasive(assigned, values, key, free):
             return free
-        r = memo[key]
+        r = self.memo[key]
         if r != NOT_EVASIVE:
             return r
         # non-evasive, so some query reaches depth <= free - 1
         best = free
-        depth, key_of = self._depth, self.keys.key
-        rem = self.full ^ assigned
+        depth = self.depth
         # lowest-bit loop kept inline: the exact minimax is a hot path too
         while rem:
             b = rem & -rem
             rem ^= b
             a = assigned | b
-            d1 = depth(a, values | b, key_of(a, values | b))
+            d1 = depth(a, values | b)
             if d1 + 1 < best:
-                d0 = depth(a, values, key_of(a, values))
+                d0 = depth(a, values)
                 d = (d0 if d0 > d1 else d1) + 1
                 if d < best:
                     best = d
                     if best == 1:
                         break
-        memo[key] = best
+        self.memo[key] = best
         return best
 
     def adversary_path(self) -> list[tuple[int, int]]:
@@ -356,12 +375,8 @@ class DepthSolver:
             rem = self.full ^ assigned
             if target == rem.bit_count():
                 b = rem & -rem
-                # a fully assigned child is constant, so evasive
-                answer = 1
-                if target > 1:
-                    a, v = assigned | b, values | b
-                    answer = int(self._evasive(a, v, self.keys.key(a, v),
-                                               target - 1))
+                answer = int(self._evasive_at(assigned | b, values | b,
+                                              target - 1))
             else:
                 for i in iter_bits(rem):
                     b = 1 << i

@@ -113,6 +113,16 @@ def _radix3(assigned, values):
                for i in range(assigned.bit_length()) if assigned >> i & 1)
 
 
+def _free_count(key, n):
+    """The number of free variables of the restrictions with memo key
+    ``key``: its zero radix-3 digits."""
+    return sum(key // 3 ** i % 3 == 0 for i in range(n))
+
+
+def _filled_keys(solver):
+    return [k for k, r in enumerate(solver.memo) if r != oracle.UNFILLED]
+
+
 def test_trivial_keys_are_the_radix3_index():
     for n in range(1, 7):
         keys = DepthSolver(BooleanFunction(n, bytes(1 << n))).keys
@@ -140,6 +150,28 @@ def test_monotone_shortcut_agrees_with_subcube_scan():
         # the subcube scan, at every restriction it visits
         assert (DepthSolver(f).depth(assigned, values)
                 == decision_tree_depth_plain(f, assigned, values))
+
+
+def test_the_rule_settles_every_restriction_with_two_free_variables():
+    # every restriction with at most two free variables of every monotone
+    # function of arity 0-4 and of its opposite: 25362 in all, each read
+    # from the table with no memo entry
+    checked = 0
+    for n in range(5):
+        restrictions = [(a, v) for a in range(1 << n)
+                        if n - a.bit_count() <= 2
+                        for v in range(1 << n) if v & ~a == 0]
+        for fbits in enumerate_monotone(n):
+            down = BooleanFunction.from_bitvector(n, fbits)
+            for f in (down, opposite(down)):
+                solver = DepthSolver(f)
+                for a, v in restrictions:
+                    assert solver.depth(a, v) == \
+                        decision_tree_depth_plain(f, a, v), (n, f.table, a, v)
+                assert _filled_keys(solver) == []
+                assert solver.evasive() == (decision_tree_depth_plain(f) == n)
+                checked += len(restrictions)
+    assert checked == 25362
 
 
 def test_monotone_flag_spot_check(campaign):
@@ -739,8 +771,8 @@ def test_g6_orbit_keys_share_one_row_per_element(campaign):
 
 # the memo entries a dtree input's depth fills: equal keys give equal counts
 @pytest.mark.parametrize("name, filled", [
-    ("g6_closure_1", 10911), ("g6_closure_2", 23010),
-    ("g6_survivor_1", 7765), ("g6_survivor_2", 15403)])
+    ("g6_closure_1", 8304), ("g6_closure_2", 18679),
+    ("g6_survivor_1", 5607), ("g6_survivor_2", 13458)])
 def test_dtree_inputs_fill_pinned_memo_entries(campaign, name, filled):
     path = Path(__file__).parent / "data" / f"{name}.json"
     states = {e["orbit"]: e["state"]
@@ -751,24 +783,32 @@ def test_dtree_inputs_fill_pinned_memo_entries(campaign, name, filled):
         campaign.table, assignment.t_bits))
     assert solver.depth() == 14
     assert len(solver.memo) - solver.memo.count(oracle.UNFILLED) == filled
+    # the rule settles every restriction with at most two free variables
+    assert all(_free_count(k, 14) >= 3 for k in _filled_keys(solver))
 
 
-def test_transitive_degree_14_memos_span_3_to_the_13(campaign):
-    # a transitive group's least masks below the full one miss the last
-    # point, so the memo ends at 3^13; the trivial group and G6_3 fix x1,
-    # so all points but x1 are their orbit's least mask, and the memo ends
-    # only two keys short of 3^14
+def test_degree_14_memos_span_the_keys_with_three_free_variables(campaign):
+    # a restriction's key is at most twice the radix-3 index of its least
+    # assigned mask, and only restrictions with three or more free
+    # variables get one: the least masks of at most 11 points bound it
     def memo_size(table):
         return len(DepthSolver(BooleanFunction(14, bytes(1 << 14),
                                                table)).memo)
 
-    for name in ("G1", "G4", "G5"):
-        assert memo_size(OrbitTable(campaign.groups[name])) == 3 ** 13, name
+    def span(table):
+        return 2 * max(_radix3(m, 0) for m in table.min_mask
+                       if m.bit_count() <= 11) + 1
+
+    for table, size in [
+            (OrbitTable(campaign.groups["G1"]), 1_554_795),
+            (OrbitTable(campaign.groups["G4"]), 1_554_471),
+            (OrbitTable(campaign.groups["G5"]), 413_343),
+            (OrbitTable(campaign.subgroups["G6_3"]), 4_782_463),
+            (_trivial_table(14), 4_782_943)]:
+        assert memo_size(table) == span(table) == size, table.group
     f = sample_invariant_function(campaign.table, campaign.poset,
                                   random.Random(68))
-    assert len(DepthSolver(f).memo) == 3 ** 13
-    assert memo_size(OrbitTable(campaign.subgroups["G6_3"])) == 3 ** 14 - 2
-    assert memo_size(_trivial_table(14)) == 3 ** 14 - 2
+    assert len(DepthSolver(f).memo) == span(campaign.table) == 531_435
 
 
 # intransitive on 9 points, moving the last one
@@ -776,15 +816,11 @@ _C3_C2 = generate([parse_cycles("(1,2,3)(7,8,9)", 9),
                    parse_cycles("(4,5)", 9)])
 
 
-def _fully_assigned_keys_written(solver):
-    """The memo entries of fully assigned restrictions that were written:
-    their keys are theirs alone, the only keys whose assigned points are
-    every point."""
-    full = solver.full
-    values = range(full + 1)
-    keys = {solver.keys.key(full, v) for v in values}
-    return [k for k in keys
-            if k < len(solver.memo) and solver.memo[k] != oracle.UNFILLED]
+def _settled_keys_written(solver):
+    """The memo entries written for restrictions with at most two free
+    variables: their keys are theirs alone, the keys with at most two zero
+    radix-3 digits."""
+    return [k for k in _filled_keys(solver) if _free_count(k, solver.n) < 3]
 
 
 def test_the_memo_ends_where_the_keys_with_a_free_variable_end(c6):
@@ -795,10 +831,10 @@ def test_the_memo_ends_where_the_keys_with_a_free_variable_end(c6):
         n = table.n
         full = (1 << n) - 1
         keys = OrbitKeys(table)
-        top = max(keys.key(a, v) for a in range(full) for v in range(a + 1)
-                  if v & ~a == 0)
-        # every key of a restriction with a free variable is in the memo,
-        # and the last entry is used
+        top = max((keys.key(a, v) for a in range(full) for v in range(a + 1)
+                   if v & ~a == 0 and n - a.bit_count() >= 3), default=0)
+        # every key of a restriction with three or more free variables is
+        # in the memo, and the last entry is used
         assert top == keys.span - 1, table.group
         poset = OrbitPoset(table)
         fs = [sample_invariant_function(table, poset, rng,
@@ -810,12 +846,12 @@ def test_the_memo_ends_where_the_keys_with_a_free_variable_end(c6):
             assert len(solver.memo) == keys.span
             solver.depth()
             solver.adversary_path()
-            assert _fully_assigned_keys_written(solver) == []
+            assert _settled_keys_written(solver) == []
     for _ in range(40):
         solver = DepthSolver(_random_monotone(rng, rng.randint(1, 5)))
         assert solver.evasive() == (solver.depth() == solver.n)
         solver.adversary_path()
-        assert _fully_assigned_keys_written(solver) == []
+        assert _settled_keys_written(solver) == []
 
 
 def test_arity_zero_and_one():
@@ -843,4 +879,4 @@ def test_a_fully_assigned_restriction_has_depth_zero():
         solver = DepthSolver(f)
         full = (1 << n) - 1
         assert all(solver.depth(full, v) == 0 for v in range(full + 1))
-        assert _fully_assigned_keys_written(solver) == []
+        assert _settled_keys_written(solver) == []
