@@ -7,8 +7,9 @@ orbits FREE; queries that need a determined value raise IndeterminateFace.
 
 TypeAssignment is the package's one assignment type: the search's nodes,
 the replay's states and the assignment files the CLI reads are all
-instances.  Each carries chi and the link-at-x1 chi of its TRUE orbits,
-which are the encoded complex's values once it is fully assigned.
+instances.  Each holds two bitsets only, and sums chi and the link-at-x1
+chi of its TRUE orbits when asked, which are the encoded complex's values
+once it is fully assigned.
 """
 
 from __future__ import annotations
@@ -54,32 +55,32 @@ def link_x1_deltas(table: OrbitTable) -> list[int]:
 
 
 class TypeAssignment:
-    """Three-valued orbit states backed by two int bitsets over orbit ids,
-    with the Euler characteristics of the TRUE orbits' faces and of their
-    link at x1.
+    """Three-valued orbit states backed by two int bitsets over orbit ids.
 
-    The search's enumeration kernel works on the bitsets and both chi
-    values as plain ints and builds an assignment only for each case it
-    keeps, passing ``chi`` and ``chi_link`` as it tracked them; left out,
-    they are summed from the TRUE orbits.  Orbit id 0 (the empty subset)
-    is never assigned; the empty face is implicitly always present.
+    The search's enumeration kernel works on the bitsets as plain ints and
+    builds an assignment only for each case it keeps.  ``chi`` and
+    ``chi_link``, the Euler characteristics of the TRUE orbits' faces and
+    of their link at x1, are summed from the TRUE orbits on each read.
+    Orbit id 0 (the empty subset) is never assigned; the empty face is
+    implicitly always present.
     """
 
-    __slots__ = ("table", "poset", "t_bits", "f_bits", "chi", "chi_link")
+    __slots__ = ("table", "poset", "t_bits", "f_bits")
 
     def __init__(self, table: OrbitTable, poset: OrbitPoset,
-                 t_bits: int = 0, f_bits: int = 0,
-                 chi: int | None = None, chi_link: int | None = None):
+                 t_bits: int = 0, f_bits: int = 0):
         self.table = table
         self.poset = poset
         self.t_bits = t_bits
         self.f_bits = f_bits
-        if chi is None:
-            true = list(iter_bits(t_bits))
-            chi = sum(_chi_delta(table, o) for o in true)
-            chi_link = sum(_link_delta(table, o) for o in true)
-        self.chi = chi
-        self.chi_link = chi_link
+
+    @property
+    def chi(self) -> int:
+        return sum(_chi_delta(self.table, o) for o in iter_bits(self.t_bits))
+
+    @property
+    def chi_link(self) -> int:
+        return sum(_link_delta(self.table, o) for o in iter_bits(self.t_bits))
 
     @classmethod
     def from_states(cls, table: OrbitTable, poset: OrbitPoset,

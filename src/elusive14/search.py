@@ -1,10 +1,9 @@
 """Backtracking case analysis over orbit-type assignments.
 
-Every node of the search is a monotone-consistent partial TypeAssignment:
-two int bitsets over orbit ids plus the Euler characteristics of the
-encoded complex and of its link at x1.  Each schedule entry is one of the
-ten non-identity subgroups of G6, whose fixed-point complex must satisfy
-an Euler condition.  The identity's condition is chi(Delta) = 1 itself, so
+Every node of the search is a monotone-consistent partial TypeAssignment,
+two int bitsets over orbit ids.  Each schedule entry is one of the ten
+non-identity subgroups of G6, whose fixed-point complex must satisfy an
+Euler condition.  The identity's condition is chi(Delta) = 1 itself, so
 it gets no entry: the leaf after the last entry enumerates the remaining
 free orbits against chi(Delta) = 1 and tests the survivors against
 chi(Link(Delta, x1)) = 1.
@@ -15,7 +14,8 @@ orbits, a leaf's every free orbit), tallied by the weight they add and
 memoized by the set of orbits still free; then it emits the cases kept,
 the tally keys that meet the test, by following that memo into the
 branches whose tallies hold one.  A check's weight is each orbit's term
-in its fixed-point chi, a leaf's the chi and link chi deltas.  An engine
+in its fixed-point chi, a leaf's the chi and link chi deltas; the chi a
+node tests is the weight of its TRUE orbits plus a tally key.  An engine
 resolves each leaf state once, into counters and survivors of the leaf's
 own; every visit to that state, the first included, adds those counters
 to its run's and returns those survivors.
@@ -116,7 +116,7 @@ class SearchEngine:
         self.table = table
         self.poset = poset
         self.chi_delta = chi_deltas(table)
-        self.link_delta = link_x1_deltas(table)
+        link_delta = link_x1_deltas(table)
         # an orbit's chi and link chi deltas packed in one int, link chi in
         # the low link_shift bits as a signed offset: link chi counts faces
         # that contain x1, so every sum of link deltas lies within +-2^(n-1),
@@ -124,7 +124,7 @@ class SearchEngine:
         # deltas is the packed pair of sums
         self.link_shift = table.n + 1
         self.packed_delta = [(c << self.link_shift) + lk for c, lk
-                             in zip(self.chi_delta, self.link_delta)]
+                             in zip(self.chi_delta, link_delta)]
         self.top_oid = table.oid(f"{table.n}.0")
         # (t_bits, f_bits, link_check) -> (the leaf's own SearchStats, its
         # survivors as a tuple of TypeAssignments)
@@ -133,7 +133,7 @@ class SearchEngine:
     def initial_state(self) -> TypeAssignment:
         """All orbits free except the full-set orbit, pinned FALSE (a TRUE
         full set would make the function constant); no orbit lies above it."""
-        return TypeAssignment(self.table, self.poset, 0, 1 << self.top_oid, 0, 0)
+        return TypeAssignment(self.table, self.poset, 0, 1 << self.top_oid)
 
     def subgroup_chi(self, t_bits: int, check: SubgroupCheck) -> int:
         """chi of the check's fixed-point complex on the TRUE orbits
@@ -213,44 +213,36 @@ class SearchEngine:
         summed weight is ``want``, in the kernel's order, lowest orbit and
         TRUE first.  The walk follows the memo, entering a branch only when
         its tally holds the weight a case still needs, and carries the
-        whole state: TRUE turns ``lower[o]`` TRUE with its chi and link chi
-        deltas, FALSE turns ``upper[o]`` FALSE."""
+        state's two bitsets: TRUE turns ``lower[o]`` TRUE, FALSE turns
+        ``upper[o]`` FALSE."""
         table, poset = self.table, self.poset
         lower, upper = poset.lower, poset.upper
-        chi_delta, link_delta = self.chi_delta, self.link_delta
         out: list[TypeAssignment] = []
         # the stack pushes FALSE before TRUE, so TRUE comes out first
-        todo = ([(free, want, st.t_bits, st.f_bits, st.chi, st.chi_link)]
+        todo = ([(free, want, st.t_bits, st.f_bits)]
                 if want in memo[free][0] else [])
         while todo:
-            R, want, t, f, chi, link = todo.pop()
+            R, want, t, f = todo.pop()
             if not R:
-                out.append(TypeAssignment(table, poset, t, f, chi, link))
+                out.append(TypeAssignment(table, poset, t, f))
                 continue
             add, delta = memo[R][2:]
             o = (R & -R).bit_length() - 1
             if want in memo[R & ~upper[o]][0]:
-                todo.append((R & ~upper[o], want, t, f | upper[o], chi, link))
+                todo.append((R & ~upper[o], want, t, f | upper[o]))
             if want - delta in memo[R ^ add][0]:
-                rem = lower[o] & ~t
-                t |= rem
-                while rem:
-                    b = rem & -rem
-                    rem ^= b
-                    i = b.bit_length() - 1
-                    chi += chi_delta[i]
-                    link += link_delta[i]
-                todo.append((R ^ add, want - delta, t, f, chi, link))
+                todo.append((R ^ add, want - delta, t | lower[o], f))
         return out
 
     def leaf_survivors(self, st: TypeAssignment, stats: SearchStats,
                        link_check: bool = True) -> list[TypeAssignment]:
         """Resolve all remaining free orbits against chi(Delta) = 1, then
         test chi(Link(Delta, x1)) = 1 on each chi-feasible assignment.  The
-        first visit to a state on this engine counts its completions by
-        their chi and link chi deltas into the leaf's own SearchStats, and
-        emits its kept cases from the count's memo; it keeps both.  Every
-        visit adds those counters to ``stats`` and returns the survivors.
+        first visit to a state on this engine counts its completions by the
+        chi and link chi deltas they add to its TRUE orbits' sum into the
+        leaf's own SearchStats, and emits its kept cases from the count's
+        memo; it keeps both.  Every visit adds those counters to ``stats``
+        and returns the survivors.
         A leaf of more than CASE_CAP completions raises CaseCapExceeded,
         keeps nothing and leaves ``stats`` as it was."""
         key = (st.t_bits, st.f_bits, link_check)
@@ -265,15 +257,16 @@ class SearchEngine:
                 shift, weight, link_on = 0, self.chi_delta, 0
             memo = self._count(free, weight, "leaf")
             tally, total = memo[free][:2]
+            base = sum(weight[o] for o in iter_bits(st.t_bits))
             half = (1 << shift) >> 1
             own = SearchStats()
             own.leaf_assignments = total
             own.leaf_chi1 = sum(n for k, n in tally.items()
-                                if (k + half) >> shift == 1 - st.chi)
+                                if (base + k + half) >> shift == 1)
             own.prunes_by_chi = total - own.leaf_chi1
             # a kept case has chi 1 and, under the link test, link chi 1
-            want = ((1 - st.chi) << shift) + link_on * (1 - st.chi_link)
-            survivors = self._emit(st, memo, free, want)
+            survivors = self._emit(st, memo, free,
+                                   (1 << shift) + link_on - base)
             own.prunes_by_link = own.leaf_chi1 - len(survivors)
             self.leaves[key] = (own, tuple(survivors))
         own, found = self.leaves[key]

@@ -1,11 +1,12 @@
 import random
+from functools import cache
 
 import pytest
 from hypothesis import strategies as st
 
 from elusive14 import search
 from elusive14.bundle import build_campaign
-from elusive14.complexes import TypeAssignment
+from elusive14.complexes import TypeAssignment, link_x1_deltas
 from elusive14.oracle import BooleanFunction
 from elusive14.orbits import OrbitPoset, iter_bits
 from elusive14.perm import Permutation, generate, parse_cycles
@@ -81,17 +82,26 @@ def down_sets(table) -> list[int]:
     return sets
 
 
-def completions(engine, st, orbits, stats=None) -> list:
+@cache
+def _link_deltas(table) -> list[int]:
+    """The reference walk's link chi deltas, built once per table."""
+    return link_x1_deltas(table)
+
+
+def completions(engine, st, orbits, stats=None, chis=None) -> list:
     """The reference for the search's enumeration kernel: every completion
     of the still-free ``orbits`` from ``st`` that survives monotone
     closure, walked one case at a time, branching in the given order, TRUE
-    first, with chi and link chi summed on the way.  A branch that needs
-    some orbit both TRUE and FALSE is counted in ``stats`` as a conflict
-    and dropped; more than CASE_CAP cases raise CaseCapExceeded.  On one
-    free orbit of a closed state these are its closed TRUE child and then
-    its closed FALSE child."""
+    first, with chi and link chi summed on the way and appended, as the
+    pair (chi, link chi) of each case, to the list ``chis`` when one is
+    given.  A branch that needs some orbit both TRUE and FALSE is counted
+    in ``stats`` as a conflict and dropped; more than CASE_CAP cases raise
+    CaseCapExceeded.  On one free orbit of a closed state these are its
+    closed TRUE child and then its closed FALSE child."""
     lower, upper = engine.poset.lower, engine.poset.upper
+    chi_delta, link_delta = engine.chi_delta, _link_deltas(engine.table)
     stats = SearchStats() if stats is None else stats
+    chis = [] if chis is None else chis
     orbits = [o for o in orbits if not (st.t_bits | st.f_bits) >> o & 1]
     out = []
 
@@ -102,8 +112,8 @@ def completions(engine, st, orbits, stats=None) -> list:
             if len(out) == search.CASE_CAP:
                 raise CaseCapExceeded(
                     f"walk: more than {search.CASE_CAP} cases")
-            out.append(TypeAssignment(engine.table, engine.poset, t, f,
-                                      chi, link))
+            out.append(TypeAssignment(engine.table, engine.poset, t, f))
+            chis.append((chi, link))
             return
         o = orbits[k]
         add = lower[o] & ~t
@@ -112,8 +122,8 @@ def completions(engine, st, orbits, stats=None) -> list:
         else:
             c, lk = chi, link
             for i in iter_bits(add):
-                c += engine.chi_delta[i]
-                lk += engine.link_delta[i]
+                c += chi_delta[i]
+                lk += link_delta[i]
             walk(t | add, f, c, lk, k + 1)
         add = upper[o] & ~f
         if add & t:
@@ -121,7 +131,9 @@ def completions(engine, st, orbits, stats=None) -> list:
         else:
             walk(t, f | add, chi, link, k + 1)
 
-    walk(st.t_bits, st.f_bits, st.chi, st.chi_link, 0)
+    walk(st.t_bits, st.f_bits,
+         sum(chi_delta[o] for o in iter_bits(st.t_bits)),
+         sum(link_delta[o] for o in iter_bits(st.t_bits)), 0)
     return out
 
 

@@ -24,10 +24,9 @@ from pathlib import Path
 import pytest
 
 from conftest import (completions, explicit_euler, link, opposite, r_vector,
-                      random_monotone_bits, visit_nodes)
+                      random_monotone_bits, true_masks, visit_nodes)
 from elusive14.bundle import expand_labels, load_group_specs
-from elusive14.complexes import (FALSE, TRUE, TypeAssignment, chi_deltas,
-                                 link_x1_deltas)
+from elusive14.complexes import FALSE, TRUE, TypeAssignment
 from elusive14.oracle import (BooleanFunction, decision_tree_depth,
                               enumerate_monotone,
                               exhaustive_conjecture_check,
@@ -156,7 +155,7 @@ def test_criterion_5_published_endgame_counts(replay, campaign, monkeypatch):
         endgame: six free orbits at its labels' levels with the published
         chi and link chi;
     (d) enumerating the completions of the free orbits from explicit faces,
-        without the search's incremental chi bookkeeping, gives the
+        without the search's count or its chi deltas, gives the
         recomputed number of chi=1 settings and none with link chi 1.
     """
     table = campaign.table
@@ -323,20 +322,17 @@ def test_criterion_8_property_suites(campaign):
                             for m2 in table.members[p])
             assert bool(bits >> p & 1) == (brute or p == o)
 
-    # (d) incremental chi values vs from-scratch sums at search nodes
-    chi_d, link_d = chi_deltas(table), link_x1_deltas(table)
-    audited = [0]
-
-    def audit(st):
-        chi = sum(chi_d[o] for o in range(1, table.orbit_count)
-                  if st.t_bits >> o & 1)
-        lchi = sum(link_d[o] for o in range(1, table.orbit_count)
-                   if st.t_bits >> o & 1)
-        assert (chi, lchi) == (st.chi, st.chi_link)
-        audited[0] += 1
-
-    visit_nodes(engine, campaign.schedule("default"), audit)
-    assert audited[0] >= 100
+    # (d) chi and link chi of every fifth search node vs explicit faces:
+    # the members of its TRUE orbits and, for the link at x1, those that
+    # contain x1, less x1
+    nodes = []
+    visit_nodes(engine, campaign.schedule("default"), nodes.append)
+    audited = nodes[::5]
+    for st in audited:
+        faces = true_masks(st)
+        assert st.chi == explicit_euler(faces)
+        assert st.chi_link == explicit_euler(m ^ 1 for m in faces if m & 1)
+    assert len(audited) >= 100
 
     # (e) depth of a function equals depth of its opposite
     checked = 0
@@ -347,7 +343,7 @@ def test_criterion_8_property_suites(campaign):
             checked += 1
     assert checked >= 100
     print(f"\nACCEPTANCE 8 PASS: property suites clean "
-          f"(100+100+100 randomized cases, {audited[0]} audited nodes, "
+          f"(100+100+100 randomized cases, {len(audited)} audited nodes, "
           f"{checked} depth pairs)")
 
 
