@@ -16,8 +16,7 @@ element's pair of chunk tables, one row object per element, and both
 halves of a key, the assigned mask's and the answers', are read through
 that pair.  A function given without an orbit table gets the trivial
 group's table of its arity, whose keys are the plain radix-3 indices.
-The same keys check the group: the truth table is G-invariant iff it is
-constant on every mask orbit.
+The keys assume a G-invariant table, which the constructor checks.
 
 The decision pass comes first.  A restriction is evasive (its depth equals
 its number of free variables) iff it has no free variable, or it is
@@ -97,8 +96,9 @@ class BooleanFunction:
     MAX_ARITY variables (``ArityError``), by its 0/1 truth table over subset
     masks, which the constructor checks (``ValueError``), and the
     ``OrbitTable`` of a group G of its variables, by default the trivial
-    group's.  The depth solver checks that the table is G-invariant and
-    keys its memo by G-orbits of restrictions.
+    group's.  A table given with G must be G-invariant (``ValueError``):
+    constant on every orbit of G.  The depth solver keys its memo by
+    G-orbits of restrictions.
     """
 
     __slots__ = ("n", "table", "orbits")
@@ -115,10 +115,16 @@ class BooleanFunction:
         if not _is_monotone(n, table):
             raise ValueError("truth table is not monotone in either direction")
         if orbits is None:
+            # the trivial group leaves every table invariant
             orbits = _trivial_table(n)
         elif orbits.n != n:
             raise ValueError(f"orbit table degree {orbits.n} does not match "
                              f"arity {n}")
+        elif any(sum(map(table.__getitem__, mem)) % len(mem)
+                 for mem in orbits.members):
+            # a 0/1 orbit is constant iff its sum is a multiple of its size
+            raise ValueError(f"truth table is not invariant under "
+                             f"{orbits.group!r}")
         self.n = n
         self.table = table
         self.orbits = orbits
@@ -145,9 +151,9 @@ class OrbitKeys:
     """Memo keys of restrictions (assigned mask A, values mask V) that G
     carries onto each other.
 
-    ``least[A]`` is the least mask of A's orbit.  ``rows[A]`` is the pair
-    ``(lo, hi)`` of chunk tables of an element g of G that maps A to
-    ``least[A]``: ``lo[M & low] + hi[M >> half]`` is the radix-3 index of
+    ``rows[A]`` is the pair ``(lo, hi)`` of chunk tables of an element g
+    of G that maps A to the least mask of its orbit:
+    ``lo[M & low] + hi[M >> half]`` is the radix-3 index of
     gM with every point answered 0, one 7-point chunk of M at a time.  The
     key of (A, V) is that sum for A plus that sum for V, the radix-3 index
     of (gA, gV), one digit per variable (free / answered 0 / answered 1).
@@ -170,7 +176,7 @@ class OrbitKeys:
     gets the row of k's inverse, for the first such k in element order.
     """
 
-    __slots__ = ("least", "rows", "half", "low", "span")
+    __slots__ = ("rows", "half", "low", "span")
 
     def __init__(self, table: OrbitTable):
         n = table.n
@@ -197,7 +203,6 @@ class OrbitKeys:
             images = table.images(m)
             images.reverse()
             any(map(rows.__setitem__, images, pairs))
-        self.least = list(map(table.min_mask.__getitem__, table._orbit_of))
         self.span = 2 * max((radix[m] for m in table.min_mask
                              if m.bit_count() <= n - 3), default=0) + 1
 
@@ -242,9 +247,7 @@ class DepthSolver:
     ``OrbitKeys`` key of the function's orbit table, shared by restrictions
     that its group G carries onto each other; under the trivial group it is
     the plain radix-3 index.  The decision pass reads a child's key inline,
-    through the child's row: four chunk-table lookups.  The function's
-    invariance is checked through the same keys: the table must be
-    constant on every mask orbit.
+    through the child's row: four chunk-table lookups.
 
     Only restrictions with three or more free variables get an entry, so
     the memo has ``OrbitKeys.span`` entries, 531,435 for G6: ``_settled``
@@ -255,9 +258,6 @@ class DepthSolver:
         self.n = f.n
         self.full = (1 << f.n) - 1
         self.keys = keys = _orbit_keys(f.orbits)
-        if bytes(map(f.table.__getitem__, keys.least)) != f.table:
-            raise ValueError(f"truth table is not invariant under "
-                             f"{f.orbits.group!r}")
         self.memo = bytearray([UNFILLED]) * keys.span
         # the decision pass reads these from the solver, one attribute each
         self.table = f.table
@@ -313,16 +313,16 @@ class DepthSolver:
         memo[key] = free
         return True
 
-    def _evasive_at(self, assigned: int, values: int, free: int) -> bool:
-        """Whether the restriction with ``free`` free variables is evasive."""
+    def evasive(self, assigned: int = 0, values: int = 0) -> bool:
+        """Whether the restriction, as ``depth`` takes it, is evasive: its
+        depth equals its number of free variables.  By default, whether
+        the function has full decision-tree depth."""
+        rem = self.full ^ assigned
+        free = rem.bit_count()
         if free < 3:
-            return self.depth(assigned, values) == free
+            return _settled(self.table, values, rem) == free
         return self._evasive(assigned, values,
                              self.keys.key(assigned, values), free)
-
-    def evasive(self) -> bool:
-        """Whether the function has full decision-tree depth."""
-        return self._evasive_at(0, 0, self.n)
 
     def depth(self, assigned: int = 0, values: int = 0) -> int:
         """Exact depth of the restriction with the variables in ``assigned``
@@ -375,8 +375,7 @@ class DepthSolver:
             rem = self.full ^ assigned
             if target == rem.bit_count():
                 b = rem & -rem
-                answer = int(self._evasive_at(assigned | b, values | b,
-                                              target - 1))
+                answer = int(self.evasive(assigned | b, values | b))
             else:
                 for i in iter_bits(rem):
                     b = 1 << i

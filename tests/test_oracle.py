@@ -2,7 +2,7 @@ import json
 import random
 from collections import Counter
 from functools import cache
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial
 from pathlib import Path
 
@@ -125,8 +125,11 @@ def _filled_keys(solver):
 
 def test_trivial_keys_are_the_radix3_index():
     for n in range(1, 7):
-        keys = DepthSolver(BooleanFunction(n, bytes(1 << n))).keys
-        assert keys.least == list(range(1 << n))
+        f = BooleanFunction(n, bytes(1 << n))
+        keys = DepthSolver(f).keys
+        table = f.orbits
+        assert ([table.min_mask[table.orbit_of(a)] for a in range(1 << n)]
+                == list(range(1 << n)))
         for assigned in range(1 << n):
             values = assigned
             while True:
@@ -701,9 +704,10 @@ def _restrictions(draw):
 @given(_restrictions())
 def test_orbit_keys_against_brute_force_orbits(case):
     group, assigned, values = case
-    keys = OrbitKeys(OrbitTable(group))
+    table = OrbitTable(group)
+    keys = OrbitKeys(table)
     least = min(act(g, assigned) for g in group.elements)
-    assert keys.least[assigned] == least
+    assert table.min_mask[table.orbit_of(assigned)] == least
     # the row's element carries the assigned mask itself to the least one
     assert keys.key(assigned, assigned) == 2 * _radix3(least, 0)
     # equal keys: some g carries one restriction onto the other
@@ -715,14 +719,40 @@ def test_orbit_keys_against_brute_force_orbits(case):
                 assert (a, v) in orbit
 
 
-def test_group_must_leave_the_table_invariant(c6):
+def _down_set_table(n, mask):
+    """The truth table that is 1 exactly on the subsets of ``mask``."""
+    tab = bytearray(1 << n)
+    s = mask
+    while True:
+        tab[s] = 1
+        if not s:
+            return tab
+        s = (s - 1) & mask
+
+
+def test_group_must_leave_the_table_invariant(c6, campaign):
+    # the constructor refuses, before any solver or key is built
     table = OrbitTable(c6)
-    tab = bytearray(64)
-    tab[0] = tab[0b1] = 1  # the down-set {{}, {x1}}: {x2} is false
+    tab = _down_set_table(6, 0b1)  # {{}, {x1}}: {x2} is false
     with pytest.raises(ValueError, match="not invariant"):
-        DepthSolver(BooleanFunction(6, tab, table))
+        BooleanFunction(6, tab, table)
+    assert table not in oracle._keys_of_table
     with pytest.raises(ValueError, match="does not match arity"):
         BooleanFunction(5, bytes(32), table)
+    # under G6, the down-set of a single 3-set: monotone, but each orbit of
+    # its nonempty subsets has members outside it, at any place in the orbit
+    g6 = campaign.table
+    for points in combinations(range(14), 3):
+        tab = _down_set_table(14, sum(1 << p for p in points))
+        with pytest.raises(ValueError, match="not invariant"):
+            BooleanFunction(14, tab, g6)
+    # whole orbits construct, and so does every table without a group
+    f = BooleanFunction.from_orbit_types(g6, campaign.poset.lower[g6.oid("3.1")])
+    assert opposite(f).orbits is g6
+    for n in range(6):
+        for bits in (0, 1, _monotone(n)[len(_monotone(n)) // 2]):
+            f = BooleanFunction.from_bitvector(n, bits)
+            assert opposite(f).orbits is f.orbits is _trivial_table(n)
 
 
 def test_from_orbit_types_requires_a_downward_closed_set(campaign):
@@ -754,7 +784,6 @@ def test_g6_orbit_keys_map_to_least_masks(campaign):
     table = campaign.table
     for a in range(1 << 14):
         least = table.min_mask[table.orbit_of(a)]
-        assert keys.least[a] == least
         assert keys.key(a, 0) == _radix3(least, 0)
         assert keys.key(a, a) == 2 * keys.key(a, 0)
     # transitive: the fourteen one-variable restrictions share one key
@@ -852,6 +881,26 @@ def test_the_memo_ends_where_the_keys_with_a_free_variable_end(c6):
         assert solver.evasive() == (solver.depth() == solver.n)
         solver.adversary_path()
         assert _settled_keys_written(solver) == []
+
+
+def test_evasive_takes_a_restriction():
+    # the decision pass alone, on a fresh solver and on one that has seen
+    # the earlier restrictions, against the plain minimax
+    rng = random.Random(70)
+    for n in range(5):
+        for bits in rng.sample(_monotone(n), min(8, len(_monotone(n)))):
+            f = BooleanFunction.from_bitvector(n, bits)
+            for g in (f, opposite(f)):
+                solver = DepthSolver(g)
+                for assigned in range(1 << n):
+                    free = n - assigned.bit_count()
+                    for values in range(1 << n):
+                        if values & ~assigned:
+                            continue
+                        want = (decision_tree_depth_plain(g, assigned, values)
+                                == free)
+                        assert solver.evasive(assigned, values) == want
+                        assert DepthSolver(g).evasive(assigned, values) == want
 
 
 def test_arity_zero_and_one():
