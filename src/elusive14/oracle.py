@@ -54,7 +54,7 @@ from math import factorial
 
 from .orbits import (CHUNK, OrbitPoset, OrbitTable, action_table, iter_bits,
                      subset_unions)
-from .perm import Permutation, closure
+from .perm import closure
 
 
 class ArityError(ValueError):
@@ -440,7 +440,7 @@ def _relabellers(n: int, first: int = 0) -> list:
     fixed = tuple(range(first))
     swap = fixed + (first + 1, first) + tuple(range(first + 2, n))
     cycle = fixed + tuple(range(first + 1, n)) + (first,)
-    return [_bit_mover(action_table(Permutation(p))) for p in (swap, cycle)]
+    return [_bit_mover(action_table(p)) for p in (swap, cycle)]
 
 
 def _relabelling_classes(n: int, functions: list[int]) -> dict[int, int]:

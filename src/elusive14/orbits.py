@@ -18,7 +18,7 @@ from __future__ import annotations
 import sys
 from array import array
 
-from .perm import Permutation, PermGroup, generate, identity
+from .perm import PermGroup, generate, identity
 
 # OrbitTable keeps several 2^n-entry lists, about 200 MiB at degree 20, and
 # at most ceil(n/7) * 128 * |G| chunk images: at degree 20, for a group at
@@ -56,10 +56,11 @@ def subset_unions(bits) -> list[int]:
     return out
 
 
-def action_table(sigma: Permutation) -> list[int]:
-    """The image of every mask m under sigma (bit sigma(i) of entry m is
-    set iff bit i of m is), built from single-bit images."""
-    return subset_unions([1 << i for i in sigma.images])
+def action_table(sigma: tuple[int, ...]) -> list[int]:
+    """The image of every mask m under sigma, a Permutation or any tuple of
+    point images (bit sigma[i] of entry m is set iff bit i of m is), built
+    from single-bit images."""
+    return subset_unions([1 << i for i in sigma])
 
 
 def block_masks(group: PermGroup) -> tuple[int, ...]:
@@ -114,7 +115,7 @@ class OrbitTable:
         self._width = array(self._code).itemsize * group.order
         points = [int.from_bytes(array(self._code, [1 << p for p in images]),
                                  sys.byteorder)
-                  for images in zip(*(g.images for g in group.elements))]
+                  for images in zip(*group.elements)]
         self._chunks = [subset_unions(points[i:i + CHUNK])
                         for i in range(0, n, CHUNK)]
 

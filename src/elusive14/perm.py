@@ -1,9 +1,10 @@
-"""Permutations in cycle notation, finitely generated permutation groups,
-and the classification checks (cyclic, psi_p, psi_p^q, Sylow-style prime
-test) used by the degree-14 verification campaign.
+"""Permutations, finitely generated permutation groups, and the
+classification checks (cyclic, psi_p, psi_p^q, Sylow-style prime test) used
+by the degree-14 verification campaign.
 
-Points are 1-based in all textual input/output (matching the bundled
-tables) and 0-based internally.
+A permutation is the tuple of its images, read from and printed as cycle
+notation.  Points are 1-based in all textual input/output (matching the
+bundled tables) and 0-based internally.
 """
 
 from __future__ import annotations
@@ -29,52 +30,40 @@ class WitnessError(ValueError):
     """A classification witness refers to elements outside the group."""
 
 
-class Permutation:
-    """A bijection on {0..n-1}; ``images[i]`` is the image of point i."""
+class Permutation(tuple):
+    """A bijection on {0..n-1}, held as the tuple of its images: entry i is
+    the image of point i.  Equality, hashing, ``len`` (the degree) and the
+    order that sorts elements are the tuple's."""
 
-    __slots__ = ("images",)
-
-    def __init__(self, images: tuple[int, ...]):
-        self.images = images
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
+    __slots__ = ()
 
     def __repr__(self) -> str:
-        return f"Permutation(images={self.images!r})"
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
+        return f"Permutation({tuple(self)!r})"
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Composition: (self * other)(x) = self(other(x))."""
-        simg = self.images
-        return Permutation(tuple(simg[j] for j in other.images))
+        return Permutation([self[j] for j in other])
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
+        inv = [0] * len(self)
+        for i, j in enumerate(self):
             inv[j] = i
-        return Permutation(tuple(inv))
+        return Permutation(inv)
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its smallest point, 0-based."""
-        seen = [False] * len(self.images)
+        seen = [False] * len(self)
         out = []
-        for start in range(len(self.images)):
+        for start in range(len(self)):
             if seen[start]:
                 continue
             cyc = [start]
             seen[start] = True
-            j = self.images[start]
+            j = self[start]
             while j != start:
                 cyc.append(j)
                 seen[j] = True
-                j = self.images[j]
+                j = self[j]
             if len(cyc) > 1:
                 out.append(tuple(cyc))
         return out
@@ -83,21 +72,18 @@ class Permutation:
         return math.lcm(*(len(c) for c in self.cycles()))
 
     def fixed_points(self) -> tuple[int, ...]:
-        return tuple(i for i, j in enumerate(self.images) if i == j)
+        return tuple(i for i, j in enumerate(self) if i == j)
 
-    def cycle_string(self) -> str:
+    def __str__(self) -> str:
         """Canonical 1-based cycle notation; identity prints as '()'."""
         cycs = self.cycles()
         if not cycs:
             return "()"
         return "".join("(" + ",".join(str(p + 1) for p in c) + ")" for c in cycs)
 
-    def __str__(self) -> str:
-        return self.cycle_string()
-
 
 def identity(n: int) -> Permutation:
-    return Permutation(tuple(range(n)))
+    return Permutation(range(n))
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -138,7 +124,7 @@ def parse_cycles(text: str, n: int) -> Permutation:
             continue
         for a, b in zip(pts, pts[1:] + pts[:1]):
             images[a - 1] = b - 1
-    return Permutation(tuple(images))
+    return Permutation(images)
 
 
 class PermGroup:
@@ -164,7 +150,7 @@ class PermGroup:
 
     def point_orbits(self) -> list[tuple[int, ...]]:
         """Orbits on points (0-based), each sorted, ordered by smallest point."""
-        maps = [g.images.__getitem__ for g in self.generators]
+        maps = [g.__getitem__ for g in self.generators]
         seen: set[int] = set()
         orbits = []
         for start in range(self.degree):
@@ -200,13 +186,12 @@ def generate(generators: list[Permutation] | tuple[Permutation, ...],
     gens = list(generators)
     if not gens:
         raise ValueError("need at least one generator (use identity for the trivial group)")
-    degree = gens[0].degree
-    if any(g.degree != degree for g in gens):
+    degree = len(gens[0])
+    if any(len(g) != degree for g in gens):
         raise ValueError("generators have mixed degrees")
     # left multiplication by the generators reaches every product of them
     elements = closure((identity(degree),), [g.__mul__ for g in gens], cap)
-    return PermGroup(degree, tuple(gens),
-                     tuple(sorted(elements, key=lambda p: p.images)))
+    return PermGroup(degree, tuple(gens), tuple(sorted(elements)))
 
 
 def subgroup(G: PermGroup, gens: list[Permutation]) -> PermGroup:
@@ -222,29 +207,12 @@ def is_transitive(G: PermGroup) -> bool:
     return len(G.point_orbits()[0]) == G.degree
 
 
-def _landau(n: int) -> int:
-    """Landau's g(n), the largest order of a permutation of n points: the
-    largest lcm of a partition of n, which is the largest product of powers
-    of distinct primes whose sum is at most n (84 for n = 14)."""
-    # best[s]: the largest such product of sum at most s over the primes
-    # taken so far, each prime taken once, so s runs down
-    best = [1] * (n + 1)
-    for p in range(2, n + 1):
-        if _prime_power(p) != p:
-            continue
-        for s in range(n, p - 1, -1):
-            q = p
-            while q <= s:
-                best[s] = max(best[s], best[s - q] * q)
-                q *= p
-    return best[n]
-
-
 def is_cyclic(G: PermGroup) -> bool:
-    """True iff some element has order |G|.  No element of a group larger
-    than _landau(degree) can be, so such a group is not scanned."""
+    """True iff some element has order |G|.  A generator's cycles are the
+    group's point orbits, so a cyclic group's order is the lcm of their
+    sizes; a group of any other order is not scanned."""
     n = G.order
-    if n > _landau(G.degree):
+    if n != math.lcm(*map(len, G.point_orbits())):
         return False
     return any(e.order() == n for e in G.elements)
 
@@ -272,8 +240,7 @@ def normal_closure(G: PermGroup, seed: Permutation,
     if seed not in G:
         raise WitnessError("seed element is not in the group")
     conjugates = closure((seed,), _conjugations(G))
-    return generate(sorted(conjugates, key=lambda p: p.images),
-                    cap=G.order if cap is None else cap)
+    return generate(sorted(conjugates), cap=G.order if cap is None else cap)
 
 
 def _cyclic_mod(H: PermGroup, P: PermGroup) -> bool:
@@ -415,7 +382,7 @@ def _heuristic_oliver_search(G: PermGroup) -> Classification | None:
         for P in candidates:
             seen: set[frozenset[Permutation]] = set()
             for e in reps:
-                if e == identity(e.degree):
+                if e == identity(G.degree):
                     continue
                 H = subgroup(G, list(P.generators) + [e])
                 if H.element_set not in seen and H.order != G.order:

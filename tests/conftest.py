@@ -51,10 +51,9 @@ def act(sigma: Permutation, mask: int) -> int:
     time: bit sigma(i) of the output is set iff bit i of the input is set."""
     out = 0
     i = 0
-    images = sigma.images
     while mask:
         if mask & 1:
-            out |= 1 << images[i]
+            out |= 1 << sigma[i]
         mask >>= 1
         i += 1
     return out

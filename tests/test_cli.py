@@ -506,7 +506,7 @@ def test_dtree_does_not_depend_on_the_numbering_of_the_points(
     group_file = tmp_path / "g6_relabelled.json"
     group_file.write_text(json.dumps({
         "name": "G6 relabelled", "degree": 14,
-        "generators": [g.cycle_string() for g in gens]}))
+        "generators": [str(g) for g in gens]}))
     table, moved = campaign.table, OrbitTable(generate(gens))
     original = ROOT / "tests" / "data" / name
     relabelled = tmp_path / name

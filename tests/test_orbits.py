@@ -57,7 +57,7 @@ def test_act_is_an_action(a_img, b_img, mask):
 def test_action_table_matches_act(images):
     sigma = Permutation(tuple(images))
     assert action_table(sigma) == [act(sigma, m)
-                                   for m in range(1 << sigma.degree)]
+                                   for m in range(1 << len(sigma))]
 
 
 @given(st.lists(st.integers(0, (1 << 16) - 1), max_size=8))

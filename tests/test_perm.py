@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from conftest import generated_groups
 from elusive14 import perm
 from elusive14.perm import (ClosureCapExceeded, OliverWitness, ParseError,
-                            Permutation, WitnessError, _cyclic_mod, _landau,
-                            classify,
+                            Permutation, WitnessError, _cyclic_mod, classify,
                             closure, conjugacy_class_representatives,
                             generate, identity, is_cyclic, is_normal,
                             is_transitive, normal_closure, parse_cycles,
@@ -23,7 +22,7 @@ def test_parse_identity_forms():
 def test_parse_full_cycle_order():
     sigma = parse_cycles("(1,2,3,4,5,6,7,8,9,10,11,12,13,14)", 14)
     assert sigma.order() == 14
-    assert sigma.images[0] == 1 and sigma.images[13] == 0
+    assert sigma[0] == 1 and sigma[13] == 0
 
 
 def test_parse_involution():
@@ -54,21 +53,36 @@ def test_parse_cycles_on_arbitrary_text(text, n):
         sigma = parse_cycles(text, n)
     except ParseError:
         return
-    assert sorted(sigma.images) == list(range(n))
+    assert sorted(sigma) == list(range(n))
 
 
 @given(st.permutations(list(range(10))))
 def test_cycle_string_round_trip(images):
     from elusive14.perm import Permutation
     sigma = Permutation(tuple(images))
-    assert parse_cycles(sigma.cycle_string(), 10) == sigma
+    assert parse_cycles(str(sigma), 10) == sigma
+
+
+@given(st.lists(st.integers(1, 8).flatmap(
+    lambda n: st.permutations(list(range(n)))), min_size=1, max_size=6))
+def test_a_permutation_is_the_tuple_of_its_images(images):
+    # equality, hash, length and order are the image tuple's, so element
+    # sets, memo keys and sorted element lists keep one canonical order
+    perms = [Permutation(p) for p in images]
+    for sigma, p in zip(perms, images):
+        assert sigma == tuple(p) and hash(sigma) == hash(tuple(p))
+        assert len(sigma) == len(p) and sigma.fixed_points() == tuple(
+            i for i in range(len(p)) if p[i] == i)
+        assert eval(repr(sigma)) == sigma
+        assert type(eval(repr(sigma))) is Permutation
+    assert [tuple(s) for s in sorted(perms)] == sorted(map(tuple, images))
 
 
 @given(st.permutations(list(range(8))), st.permutations(list(range(8))))
 def test_compose_inverse(a_img, b_img):
     from elusive14.perm import Permutation
     a, b = Permutation(tuple(a_img)), Permutation(tuple(b_img))
-    assert (a * b).images == tuple(a.images[b.images[i]] for i in range(8))
+    assert (a * b) == tuple(a[b[i]] for i in range(8))
     assert a * a.inverse() == identity(8)
     assert ((a * b) * b.inverse()) == a
 
@@ -119,23 +133,15 @@ def test_cyclicity(groups):
     assert is_cyclic(groups["G1"])
     assert not is_cyclic(groups["G5"])
     assert is_cyclic(generate([identity(14)]))
+    # order 6 is the lcm of the orbit sizes 2 and 3, not the largest size
+    assert is_cyclic(generate([Permutation((1, 0, 3, 4, 2))]))
+    # V4 acting regularly: order 4 meets the bound, but no element has it
+    v4 = generate([Permutation((1, 0, 3, 2)), Permutation((2, 3, 0, 1))])
+    assert v4.order == 4 and not is_cyclic(v4)
 
 
 def _scanned_cyclic(G) -> bool:
     return any(e.order() == G.order for e in G.elements)
-
-
-def test_landau_is_the_largest_lcm_of_a_partition():
-    def partitions(n, most):
-        if n == 0:
-            yield []
-        for k in range(min(n, most), 0, -1):
-            for rest in partitions(n - k, k):
-                yield [k] + rest
-
-    for n in range(15):
-        assert _landau(n) == max(math.lcm(*p) for p in partitions(n, n))
-    assert _landau(14) == 84
 
 
 @settings(max_examples=60, deadline=None)
@@ -152,7 +158,8 @@ def test_cyclicity_agrees_with_the_order_scan_on_the_bundled_groups(campaign):
         assert is_cyclic(G) == _scanned_cyclic(G), name
     # the groups whose scan the bound skips
     assert sorted(name for name, G in groups.items()
-                  if G.order > _landau(G.degree)) == ["G4", "G5", "G6"]
+                  if G.order != math.lcm(*map(len, G.point_orbits()))) == [
+        "G3", "G4", "G5", "G6", "G6_10"]
 
 
 def test_psi_p_witnesses(campaign, groups):
@@ -361,7 +368,7 @@ def test_closure_generates_the_products_fixpoint(case):
     n, perms = case
     gens = [Permutation(p) for p in perms]
     G = generate(gens)
-    assert {e.images for e in G.elements} == products_fixpoint(n, perms)
+    assert set(G.elements) == products_fixpoint(n, perms)
     assert G.point_orbits() == union_find_orbits(n, perms)
     assert generate(gens, cap=G.order).elements == G.elements
     with pytest.raises(ClosureCapExceeded):
@@ -373,21 +380,21 @@ def test_closure_generates_the_products_fixpoint(case):
 def test_conjugacy_classes_and_normal_closure(case, data):
     n, perms = case
     G = generate([Permutation(p) for p in perms])
-    pairs = [(g.images, g.inverse().images) for g in G.elements]
+    pairs = [(g, g.inverse()) for g in G.elements]
     classes = {}
     seen = set()
     for x in G.elements:
-        if x.images in seen:     # its class was built from an earlier member
+        if x in seen:            # its class was built from an earlier member
             continue
-        cls = frozenset(compose(compose(g, x.images), ginv) for g, ginv in pairs)
+        cls = frozenset(compose(compose(g, x), ginv) for g, ginv in pairs)
         seen |= cls
         classes[cls] = x         # the first member in element order
     assert conjugacy_class_representatives(G) == list(classes.values())
     seed = data.draw(st.sampled_from(G.elements))
-    (conjugates,) = [cls for cls in classes if seed.images in cls]
+    (conjugates,) = [cls for cls in classes if seed in cls]
     N = normal_closure(G, seed)
     brute = products_fixpoint(n, conjugates)
-    assert {e.images for e in N.elements} == brute
+    assert set(N.elements) == brute
     cap = data.draw(st.integers(1, G.order))
     if len(brute) > cap:
         with pytest.raises(ClosureCapExceeded):
